@@ -57,8 +57,10 @@ def flip(t: WordTuple) -> WordTuple:
 class EvalContext:
     """Per-run caches. Not shared across processes; create one per worker.
 
-    The cache is cleared wholesale when it reaches ``limit`` entries, which
-    keeps long exhaustive scans at bounded memory.
+    Keys hold the node itself, so a cached node stays alive and its identity
+    cannot pass to a new node while its values are cached. The cache is
+    cleared wholesale when it reaches ``limit`` entries, which keeps long
+    exhaustive scans at bounded memory.
     """
 
     __slots__ = ("node_values", "limit")
@@ -75,11 +77,15 @@ class EvalContext:
 
 
 def _key(node: "Cochain", t: WordTuple) -> tuple:
-    return (id(node), tuple(w.letters for w in t))
+    return (node, tuple(w.letters for w in t))
 
 
 class Cochain:
-    """Base expression node; subclasses set ``degree`` and ``_eval``."""
+    """Base expression node; subclasses set ``degree`` and ``_eval``.
+
+    Nodes compare and hash by identity (``eq=False`` on the dataclass
+    nodes), which keeps cache keys cheap to hash.
+    """
 
     degree: int
 
@@ -95,7 +101,7 @@ def evaluate(expr: Cochain, t: Sequence[Word], ctx: EvalContext | None = None) -
     return expr._eval(t, ctx if ctx is not None else EvalContext())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantCochain(Cochain):
     value: Fraction
     degree: int = 0
@@ -125,7 +131,7 @@ class TableCochain(Cochain):
         return self.table.get(tuple(w.letters for w in t), _ZERO)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QMCochain(Cochain):
     """Degree-1 leaf evaluating a quasi-morphism (vanishes at the identity)."""
 
@@ -136,7 +142,7 @@ class QMCochain(Cochain):
         return self.qm.value_letters(t[0].letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Restriction(Cochain):
     """Extension by zero off the aligned domain."""
 
@@ -155,7 +161,7 @@ class Restriction(Cochain):
         return ctx.store(key, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coboundary(Cochain):
     child: Cochain
 
@@ -179,7 +185,7 @@ class Coboundary(Cochain):
         return total + last if (k + 1) % 2 == 0 else total - last
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CupProduct(Cochain):
     """Front block into the left factor, back block into the right factor."""
 
@@ -198,7 +204,7 @@ class CupProduct(Cochain):
         return a * self.right._eval(t[p:], ctx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alternation(Cochain):
     """alt(f)(t) = (f(t) + (-1)^ceil(k/2) f(flip t)) / 2; identity in degree 0."""
 

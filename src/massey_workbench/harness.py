@@ -15,6 +15,49 @@ from .report import Report, StageResult, now_iso
 from .words import enumerate_ball
 
 
+# Top-level keys each command reads; any other key is a typo that would
+# otherwise be ignored (a misspelled "mutation" silently runs unmutated).
+_COMMON_KEYS = {"command", "schema_version", "rank"}
+_MASSEY_KEYS = {"phi", "quasimorphisms", "omega1", "omega2", "k1", "k2", "plan", "mutation"}
+CONFIG_KEYS = {
+    "axioms": _COMMON_KEYS
+    | {"decomposition", "radius", "pair_radius", "enumeration_cap", "jobs", "check_stabilization"},
+    "defect": _COMMON_KEYS
+    | {
+        "quasimorphism",
+        "phi",
+        "radius",
+        "pair_radius",
+        "random_pairs",
+        "max_len",
+        "seed",
+        "enumeration_cap",
+        "jobs",
+    },
+    "verify-primitive": _COMMON_KEYS | _MASSEY_KEYS,
+    "massey": _COMMON_KEYS | _MASSEY_KEYS | {"r_hat"},
+}
+
+
+def check_config_keys(doc: dict, command: str) -> None:
+    """Reject top-level keys the command does not read."""
+    unknown = set(doc) - CONFIG_KEYS[command]
+    if unknown:
+        raise ConfigError(f"unknown {command} config keys: {sorted(unknown)}")
+
+
+def _setting(overrides: dict, doc: dict, key: str, default: int) -> int:
+    """A command-line override if given (0 included), else the config value."""
+    value = overrides.get(key)
+    return int(doc.get(key, default) if value is None else value)
+
+
+def _jobs(value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"jobs must be >= 1, got {value}")
+    return value
+
+
 def _finish(report: Report, started: float, started_at: str, config_echo: dict) -> Report:
     report.wall_time_s = round(time.monotonic() - started, 3)
     report.started_at = started_at
@@ -25,13 +68,14 @@ def _finish(report: Report, started: float, started_at: str, config_echo: dict) 
 def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     """Exhaustive decomposition axiom suite plus the R-hat stabilization check."""
     overrides = overrides or {}
+    check_config_keys(doc, "axioms")
     started, started_at = time.monotonic(), now_iso()
     rank = int(doc.get("rank", 2))
     spec = spec_from_json(doc.get("decomposition", {"family": "letter"}), rank)
-    radius = int(overrides.get("radius") or doc.get("radius", 6))
+    radius = _setting(overrides, doc, "radius", 6)
     pair_radius = int(doc.get("pair_radius", min(radius, 5)))
     cap = doc.get("enumeration_cap")
-    jobs = int(overrides.get("jobs") or doc.get("jobs", 1))
+    jobs = _jobs(_setting(overrides, doc, "jobs", 1))
     stabilize = bool(doc.get("check_stabilization", True))
 
     report = Report(command="axioms")
@@ -102,19 +146,20 @@ def _tripod_identity_stage(q: QuasiMorphism, radius: int, cap) -> StageResult:
 def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     """Defect statistics and the quasi-morphism invariants behind them."""
     overrides = overrides or {}
+    check_config_keys(doc, "defect")
     started, started_at = time.monotonic(), now_iso()
     rank = int(doc.get("rank", 2))
     qm_doc = doc.get("quasimorphism") or doc.get("phi")
     if qm_doc is None:
         raise ConfigError("defect config needs a 'quasimorphism' (or 'phi') key")
     q = qm_from_json(qm_doc, rank)
-    radius = int(overrides.get("radius") or doc.get("radius", 4))
+    radius = _setting(overrides, doc, "radius", 4)
     pair_radius = int(doc.get("pair_radius", radius))
     random_pairs = int(doc.get("random_pairs", 2000))
     max_len = int(doc.get("max_len", 100))
-    seed = int(overrides.get("seed") or doc.get("seed", 0))
+    seed = _setting(overrides, doc, "seed", 0)
     cap = doc.get("enumeration_cap")
-    jobs = int(overrides.get("jobs") or doc.get("jobs", 1))
+    jobs = _jobs(_setting(overrides, doc, "jobs", 1))
 
     report = Report(command="defect")
     report.add(_antisymmetry_stage(q, radius + 2, cap))
@@ -146,22 +191,28 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     return _finish(report, started, started_at, doc)
 
 
-def run_massey(doc: dict, overrides: dict | None = None) -> Report:
-    overrides = overrides or {}
-    started, started_at = time.monotonic(), now_iso()
+def _massey_setup(doc: dict, overrides: dict, command: str):
+    check_config_keys(doc, command)
+    if overrides.get("radius") is not None:
+        raise ConfigError(
+            f"--radius does not apply to {command}; set the plan radii in the config"
+        )
     instance, plan = massey_from_json(doc, overrides.get("seed"))
-    if overrides.get("jobs"):
-        plan.jobs = int(overrides["jobs"])
+    if overrides.get("jobs") is not None:
+        plan.jobs = _jobs(int(overrides["jobs"]))
+    return instance, plan
+
+
+def run_massey(doc: dict, overrides: dict | None = None) -> Report:
+    started, started_at = time.monotonic(), now_iso()
+    instance, plan = _massey_setup(doc, overrides or {}, "massey")
     report = verify_massey_triviality(instance, plan, doc.get("r_hat"))
     return _finish(report, started, started_at, doc)
 
 
 def run_verify_primitive(doc: dict, overrides: dict | None = None) -> Report:
-    overrides = overrides or {}
     started, started_at = time.monotonic(), now_iso()
-    instance, plan = massey_from_json(doc, overrides.get("seed"))
-    if overrides.get("jobs"):
-        plan.jobs = int(overrides["jobs"])
+    instance, plan = _massey_setup(doc, overrides or {}, "verify-primitive")
     report = verify_primitives(instance, plan)
     return _finish(report, started, started_at, doc)
 

@@ -2,15 +2,19 @@
 over the pieces of a decomposition.
 
 Values are exact rationals throughout, so every downstream identity can be
-asserted with equality rather than tolerance.
+asserted with equality rather than tolerance. A quasi-morphism is evaluated
+by an integer counting kernel (``counting_kernel``); the plain sum over the
+pieces (``reference_value``) is kept as the oracle it is tested against.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .decomposition import (
     DecompositionSpec,
@@ -60,7 +64,7 @@ _ZERO = Fraction(0)
 class QuasiMorphism:
     """phi(g) = sum of lambda over the pieces of the decomposition of g."""
 
-    __slots__ = ("spec", "table", "name", "_cache")
+    __slots__ = ("spec", "table", "name", "_cache", "_kernel")
 
     def __init__(self, spec: DecompositionSpec, table: LambdaTable, name: str = "phi"):
         for letters in table.entries:
@@ -72,6 +76,7 @@ class QuasiMorphism:
         self.table = table
         self.name = name
         self._cache: dict[Letters, Fraction] = {}
+        self._kernel = counting_kernel(spec, table)
 
     @property
     def rank(self) -> int:
@@ -86,15 +91,7 @@ class QuasiMorphism:
         cached = self._cache.get(letters)
         if cached is not None:
             return cached
-        lookup = self.table.entries.get
-        total = _ZERO
-        pos = 0
-        for length in piece_lengths(self.spec, letters):
-            nxt = pos + length
-            v = lookup(letters[pos:nxt])
-            if v is not None:
-                total += v
-            pos = nxt
+        total = self._kernel(letters)
         if len(self._cache) >= 1_000_000:
             self._cache.clear()
         self._cache[letters] = total
@@ -109,6 +106,103 @@ class QuasiMorphism:
     def __setstate__(self, state):
         self.spec, self.table, self.name = state
         self._cache = {}
+        self._kernel = counting_kernel(self.spec, self.table)
+
+
+# ---------------------------------------------------------------------------
+# Exact counting kernels
+#
+# For every family, phi(g) is an integer combination of substring counts of
+# g, divided by the least common denominator of lambda. The letters are
+# packed one signed byte each (rank <= 26 fits) behind a leading 0 byte,
+# which is no letter, and each count is one ``bytes.count``.
+
+# (translation table or None, ((pattern, integer coefficient), ...))
+_CountGroup = tuple[bytes | None, tuple[tuple[bytes, int], ...]]
+
+
+def _letter_bytes(letters: Letters) -> bytes:
+    return struct.pack(f"{len(letters)}b", *letters)
+
+
+def _letter_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
+    """Every piece is one letter: count each letter."""
+    return [(None, tuple((_letter_bytes(p), c) for p, c in scaled.items()))]
+
+
+def _brooks_terms(w: Letters, scaled: dict[Letters, int]) -> list[_CountGroup]:
+    """Pieces are the occurrences of w and w^-1 plus the letters outside them.
+
+    Non-self-overlap makes all occurrences pairwise disjoint, so the greedy
+    scan of ``piece_lengths`` cuts exactly at them and ``bytes.count``, which
+    counts non-overlapping matches, finds every one. A single-letter piece x
+    is counted as all x minus the x inside the occurrences.
+    """
+    if len(w) == 1:
+        return _letter_terms(scaled)
+    coeffs: dict[Letters, int] = {}
+    for pattern in (w, invert_letters(w)):
+        coeffs[pattern] = scaled.get(pattern, 0) - sum(
+            c * pattern.count(p[0]) for p, c in scaled.items() if len(p) == 1
+        )
+    for p, c in scaled.items():
+        if len(p) == 1:
+            coeffs[p] = c
+    return [(None, tuple((_letter_bytes(p), c) for p, c in coeffs.items() if c))]
+
+
+def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
+    """Pieces are the maximal runs x^k.
+
+    With x mapped to byte 1 and every other byte to 0, the runs of x of
+    length >= k are the matches of 0 1^k, so the runs of length exactly k
+    number R_k - R_{k+1}; summed against lambda(x^k) this telescopes to
+    sum over k of (lambda(x^k) - lambda(x^(k-1))) R_k.
+    """
+    powers: dict[int, dict[int, int]] = {}
+    for p, c in scaled.items():
+        powers.setdefault(p[0], {})[len(p)] = c
+    groups: list[_CountGroup] = []
+    for x, lam in powers.items():
+        indicator = bytes(1 if b == x & 0xFF else 0 for b in range(256))
+        ks = sorted(set(lam) | {k + 1 for k in lam})
+        terms = tuple(
+            (b"\0" + b"\1" * k, lam.get(k, 0) - lam.get(k - 1, 0)) for k in ks
+        )
+        groups.append((indicator, tuple((pat, c) for pat, c in terms if c)))
+    return groups
+
+
+def counting_kernel(spec: DecompositionSpec, table: LambdaTable) -> Callable[[Letters], Fraction]:
+    """Exact evaluator of the quasi-morphism (spec, table) on letter tuples.
+
+    Every table entry is read as given, so a table that is not alternating
+    (``tampered_lambda``) is evaluated exactly as the piece sum would be.
+    """
+    den = math.lcm(*(v.denominator for v in table.entries.values()))
+    scaled = {p: int(v * den) for p, v in table.entries.items() if v}
+    if spec.family == "letter":
+        groups = _letter_terms(scaled)
+    elif spec.family == "rolli":
+        groups = _rolli_terms(scaled)
+    else:
+        groups = _brooks_terms(spec.brooks_word.letters, scaled)  # type: ignore[union-attr]
+    groups = [(tr, terms) for tr, terms in groups if terms]
+    packers: dict[int, Callable[..., bytes]] = {}  # word length -> struct packer
+
+    def kernel(letters: Letters) -> Fraction:
+        pack = packers.get(len(letters))
+        if pack is None:
+            pack = packers[len(letters)] = struct.Struct(f"{len(letters) + 1}b").pack
+        s = pack(0, *letters)
+        total = 0
+        for translation, terms in groups:
+            t = s if translation is None else s.translate(translation)
+            for pattern, coeff in terms:
+                total += coeff * t.count(pattern)
+        return Fraction(total, den)
+
+    return kernel
 
 
 def _is_legal_piece(spec: DecompositionSpec, letters: Letters) -> bool:
@@ -193,6 +287,12 @@ def piece_values(q: QuasiMorphism, g: Word) -> list[Fraction]:
     return [
         q.table.value(letters[cuts[i] : cuts[i + 1]]) for i in range(len(cuts) - 1)
     ]
+
+
+def reference_value(q: QuasiMorphism, g: Word) -> Fraction:
+    """phi(g) straight from the definition, as the sum of lambda over the
+    pieces of g: the slow oracle the counting kernel is tested against."""
+    return sum(piece_values(q, g), _ZERO)
 
 
 def tampered_lambda(table: LambdaTable, piece: Word, value: Fraction | int | str) -> LambdaTable:

@@ -48,7 +48,12 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigError("rank must be >= 1")
+        for key in ("max_len", "ladder_samples", "jobs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         ladder = tuple(self.max_len_ladder)
+        if any(rung < 1 for rung in ladder):
+            raise ConfigError(f"max_len_ladder rungs must be >= 1, got {list(ladder)}")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("max_len_ladder must be strictly increasing")
         self.max_len_ladder = ladder

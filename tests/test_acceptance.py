@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The heavy fixtures are
 module-scoped so the exhaustive axiom scan and the full verification ladder
-run once each.
+run once each; the criteria that use them are marked ``slow``.
 """
 
 import json
@@ -67,6 +67,7 @@ def stage(report, name):
     return next(s for s in report.stages if s.name == name)
 
 
+@pytest.mark.slow
 def test_criterion_1_axiom_suite(axiom_results):
     ok = True
     for name in FAMILIES:
@@ -81,6 +82,7 @@ def test_criterion_1_axiom_suite(axiom_results):
     report_line("1 decomposition-axioms radius 8 / pairs radius 6", ok)
 
 
+@pytest.mark.slow
 def test_criterion_2_r_hat_stabilization(axiom_results):
     ok = True
     for name, spec in FAMILIES.items():
@@ -169,6 +171,7 @@ def test_criterion_3_complex_sanity():
     report_line("3 complex sanity (delta-delta, alt, Leibniz)", ok)
 
 
+@pytest.mark.slow
 def test_criterion_4_primitive_identities(standard_run):
     ok = True
     for name in ("cocycle-omega1", "cocycle-omega2", "primitive-beta1", "primitive-beta2"):
@@ -182,6 +185,7 @@ def test_criterion_4_primitive_identities(standard_run):
     report_line("4 primitive identities delta-beta", ok)
 
 
+@pytest.mark.slow
 def test_criterion_5_massey_triviality(standard_run):
     ok = True
     for name in ("delta-p-equals-mu", "three-sum-equality", "ledger-bound", "sup-p-ladder"):

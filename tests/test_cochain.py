@@ -276,3 +276,18 @@ def test_sup_norm_estimate():
     )
     assert stats.max_abs == 1
     assert stats.histogram["1"] >= 1
+
+
+def test_context_never_returns_a_freed_nodes_value():
+    # Each node is freed before the next is built, so the allocator may hand
+    # the new node the old one's identity; the shared context must not
+    # answer with the dead node's cached value.
+    ctx = EvalContext()
+    t = (W("a"), W("b"))
+    stale = 0
+    for i in range(2000):
+        node = restrict(TableCochain(2, {t: i}))
+        if evaluate(node, t, ctx) != i:
+            stale += 1
+        del node
+    assert stale == 0

@@ -356,3 +356,104 @@ def test_render_table_matches_report():
     }
     table = render_table(doc)
     assert "massey" in table and "x" in table and "5" in table
+
+
+# -- overrides and strict inputs ----------------------------------------------
+
+DEFECT_DOC = {
+    "command": "defect",
+    "rank": 2,
+    "phi": {
+        "decomposition": {"family": "brooks", "word": "ab"},
+        "lambda": [{"piece": "ab", "value": "1"}],
+    },
+    "radius": 2,
+    "pair_radius": 2,
+    "random_pairs": 60,
+    "max_len": 30,
+    "seed": 5,
+}
+
+
+def test_zero_overrides_are_not_replaced_by_config_values():
+    by_override = run_defect(DEFECT_DOC, {"seed": 0, "radius": 0})
+    by_config = run_defect(dict(DEFECT_DOC, seed=0, radius=0))
+    assert strip_timing(by_override.to_json())["stages"] == strip_timing(
+        by_config.to_json()
+    )["stages"]
+    assert by_override.stages[0].checked == 1 + 4 + 12  # ball of radius 2
+    axioms = run_axioms(
+        {"rank": 2, "decomposition": {"family": "letter"}, "radius": 3, "pair_radius": 0},
+        {"radius": 0},
+    )
+    assert axioms.notes["radius"] == 0
+
+
+def test_jobs_below_one_rejected():
+    doc = {"rank": 2, "decomposition": {"family": "letter"}, "radius": 2}
+    for jobs in (0, -1):
+        with pytest.raises(ConfigError):
+            run_axioms(doc, {"jobs": jobs})
+        with pytest.raises(ConfigError):
+            run_defect(DEFECT_DOC, {"jobs": jobs})
+        with pytest.raises(ConfigError):
+            run_massey(massey_doc(), {"jobs": jobs})
+    with pytest.raises(ConfigError):
+        run_axioms(dict(doc, jobs=0))
+
+
+def test_cli_rejects_jobs_zero_and_massey_radius(tmp_path, capsys):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(massey_doc()), encoding="utf-8")
+    assert main(["massey", "--config", str(cfg), "--jobs", "0"]) == 2
+    for command in ("massey", "verify-primitive"):
+        out = tmp_path / f"{command}.json"
+        status = main([command, "--config", str(cfg), "--radius", "3", "--out", str(out)])
+        assert status == 2
+        assert not out.exists()
+    assert "--radius" in capsys.readouterr().err
+
+
+def test_unknown_config_keys_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="mutaton"):
+        run_massey(massey_doc(mutaton="flip-eta-sign"))
+    with pytest.raises(ConfigError):
+        run_axioms({"rank": 2, "radius": 2, "radiu": 3})
+    with pytest.raises(ConfigError):
+        run_defect(dict(DEFECT_DOC, random_pair=10))
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(massey_doc(mutaton="flip-eta-sign")), encoding="utf-8")
+    assert main(["massey", "--config", str(cfg)]) == 2
+
+
+def test_shipped_configs_pass_the_key_check():
+    from pathlib import Path
+
+    from massey_workbench.harness import check_config_keys
+
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        doc = load_config(path)
+        check_config_keys(doc, doc["command"])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_len": 0},
+        {"max_len": -3},
+        {"ladder_samples": 0},
+        {"max_len_ladder": [0, 10]},
+        {"max_len_ladder": [-5]},
+        {"jobs": 0},
+    ],
+)
+def test_plan_rejects_non_positive_sizes(tmp_path, bad):
+    with pytest.raises(ConfigError):
+        plan_from_json(bad, 2)
+    doc = massey_doc()
+    doc["plan"] = dict(SMALL_PLAN, **bad)
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["massey", "--config", str(cfg)]) == 2

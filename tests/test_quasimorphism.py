@@ -1,10 +1,15 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massey_workbench.decomposition import DecompositionSpec, decompose
+from massey_workbench.decomposition import (
+    DecompositionSpec,
+    decompose,
+    is_non_self_overlapping,
+)
 from massey_workbench.errors import ConfigError
 from massey_workbench.quasimorphism import (
     LambdaTable,
@@ -13,9 +18,10 @@ from massey_workbench.quasimorphism import (
     defect_from_triangle,
     defect_sup,
     eval_qm,
+    reference_value,
     tampered_lambda,
 )
-from massey_workbench.words import parse_word, sample_word
+from massey_workbench.words import Word, _make, invert_letters, parse_word, sample_word
 
 W = lambda s: parse_word(s, 2)
 
@@ -144,3 +150,80 @@ def test_tampered_lambda_breaks_antisymmetry():
     bad = QuasiMorphism(BROOKS_AB, tampered_lambda(q.table, W("BA"), 0))
     assert eval_qm(bad, W("ab")) == 1
     assert eval_qm(bad, W("BA")) == 0  # no longer -1
+
+
+# -- counting kernel against the piece-sum oracle -----------------------------
+
+
+def letters_of(rank):
+    return st.integers(1, rank).flatmap(lambda i: st.sampled_from((i, -i)))
+
+
+@st.composite
+def qm_cases(draw):
+    """A quasi-morphism with a random (possibly tampered) table, plus words
+    up to 400 letters: one uniform reduced word and one built from long
+    single-letter runs."""
+    rank = draw(st.sampled_from([1, 2, 3, 26]))
+    family = draw(st.sampled_from(["letter", "rolli", "brooks"]))
+    letter = letters_of(rank)
+    if family == "brooks":
+        w = draw(
+            st.lists(letter, min_size=1, max_size=1 if rank == 1 else 4)
+            .map(lambda ls: Word(ls, rank))
+            .filter(lambda w: w.letters and is_non_self_overlapping(w))
+        )
+        spec = DecompositionSpec("brooks", rank, w)
+        piece = st.one_of(
+            letter.map(lambda x: (x,)),
+            st.sampled_from([w.letters, invert_letters(w.letters)]),
+        )
+    elif family == "rolli":
+        spec = DecompositionSpec("rolli", rank)
+        piece = st.tuples(letter, st.integers(1, 5)).map(lambda p: (p[0],) * p[1])
+    else:
+        spec = DecompositionSpec("letter", rank)
+        piece = letter.map(lambda x: (x,))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    entries: dict = {}
+    for p, v in draw(st.lists(st.tuples(piece, value), max_size=6)):
+        if invert_letters(p) not in entries:
+            entries[p] = v
+    table = LambdaTable({_make(p, rank): v for p, v in entries.items()})
+    for p, v in draw(st.lists(st.tuples(piece, value), max_size=2)):
+        table = tampered_lambda(table, _make(p, rank), v)
+    q = QuasiMorphism(spec, table)
+
+    uniform = sample_word(rank, draw(st.integers(0, 400)), draw(st.integers(0, 2**32)))
+    runs = draw(st.lists(st.tuples(letter, st.integers(1, 8)), max_size=50))
+    blocky = Word([x for x, k in runs for _ in range(k)], rank)
+    return q, [uniform, blocky, uniform.inverse(), blocky.inverse()]
+
+
+@given(qm_cases())
+@settings(max_examples=300, deadline=None)
+def test_counting_kernel_matches_piece_sum(case):
+    q, words = case
+    for g in words:
+        assert q.value(g) == reference_value(q, g)
+    clone = pickle.loads(pickle.dumps(q))
+    for g in words:
+        assert clone.value(g) == reference_value(q, g)
+
+
+def test_counting_kernel_rank_26_byte_edge():
+    # letters +-26 are the extreme signed bytes the kernel packs
+    rank = 26
+    z = lambda s: parse_word(s, rank)
+    table = LambdaTable({z("zY"): Fraction(5, 7), z("z"): Fraction(-1, 3), z("a"): 2})
+    q = QuasiMorphism(DecompositionSpec("brooks", rank, z("zY")), table)
+    rolli = QuasiMorphism(
+        DecompositionSpec("rolli", rank),
+        LambdaTable({z("z"): 1, z("Z^2"): Fraction(1, 4), z("y^3"): -2}),
+    )
+    words = [z("zYzYZzYyZ"), z("Z^5yyyzzYYYz")]
+    words += [sample_word(rank, n, n) for n in (1, 50, 400)]
+    for g in words:
+        for qm in (q, rolli):
+            assert qm.value(g) == reference_value(qm, g)
+            assert qm.value(g.inverse()) == reference_value(qm, g.inverse())
