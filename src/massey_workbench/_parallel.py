@@ -38,23 +38,36 @@ def chunked_map(worker: Worker, payload, tasks: Sequence, jobs: int = 1) -> list
 
 
 def _triangle_worker(payload, start: int, chunk) -> dict:
-    from .decomposition import triangle_scan
+    from . import decomposition
 
-    spec, ball = payload
-    checked, counterexample, r_hat, argmax = triangle_scan(spec, list(chunk), ball)
+    spec, ball, inner_radius = payload
+    checked, counterexample, r_hat, argmax, r_hat_inner = decomposition.triangle_scan(
+        spec, list(chunk), ball, inner_radius
+    )
     return {
         "checked": checked,
         "counterexample": counterexample,
         "r_hat": r_hat,
         "r_hat_argmax": argmax,
+        "r_hat_inner": r_hat_inner,
         "start": start,
     }
 
 
-def parallel_triangle_scan(spec, ball: list, jobs: int) -> dict:
-    """Pairwise triangle scan with the outer loop split over workers."""
-    parts = chunked_map(_triangle_worker, (spec, ball), ball, jobs)
-    merged = {"checked": 0, "counterexample": None, "r_hat": -1, "r_hat_argmax": None}
+def parallel_triangle_scan(spec, ball: list, jobs: int, inner_radius: int = -1) -> dict:
+    """Pairwise triangle scan with the outer loop split over workers.
+
+    ``r_hat_inner`` is the max thick length over the pairs of words of
+    length <= ``inner_radius`` (-1 if there are none).
+    """
+    parts = chunked_map(_triangle_worker, (spec, ball, inner_radius), ball, jobs)
+    merged = {
+        "checked": 0,
+        "counterexample": None,
+        "r_hat": -1,
+        "r_hat_argmax": None,
+        "r_hat_inner": -1,
+    }
     for part in parts:
         merged["checked"] += part["checked"]
         if merged["counterexample"] is None and part["counterexample"] is not None:
@@ -62,5 +75,6 @@ def parallel_triangle_scan(spec, ball: list, jobs: int) -> dict:
         if part["r_hat"] > merged["r_hat"]:
             merged["r_hat"] = part["r_hat"]
             merged["r_hat_argmax"] = part["r_hat_argmax"]
+        merged["r_hat_inner"] = max(merged["r_hat_inner"], part["r_hat_inner"])
     merged["r_hat"] = max(merged["r_hat"], 0)
     return merged

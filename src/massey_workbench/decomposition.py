@@ -15,10 +15,12 @@ split locates the piece-aligned corners of the tripod spanned by
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Literal
 
+from ._parallel import parallel_triangle_scan
 from .errors import ConfigError, UsageError
 from .words import (
     Letters,
@@ -79,6 +81,12 @@ class DecompositionSpec:
         elif self.brooks_word is not None:
             raise ConfigError(f"family {self.family!r} takes no word parameter")
 
+    @functools.cached_property
+    def brooks_patterns(self) -> tuple[Letters, Letters]:
+        """Letters of the Brooks word and of its inverse."""
+        w = self.brooks_word.letters  # type: ignore[union-attr]
+        return w, invert_letters(w)
+
     def describe(self) -> str:
         if self.family == "brooks":
             return f"brooks({self.brooks_word})"
@@ -91,8 +99,7 @@ def piece_lengths(spec: DecompositionSpec, letters: Letters) -> tuple[int, ...]:
         return (1,) * len(letters)
     if spec.family == "rolli":
         return tuple(len(list(run)) for _, run in itertools.groupby(letters))
-    w = spec.brooks_word.letters  # type: ignore[union-attr]
-    winv = invert_letters(w)
+    w, winv = spec.brooks_patterns
     L = len(w)
     n = len(letters)
     out: list[int] = []
@@ -250,6 +257,9 @@ class AxiomReport:
     checks: list[AxiomCheck] = field(default_factory=list)
     r_hat: int = 0
     r_hat_argmax: dict | None = None
+    # Max thick length over pairs of the ball of radius pair_radius - 1,
+    # found by the same scan; None when pair_radius is 0.
+    r_hat_previous_radius: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -263,6 +273,7 @@ class AxiomReport:
             "passed": self.passed,
             "r_hat": self.r_hat,
             "r_hat_argmax": self.r_hat_argmax,
+            "r_hat_previous_radius": self.r_hat_previous_radius,
             "checks": [
                 {
                     "name": c.name,
@@ -363,53 +374,66 @@ def _check_triangles(
     check: AxiomCheck,
     jobs: int = 1,
 ) -> None:
-    ball = [w for w in enumerate_ball(spec.rank, pair_radius, cap)]
-    if jobs > 1:
-        from ._parallel import parallel_triangle_scan
-
-        result = parallel_triangle_scan(spec, ball, jobs)
-        check.checked = result["checked"]
-        if result["counterexample"] is not None:
-            check.fail(result["counterexample"])
-        report.r_hat = result["r_hat"]
-        report.r_hat_argmax = result["r_hat_argmax"]
-        return
-    checked, counterexample, r_hat, argmax = triangle_scan(spec, ball, ball)
-    check.checked = checked
-    if counterexample is not None:
-        check.fail(counterexample)
-    report.r_hat = r_hat
-    report.r_hat_argmax = argmax
+    ball = list(enumerate_ball(spec.rank, pair_radius, cap))
+    result = parallel_triangle_scan(spec, ball, jobs, pair_radius - 1)
+    check.checked = result["checked"]
+    if result["counterexample"] is not None:
+        check.fail(result["counterexample"])
+    report.r_hat = result["r_hat"]
+    report.r_hat_argmax = result["r_hat_argmax"]
+    if pair_radius >= 1:
+        report.r_hat_previous_radius = result["r_hat_inner"]
 
 
 class _ScanData:
-    """Precomputed boundary data for one ball word."""
+    """Precomputed boundary data for one ball word.
 
-    __slots__ = ("letters", "lead_list", "lead_set", "trail_list", "trail_set", "index")
+    Besides the cut positions it holds the inverse letters and the piece
+    lengths of the inverse of every piece-aligned prefix (keyed by lead cut)
+    and suffix (keyed by trail cut): the two corner segments of a third side
+    ``(gh)^-1`` are exactly such inverses.
+    """
+
+    __slots__ = (
+        "letters",
+        "inverse",
+        "lead_list",
+        "lead_set",
+        "trail_list",
+        "index",
+        "inv_prefix",
+        "inv_suffix",
+    )
 
     def __init__(self, spec: DecompositionSpec, letters: Letters):
         cuts = boundaries(piece_lengths(spec, letters))
         total = cuts[-1]
+        inv = invert_letters(letters)
         self.letters = letters
+        self.inverse = inv
         self.lead_list = cuts
         self.lead_set = set(cuts)
         self.trail_list = tuple(total - c for c in reversed(cuts))
-        self.trail_set = set(self.trail_list)
         self.index = {pos: i for i, pos in enumerate(cuts)}
+        self.inv_prefix = {k: piece_lengths(spec, inv[total - k :]) for k in cuts}
+        self.inv_suffix = {k: piece_lengths(spec, inv[:k]) for k in self.trail_list}
 
 
 def triangle_scan(
-    spec: DecompositionSpec, left: list[Word], right: list[Word]
-) -> tuple[int, dict | None, int, dict | None]:
+    spec: DecompositionSpec, left: list[Word], right: list[Word], inner_radius: int = -1
+) -> tuple[int, dict | None, int, dict | None, int]:
     """Check triangle factorizations for all pairs; track max thick length.
 
-    The per-pair check decomposes the third side ``(gh)^-1`` fresh and
-    verifies its three segments against the full piece run, plus the letter
-    coincidence of each corner word with both adjacent sides. Piece runs
-    within ``g`` and ``h`` themselves are covered by the exhaustive per-word
-    run checks, so here only their boundary data is consulted.
+    The per-pair check decomposes the third side ``(gh)^-1`` and its middle
+    segment fresh; its two corner segments are the inverses of a
+    piece-aligned suffix of ``h`` and prefix of ``g``, whose piece lengths
+    are read from per-word tables, and the check compares those letters.
+    Piece runs within ``g`` and ``h`` themselves are covered by the
+    exhaustive per-word run checks, so here only their boundary data is
+    consulted.
 
-    Returns (checked, first counterexample or None, r_hat, argmax info).
+    Returns (checked, first counterexample or None, r_hat, argmax info,
+    r_hat over the pairs with ``|g|, |h| <= inner_radius`` or -1 if none).
     """
     data: dict[Letters, _ScanData] = {}
     for w in right:
@@ -417,48 +441,49 @@ def triangle_scan(
     for w in left:
         if w.letters not in data:
             data[w.letters] = _ScanData(spec, w.letters)
+    rows = [data[w.letters] for w in right]
 
     get_lengths = piece_lengths
-    checked = 0
     counterexample = None
     r_hat = -1
+    r_inner = -1
     argmax = None
     rank = spec.rank
     for g in left:
-        a = g.letters
+        dg = data[g.letters]
+        a = dg.letters
         la = len(a)
-        dg = data[a]
-        for h in right:
-            b = h.letters
+        inv_a = dg.inverse
+        g_lead, g_trail, g_index = dg.lead_list, dg.trail_list, dg.index
+        g_inv_prefix = dg.inv_prefix
+        g_inner = la <= inner_radius
+        for dh in rows:
+            b = dh.letters
             lb = len(b)
-            dh = data[b]
-            checked += 1
+            inv_b = dh.inverse
 
             c = 0
             m = la if la < lb else lb
             while c < m and a[la - 1 - c] == -b[c]:
                 c += 1
-            gh = a[: la - c] + b[c:]
+            ghinv = inv_b[: lb - c] + inv_a[c:]
             total = la + lb - 2 * c
-            ghinv = tuple(-x for x in reversed(gh))
 
             full = get_lengths(spec, ghinv)
-            cuts_ghinv = boundaries(full)
-            lead_ghinv = set(cuts_ghinv)
-            trail_ghinv = {total - x for x in cuts_ghinv}
+            lead_ghinv = set(itertools.accumulate(full, initial=0))
 
             len2 = 0
-            for pos in dg.trail_list:
+            for pos in g_trail:
                 if pos > c:
                     break
                 if pos in dh.lead_set:
                     len2 = pos
             len1 = 0
             cap1 = la - c
-            for pos in dg.lead_list:
+            for pos in g_lead:
                 if pos > cap1:
                     break
-                if pos in trail_ghinv:
+                if total - pos in lead_ghinv:
                     len1 = pos
             len3 = 0
             cap3 = lb - c
@@ -469,13 +494,15 @@ def triangle_scan(
                     len3 = pos
 
             seg_mid = get_lengths(spec, ghinv[len3 : total - len1])
+            # The end segments' piece lengths are looked up in the tables of
+            # h and g; the letter comparisons show the segments are the
+            # tabled words (they restate gh[:len1] == g[:len1] and
+            # gh[-len3:] == h[-len3:] on the inverse), so the lookups are exact.
             ok = (
-                get_lengths(spec, ghinv[:len3]) + seg_mid + get_lengths(spec, ghinv[total - len1 :])
-                == full
-                and gh[:len1] == a[:len1]
-                and gh[total - len3 :] == b[lb - len3 :]
-                and ghinv[:len3] == tuple(-x for x in reversed(b[lb - len3 :]))
-                and a[la - len2 :] == tuple(-x for x in reversed(b[:len2]))
+                dh.inv_suffix[len3] + seg_mid + g_inv_prefix[len1] == full
+                and ghinv[total - len1 :] == inv_a[la - len1 :]
+                and ghinv[:len3] == inv_b[:len3]
+                and a[la - len2 :] == inv_b[lb - len2 :]
             )
             if not ok:
                 if counterexample is None:
@@ -484,7 +511,7 @@ def triangle_scan(
                         "h": str(_make(b, rank)),
                     }
                 continue
-            n_r1 = dg.index[la - len2] - dg.index[len1]
+            n_r1 = g_index[la - len2] - g_index[len1]
             n_r2 = dh.index[lb - len3] - dh.index[len2]
             n_r3 = len(seg_mid)
             worst = n_r1 if n_r1 >= n_r2 else n_r2
@@ -497,7 +524,9 @@ def triangle_scan(
                     "h": str(_make(b, rank)),
                     "thick_lengths": (n_r1, n_r2, n_r3),
                 }
-    return checked, counterexample, max(r_hat, 0), argmax
+            if worst > r_inner and g_inner and lb <= inner_radius:
+                r_inner = worst
+    return len(left) * len(right), counterexample, max(r_hat, 0), argmax, r_inner
 
 
 def verify_triangle(

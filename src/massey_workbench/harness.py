@@ -46,10 +46,23 @@ def check_config_keys(doc: dict, command: str) -> None:
         raise ConfigError(f"unknown {command} config keys: {sorted(unknown)}")
 
 
+def _integer(doc: dict, key: str, default: int | None) -> int | None:
+    """The config value of an integer key; a JSON bool, float or string is refused.
+
+    ``None`` is accepted only for an optional key whose default is ``None``.
+    """
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _setting(overrides: dict, doc: dict, key: str, default: int) -> int:
     """A command-line override if given (0 included), else the config value."""
     value = overrides.get(key)
-    return int(doc.get(key, default) if value is None else value)
+    return _integer(doc if value is None else overrides, key, default)
 
 
 def _jobs(value: int) -> int:
@@ -70,13 +83,15 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     overrides = overrides or {}
     check_config_keys(doc, "axioms")
     started, started_at = time.monotonic(), now_iso()
-    rank = int(doc.get("rank", 2))
+    rank = _integer(doc, "rank", 2)
     spec = spec_from_json(doc.get("decomposition", {"family": "letter"}), rank)
     radius = _setting(overrides, doc, "radius", 6)
-    pair_radius = int(doc.get("pair_radius", min(radius, 5)))
-    cap = doc.get("enumeration_cap")
+    pair_radius = _integer(doc, "pair_radius", min(radius, 5))
+    cap = _integer(doc, "enumeration_cap", None)
     jobs = _jobs(_setting(overrides, doc, "jobs", 1))
-    stabilize = bool(doc.get("check_stabilization", True))
+    stabilize = doc.get("check_stabilization", True)
+    if not isinstance(stabilize, bool):
+        raise ConfigError(f"check_stabilization must be true or false, got {stabilize!r}")
 
     report = Report(command="axioms")
     axioms = check_axioms(spec, radius, pair_radius, cap, jobs)
@@ -92,7 +107,7 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
         "r_hat_argmax": axioms.r_hat_argmax,
     }
     if stabilize and pair_radius >= 1:
-        previous = measure_r_hat(spec, pair_radius - 1, cap, jobs)
+        previous = axioms.r_hat_previous_radius
         report.add(
             StageResult(
                 "r-hat-stabilization",
@@ -148,17 +163,17 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     overrides = overrides or {}
     check_config_keys(doc, "defect")
     started, started_at = time.monotonic(), now_iso()
-    rank = int(doc.get("rank", 2))
+    rank = _integer(doc, "rank", 2)
     qm_doc = doc.get("quasimorphism") or doc.get("phi")
     if qm_doc is None:
         raise ConfigError("defect config needs a 'quasimorphism' (or 'phi') key")
     q = qm_from_json(qm_doc, rank)
     radius = _setting(overrides, doc, "radius", 4)
-    pair_radius = int(doc.get("pair_radius", radius))
-    random_pairs = int(doc.get("random_pairs", 2000))
-    max_len = int(doc.get("max_len", 100))
+    pair_radius = _integer(doc, "pair_radius", radius)
+    random_pairs = _integer(doc, "random_pairs", 2000)
+    max_len = _integer(doc, "max_len", 100)
     seed = _setting(overrides, doc, "seed", 0)
-    cap = doc.get("enumeration_cap")
+    cap = _integer(doc, "enumeration_cap", None)
     jobs = _jobs(_setting(overrides, doc, "jobs", 1))
 
     report = Report(command="defect")

@@ -88,8 +88,9 @@ def test_criterion_2_r_hat_stabilization(axiom_results):
     for name, spec in FAMILIES.items():
         at6 = axiom_results[name].r_hat
         at5 = measure_r_hat(spec, 5)
-        print(f"  {name}: R-hat(6)={at6} R-hat(5)={at5}")
-        if at6 != at5:
+        folded = axiom_results[name].r_hat_previous_radius
+        print(f"  {name}: R-hat(6)={at6} R-hat(5)={at5} (same scan: {folded})")
+        if at6 != at5 or folded != at5:
             ok = False
     if axiom_results["letter"].r_hat != 0:
         print("  letter family must measure R-hat = 0 exactly")

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massey_workbench import decomposition
+from massey_workbench._parallel import parallel_triangle_scan
 from massey_workbench.decomposition import (
     DecompositionSpec,
     check_axioms,
@@ -12,6 +14,7 @@ from massey_workbench.decomposition import (
     measure_r_hat,
     prefix_product,
     suffix_product,
+    triangle_scan,
     triangle_split,
     verify_triangle,
 )
@@ -23,6 +26,8 @@ W = lambda s: parse_word(s, 2)
 LETTER = DecompositionSpec("letter", 2)
 ROLLI = DecompositionSpec("rolli", 2)
 BROOKS_AB = DecompositionSpec("brooks", 2, W("ab"))
+BROOKS_AAB = DecompositionSpec("brooks", 2, W("aab"))
+BROOKS_ABC = DecompositionSpec("brooks", 3, parse_word("abC", 3))
 
 
 def brute_occurrences(haystack, needle):
@@ -212,7 +217,63 @@ def test_spec_validation():
 
 
 def test_check_axioms_parallel_matches_serial():
-    for spec in (ROLLI, BROOKS_AB):
+    for spec in (LETTER, ROLLI, BROOKS_AB, BROOKS_AAB):
         serial = check_axioms(spec, radius=3, pair_radius=3, jobs=1)
         parallel = check_axioms(spec, radius=3, pair_radius=3, jobs=2)
         assert serial.to_json() == parallel.to_json()
+
+
+def naive_triangle_scan(spec, ball):
+    """Oracle for triangle_scan: triangle_split and verify_triangle on every pair."""
+    counterexample, r_hat, argmax = None, -1, None
+    for g in ball:
+        for h in ball:
+            tri = triangle_split(spec, g, h)
+            if not verify_triangle(spec, g, h, tri):
+                if counterexample is None:
+                    counterexample = {"g": str(g), "h": str(h)}
+                continue
+            worst = max(tri.thick_lengths)
+            if worst > r_hat:
+                r_hat = worst
+                argmax = {"g": str(g), "h": str(h), "thick_lengths": tri.thick_lengths}
+    return len(ball) ** 2, counterexample, max(r_hat, 0), argmax
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [(LETTER, 4), (ROLLI, 4), (BROOKS_AB, 4), (BROOKS_AAB, 4), (BROOKS_ABC, 3)],
+    ids=lambda v: v.describe() if isinstance(v, DecompositionSpec) else str(v),
+)
+def test_triangle_scan_matches_naive_oracle(spec, radius):
+    ball = list(enumerate_ball(spec.rank, radius))
+    assert triangle_scan(spec, ball, ball)[:4] == naive_triangle_scan(spec, ball)
+    # R-hat of Brooks(aab) grows 0, 0, 2, 3, 3 over radii 0..4, so every
+    # inner radius below the ball's is compared, not only radius - 1.
+    for inner in range(radius):
+        assert triangle_scan(spec, ball, ball, inner)[4] == measure_r_hat(spec, inner)
+    previous = check_axioms(spec, 1, radius).r_hat_previous_radius
+    assert previous == measure_r_hat(spec, radius - 1)
+    serial = check_axioms(spec, 2, radius - 1, jobs=1).to_json()
+    assert check_axioms(spec, 2, radius - 1, jobs=2).to_json() == serial
+
+
+def test_triangle_scan_is_not_vacuous(monkeypatch):
+    """A decomposition that breaks the triangle axiom must be caught through
+    the per-word corner tables as well as through the fresh decompositions."""
+    real = decomposition.piece_lengths
+
+    def merge_last_two(spec, letters):
+        lengths = real(spec, letters)
+        if len(lengths) < 2:
+            return lengths
+        return lengths[:-2] + (lengths[-2] + lengths[-1],)
+
+    monkeypatch.setattr(decomposition, "piece_lengths", merge_last_two)
+    ball = list(enumerate_ball(2, 3))
+    expected = {"g": "a", "h": "bab"}
+    assert triangle_scan(ROLLI, ball, ball)[1] == expected
+    assert parallel_triangle_scan(ROLLI, ball, 2)["counterexample"] == expected
+    for jobs in (1, 2):
+        report = check_axioms(ROLLI, 1, 3, jobs=jobs)
+        assert report.checks[3].counterexample == expected

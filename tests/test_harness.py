@@ -457,3 +457,49 @@ def test_plan_rejects_non_positive_sizes(tmp_path, bad):
     cfg = tmp_path / "plan.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["massey", "--config", str(cfg)]) == 2
+
+
+AXIOMS_DOC = {
+    "command": "axioms",
+    "rank": 2,
+    "decomposition": {"family": "rolli"},
+    "radius": 2,
+    "pair_radius": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "base, key, bad",
+    [
+        pytest.param(base, key, bad, id=f"{base['command']}-{key}-{bad!r}")
+        for base, key, bad in [
+            (AXIOMS_DOC, "rank", "2"),
+            (AXIOMS_DOC, "radius", "x"),
+            (AXIOMS_DOC, "pair_radius", 2.0),
+            (AXIOMS_DOC, "enumeration_cap", "7"),
+            (AXIOMS_DOC, "jobs", True),
+            (AXIOMS_DOC, "check_stabilization", "no"),
+            (AXIOMS_DOC, "check_stabilization", 0),
+            (DEFECT_DOC, "rank", 2.0),
+            (DEFECT_DOC, "radius", True),
+            (DEFECT_DOC, "pair_radius", "3"),
+            (DEFECT_DOC, "random_pairs", "many"),
+            (DEFECT_DOC, "max_len", None),
+            (DEFECT_DOC, "seed", "0"),
+            (DEFECT_DOC, "enumeration_cap", "7"),
+            (DEFECT_DOC, "jobs", 1.5),
+        ]
+    ],
+)
+def test_config_values_must_have_their_json_type(tmp_path, base, key, bad):
+    doc = dict(base, **{key: bad})
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([doc["command"], "--config", str(cfg)]) == 2
+
+
+def test_check_stabilization_false_skips_the_stage():
+    report = run_axioms(dict(AXIOMS_DOC, check_stabilization=False))
+    assert report.stages[-1].name == "triangle-factorizations"
+    report = run_axioms(dict(AXIOMS_DOC, check_stabilization=True))
+    assert report.stages[-1].name == "r-hat-stabilization"
