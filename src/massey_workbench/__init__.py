@@ -17,7 +17,6 @@ from .cochain import (
     qm_cochain,
     random_aligned_tuple,
     restrict,
-    sup_norm_estimate,
     TableCochain,
 )
 from .decomposition import (

@@ -1,80 +1,114 @@
-"""Deterministic worker-pool helpers.
+"""The scan engine: one deterministic chunked fold over a task list.
 
-Tasks are materialized lists split into contiguous chunks; workers return
-partial aggregates that the caller merges in chunk order, so results are
-identical for any job count. Worker functions must live at module level to
-survive pickling.
+Tasks are materialized lists split into contiguous chunks. Each worker
+returns a ``Scan`` of its chunk and the caller folds them in chunk order
+with ``Scan.merge``, so results are identical for any job count. Worker
+and probe functions must live at module level to survive pickling; the
+payload is copied into each worker, so state kept in it (an evaluation
+cache) is per chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-Worker = Callable[[Any, int, Sequence], dict]
+
+@dataclass
+class Scan:
+    """Partial result of a scan over a contiguous run of tasks.
+
+    ``checked`` counts the tasks covered, ``failures`` maps each named check
+    to its first counterexample, and ``maxima`` maps each named statistic to
+    its largest value and the argument that first reached it.
+    """
+
+    checked: int = 0
+    failures: dict[str, Any] = field(default_factory=dict)
+    maxima: dict[str, tuple[Any, Any]] = field(default_factory=dict)
+
+    def fail(self, check: str, counterexample) -> None:
+        self.failures.setdefault(check, counterexample)
+
+    def offer(self, stat: str, value, arg=None) -> None:
+        held = self.maxima.get(stat)
+        if held is None or value > held[0]:
+            self.maxima[stat] = (value, arg)
+
+    def best(self, stat: str, start) -> tuple[Any, Any]:
+        """(max, first argument reaching it), or (start, None) if nothing beat ``start``."""
+        held = self.maxima.get(stat)
+        if held is None or held[0] <= start:
+            return start, None
+        return held
+
+    def merge(self, later: Scan) -> Scan:
+        """Fold in the scan of the tasks that follow this one."""
+        self.checked += later.checked
+        for check, counterexample in later.failures.items():
+            self.fail(check, counterexample)
+        for stat, (value, arg) in later.maxima.items():
+            self.offer(stat, value, arg)
+        return self
 
 
-def _chunks(tasks: Sequence, jobs: int) -> list[tuple[int, Sequence]]:
-    n = len(tasks)
-    size = (n + jobs - 1) // jobs
-    return [(start, tasks[start : start + size]) for start in range(0, n, size)]
+Worker = Callable[[Any, Sequence], Scan]
+# probe(payload, task, out) records into ``out``; a true return ends the chunk.
+Probe = Callable[[Any, Any, Scan], Any]
 
 
-def _invoke(args):
-    worker, payload, start, chunk = args
-    return worker(payload, start, chunk)
+def _chunks(tasks: Sequence, jobs: int) -> list[Sequence]:
+    size = (len(tasks) + jobs - 1) // jobs
+    return [tasks[start : start + size] for start in range(0, len(tasks), size)]
 
 
-def chunked_map(worker: Worker, payload, tasks: Sequence, jobs: int = 1) -> list[dict]:
-    """Run ``worker(payload, start_index, chunk)`` over contiguous chunks."""
+def _invoke(args) -> Scan:
+    worker, payload, chunk = args
+    return worker(payload, chunk)
+
+
+def chunked_map(worker: Worker, payload, tasks: Sequence, jobs: int = 1) -> Scan:
+    """Run ``worker(payload, chunk)`` over contiguous chunks and fold the results."""
     if not tasks:
-        return []
+        return Scan()
     if jobs <= 1 or len(tasks) < 2 * jobs:
-        return [worker(payload, 0, tasks)]
+        return worker(payload, tasks)
     ctx = multiprocessing.get_context("fork")
     parts = _chunks(tasks, jobs)
     with ctx.Pool(processes=min(jobs, len(parts))) as pool:
-        return pool.map(_invoke, [(worker, payload, start, chunk) for start, chunk in parts])
+        scans = pool.map(_invoke, [(worker, payload, chunk) for chunk in parts])
+    return functools.reduce(Scan.merge, scans)
 
 
-def _triangle_worker(payload, start: int, chunk) -> dict:
-    from . import decomposition
-
-    spec, ball, inner_radius = payload
-    checked, counterexample, r_hat, argmax, r_hat_inner = decomposition.triangle_scan(
-        spec, list(chunk), ball, inner_radius
-    )
-    return {
-        "checked": checked,
-        "counterexample": counterexample,
-        "r_hat": r_hat,
-        "r_hat_argmax": argmax,
-        "r_hat_inner": r_hat_inner,
-        "start": start,
-    }
+def _probe_chunk(payload, chunk) -> Scan:
+    probe, inner = payload
+    out = Scan(len(chunk))
+    for task in chunk:
+        if probe(inner, task, out):
+            break
+    return out
 
 
-def parallel_triangle_scan(spec, ball: list, jobs: int, inner_radius: int = -1) -> dict:
-    """Pairwise triangle scan with the outer loop split over workers.
+def scan(probe: Probe, payload, tasks: Sequence, jobs: int = 1) -> Scan:
+    """``probe`` on every task in order; a probe that returns true ends its chunk."""
+    return chunked_map(_probe_chunk, (probe, payload), tasks, jobs)
 
-    ``r_hat_inner`` is the max thick length over the pairs of words of
-    length <= ``inner_radius`` (-1 if there are none).
+
+def _pair_chunk(payload, chunk) -> Scan:
+    probe, inner, right = payload
+    out = Scan(len(chunk) * len(right))
+    for g in chunk:
+        for h in right:
+            if probe(inner, (g, h), out):
+                return out
+    return out
+
+
+def pair_scan(probe: Probe, payload, left: Sequence, right: Sequence, jobs: int = 1) -> Scan:
+    """``probe`` on every pair of ``left x right`` in row order, split by rows.
+
+    Only the rows are chunked, so memory stays linear in the word lists.
     """
-    parts = chunked_map(_triangle_worker, (spec, ball, inner_radius), ball, jobs)
-    merged = {
-        "checked": 0,
-        "counterexample": None,
-        "r_hat": -1,
-        "r_hat_argmax": None,
-        "r_hat_inner": -1,
-    }
-    for part in parts:
-        merged["checked"] += part["checked"]
-        if merged["counterexample"] is None and part["counterexample"] is not None:
-            merged["counterexample"] = part["counterexample"]
-        if part["r_hat"] > merged["r_hat"]:
-            merged["r_hat"] = part["r_hat"]
-            merged["r_hat_argmax"] = part["r_hat_argmax"]
-        merged["r_hat_inner"] = max(merged["r_hat_inner"], part["r_hat_inner"])
-    merged["r_hat"] = max(merged["r_hat"], 0)
-    return merged
+    return chunked_map(_pair_chunk, (probe, payload, right), left, jobs)

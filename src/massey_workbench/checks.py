@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._parallel import chunked_map
+from ._parallel import Scan, scan
 from .cochain import (
     Cochain,
     EvalContext,
@@ -43,35 +43,13 @@ def stage_tasks(plan: ExperimentPlan, arity: int, stage: str) -> list[WordTuple]
     return tasks
 
 
-def _identity_worker(payload, start: int, chunk) -> dict:
-    lhs, rhs = payload
-    ctx = EvalContext()
-    bad_index = None
-    counterexample = None
-    for i, t in enumerate(chunk):
-        left = lhs._eval(t, ctx)
-        right = rhs._eval(t, ctx)
-        if left != right:
-            bad_index = start + i
-            counterexample = {
-                "tuple": describe_tuple(t),
-                "lhs": str(left),
-                "rhs": str(right),
-            }
-            break
-    return {"checked": len(chunk), "bad_index": bad_index, "counterexample": counterexample}
-
-
-def merge_scan_parts(parts: list[dict]) -> dict:
-    merged = {"checked": 0, "bad_index": None, "counterexample": None}
-    for part in parts:
-        merged["checked"] += part["checked"]
-        if part["bad_index"] is not None and (
-            merged["bad_index"] is None or part["bad_index"] < merged["bad_index"]
-        ):
-            merged["bad_index"] = part["bad_index"]
-            merged["counterexample"] = part["counterexample"]
-    return merged
+def _identity_probe(payload, t: WordTuple, out: Scan):
+    name, lhs, rhs, ctx = payload
+    left = lhs._eval(t, ctx)
+    right = rhs._eval(t, ctx)
+    if left != right:
+        out.fail(name, {"tuple": describe_tuple(t), "lhs": str(left), "rhs": str(right)})
+        return True
 
 
 def identity_stage(
@@ -83,67 +61,34 @@ def identity_stage(
     stats: dict | None = None,
 ) -> StageResult:
     """Exact pointwise equality of two expressions over the task list."""
-    parts = chunked_map(_identity_worker, (lhs, rhs), tasks, jobs)
-    merged = merge_scan_parts(parts)
-    return StageResult(
-        name=name,
-        passed=merged["counterexample"] is None,
-        checked=merged["checked"],
-        counterexample=merged["counterexample"],
-        stats=stats,
-    )
+    result = scan(_identity_probe, (name, lhs, rhs, EvalContext()), tasks, jobs)
+    return StageResult.from_scan(name, result, stats)
 
 
-def _zero_worker(payload, start: int, chunk) -> dict:
-    (expr,) = payload
-    ctx = EvalContext()
-    bad_index = None
-    counterexample = None
-    for i, t in enumerate(chunk):
-        value = expr._eval(t, ctx)
-        if value:
-            bad_index = start + i
-            counterexample = {"tuple": describe_tuple(t), "value": str(value)}
-            break
-    return {"checked": len(chunk), "bad_index": bad_index, "counterexample": counterexample}
+def _zero_probe(payload, t: WordTuple, out: Scan):
+    name, expr, ctx = payload
+    value = expr._eval(t, ctx)
+    if value:
+        out.fail(name, {"tuple": describe_tuple(t), "value": str(value)})
+        return True
 
 
 def vanishing_stage(
     name: str, expr: Cochain, tasks: list[WordTuple], jobs: int = 1
 ) -> StageResult:
-    parts = chunked_map(_zero_worker, (expr,), tasks, jobs)
-    merged = merge_scan_parts(parts)
-    return StageResult(
-        name=name,
-        passed=merged["counterexample"] is None,
-        checked=merged["checked"],
-        counterexample=merged["counterexample"],
-    )
+    return StageResult.from_scan(name, scan(_zero_probe, (name, expr, EvalContext()), tasks, jobs))
 
 
-def _sup_worker(payload, start: int, chunk) -> dict:
-    (expr,) = payload
-    ctx = EvalContext()
-    best = Fraction(0)
-    arg_index = None
-    argmax = None
-    for i, t in enumerate(chunk):
-        value = abs(expr._eval(t, ctx))
-        if value > best:
-            best = value
-            arg_index = start + i
-            argmax = describe_tuple(t)
-    return {"checked": len(chunk), "max": best, "arg_index": arg_index, "argmax": argmax}
+def _abs_probe(payload, t: WordTuple, out: Scan) -> None:
+    expr, ctx = payload
+    out.offer("abs", abs(expr._eval(t, ctx)), t)
 
 
-def sup_scan(expr: Cochain, tasks: list[WordTuple], jobs: int = 1) -> dict:
-    """Max |value| with the first achieving tuple, independent of job count."""
-    parts = chunked_map(_sup_worker, (expr,), tasks, jobs)
-    merged = {"checked": 0, "max": Fraction(0), "arg_index": None, "argmax": None}
-    for part in parts:
-        merged["checked"] += part["checked"]
-        if part["max"] > merged["max"]:
-            merged["max"] = part["max"]
-            merged["arg_index"] = part["arg_index"]
-            merged["argmax"] = part["argmax"]
-    return merged
+def sup_scan(
+    expr: Cochain, tasks: list[WordTuple], jobs: int = 1
+) -> tuple[Fraction, list[str] | None, int]:
+    """(max |value|, the first tuple reaching it or None if all vanish, tuples
+    checked), independent of job count."""
+    result = scan(_abs_probe, (expr, EvalContext()), tasks, jobs)
+    best, arg = result.best("abs", Fraction(0))
+    return best, None if arg is None else describe_tuple(arg), result.checked

@@ -9,7 +9,6 @@ combination. Aligned-only leaves extend by zero off the aligned tuples
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,60 +357,3 @@ def random_aligned_tuples(
 ) -> list[WordTuple]:
     rng = random.Random(f"{seed}:aligned:{arity}:{max_len}")
     return [random_aligned_tuple(rng, rank, arity, max_len) for _ in range(count)]
-
-
-@dataclass
-class SupNormStats:
-    """Largest observed |value| of a cochain over a sampled domain."""
-
-    max_abs: Fraction
-    argmax: WordTuple | None
-    checked: int
-    histogram: dict[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "max_abs": str(self.max_abs),
-            "argmax": [str(w) for w in self.argmax] if self.argmax else None,
-            "checked_count": self.checked,
-            "histogram": self.histogram,
-        }
-
-
-def sup_norm_estimate(
-    expr: Cochain,
-    rank: int,
-    exhaustive_budget: int = 0,
-    entry_cap: int | None = None,
-    samples: int = 0,
-    max_len: int = 25,
-    seed: int | str = 0,
-    ctx: EvalContext | None = None,
-    cap: int | None = None,
-) -> SupNormStats:
-    """Estimate the sup norm over exhaustive small tuples plus random tuples."""
-    ctx = ctx if ctx is not None else EvalContext()
-    best = _ZERO
-    argmax: WordTuple | None = None
-    checked = 0
-    histogram: dict[str, int] = {}
-    domains: list[Iterator[WordTuple]] = []
-    if expr.degree == 0:
-        domains.append(iter([()]))
-    else:
-        if exhaustive_budget >= expr.degree:
-            domains.append(
-                exhaustive_aligned_tuples(rank, expr.degree, exhaustive_budget, entry_cap, cap)
-            )
-        if samples > 0:
-            domains.append(iter(random_aligned_tuples(rank, expr.degree, samples, max_len, seed)))
-    for t in itertools.chain(*domains):
-        value = expr._eval(t, ctx)
-        checked += 1
-        key = str(value)
-        histogram[key] = histogram.get(key, 0) + 1
-        a = abs(value)
-        if a > best:
-            best = a
-            argmax = t
-    return SupNormStats(best, argmax, checked, histogram)

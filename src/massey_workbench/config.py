@@ -26,6 +26,22 @@ from .report import ExperimentPlan
 from .words import Word, parse_word
 
 
+def integer(value, name: str, optional: bool = False) -> int | None:
+    """``value`` if it is a JSON integer (or null, for an optional one); a
+    bool, float or string is a ``ConfigError``."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def read_int(doc: dict, key: str, default: int | None) -> int | None:
+    """The integer value of a config key; null is accepted only for an
+    optional key, whose default is ``None``."""
+    return integer(doc.get(key, default), key, default is None)
+
+
 def load_config(path: str | Path) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -119,35 +135,52 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
     raise ConfigError(f"unknown expression op {op!r}")
 
 
+_PLAN_INTEGERS = (
+    "rank",
+    "seed",
+    "exhaustive_entry_radius",
+    "exhaustive_total_budget",
+    "deep_budget",
+    "pair_radius",
+    "max_len",
+    "ladder_samples",
+    "jobs",
+)
+
+
 def plan_from_json(obj: dict | None, rank: int, seed_override: int | None = None) -> ExperimentPlan:
     obj = dict(obj or {})
     obj.setdefault("rank", rank)
     if seed_override is not None:
         obj["seed"] = seed_override
-    known = {
-        "rank",
-        "seed",
-        "exhaustive_entry_radius",
-        "exhaustive_total_budget",
-        "deep_budget",
-        "pair_radius",
-        "sample_counts",
-        "max_len",
-        "max_len_ladder",
-        "ladder_samples",
-        "enumeration_cap",
-        "jobs",
-    }
-    unknown = set(obj) - known
+    unknown = set(obj) - {*_PLAN_INTEGERS, "enumeration_cap", "sample_counts", "max_len_ladder"}
     if unknown:
         raise ConfigError(f"unknown plan keys: {sorted(unknown)}")
+    for key in _PLAN_INTEGERS:
+        if key in obj:
+            integer(obj[key], key)
+    read_int(obj, "enumeration_cap", None)
+    counts = obj.get("sample_counts", {})
+    if not isinstance(counts, dict):
+        raise ConfigError(f"sample_counts must be an object, got {counts!r}")
+    unknown = set(counts) - set(ExperimentPlan.DEFAULT_SAMPLES)
+    if unknown:
+        raise ConfigError(
+            f"unknown sample_counts stages {sorted(unknown)}; "
+            f"known: {sorted(ExperimentPlan.DEFAULT_SAMPLES)}"
+        )
+    for stage, count in counts.items():
+        integer(count, f"sample_counts.{stage}")
     if "max_len_ladder" in obj:
-        obj["max_len_ladder"] = tuple(obj["max_len_ladder"])
+        ladder = obj["max_len_ladder"]
+        if not isinstance(ladder, list):
+            raise ConfigError(f"max_len_ladder must be a list, got {ladder!r}")
+        obj["max_len_ladder"] = tuple(integer(rung, "max_len_ladder rung") for rung in ladder)
     return ExperimentPlan(**obj)
 
 
 def massey_from_json(doc: dict, seed_override: int | None = None) -> tuple[MasseyInstance, ExperimentPlan]:
-    rank = int(doc.get("rank", 2))
+    rank = read_int(doc, "rank", 2)
     if "phi" not in doc:
         raise ConfigError("massey config needs a 'phi' quasimorphism")
     phi = qm_from_json(doc["phi"], rank, name="phi")
@@ -155,8 +188,8 @@ def massey_from_json(doc: dict, seed_override: int | None = None) -> tuple[Masse
         name: qm_from_json(body, rank, name=name)
         for name, body in doc.get("quasimorphisms", {}).items()
     }
-    k1 = int(doc.get("k1", 2))
-    k2 = int(doc.get("k2", 2))
+    k1 = read_int(doc, "k1", 2)
+    k2 = read_int(doc, "k2", 2)
     omega1 = expr_from_json(doc.get("omega1", "delta-qm:psi1"), rank, qms)
     omega2 = expr_from_json(doc.get("omega2", "delta-qm:psi2"), rank, qms)
     instance = MasseyInstance(

@@ -20,8 +20,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Literal
 
-from ._parallel import parallel_triangle_scan
+from ._parallel import Scan, chunked_map, scan
 from .errors import ConfigError, UsageError
+from .report import StageResult
 from .words import (
     Letters,
     Word,
@@ -235,26 +236,13 @@ def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecompo
 
 
 @dataclass
-class AxiomCheck:
-    name: str
-    passed: bool = True
-    checked: int = 0
-    counterexample: dict | None = None
-
-    def fail(self, example: dict):
-        if self.passed:
-            self.passed = False
-            self.counterexample = example
-
-
-@dataclass
 class AxiomReport:
     """Outcome of the exhaustive decomposition axiom suite."""
 
     spec_description: str
     radius: int
     pair_radius: int
-    checks: list[AxiomCheck] = field(default_factory=list)
+    checks: list[StageResult] = field(default_factory=list)
     r_hat: int = 0
     r_hat_argmax: dict | None = None
     # Max thick length over pairs of the ball of radius pair_radius - 1,
@@ -274,20 +262,37 @@ class AxiomReport:
             "r_hat": self.r_hat,
             "r_hat_argmax": self.r_hat_argmax,
             "r_hat_previous_radius": self.r_hat_previous_radius,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": "pass" if c.passed else "fail",
-                    "checked_count": c.checked,
-                    "counterexample": c.counterexample,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.to_json() for c in self.checks],
         }
 
 
 def _pieces_from_cuts(letters: Letters, cuts: tuple[int, ...]) -> tuple[Letters, ...]:
     return tuple(letters[cuts[i] : cuts[i + 1]] for i in range(len(cuts) - 1))
+
+
+def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
+    letters = w.letters
+    lengths = piece_lengths(spec, letters)
+    cuts = boundaries(lengths)
+    pieces = _pieces_from_cuts(letters, cuts)
+
+    acc: Letters = ()
+    for piece in pieces:
+        acc = multiply_letters(acc, piece)
+    if acc != letters or sum(lengths) != len(letters) or any(not p for p in pieces):
+        out.fail("pieces-concatenate", {"word": str(w)})
+        return
+
+    inv_pieces = piece_lengths(spec, invert_letters(letters))
+    if inv_pieces != tuple(reversed(lengths)) or not _inverse_pieces_match(letters, cuts):
+        out.fail("inverse-symmetry", {"word": str(w)})
+
+    m = len(pieces)
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            if piece_lengths(spec, letters[cuts[i] : cuts[j]]) != lengths[i:j]:
+                out.fail("piece-runs-stable", {"word": str(w), "run": (i + 1, j)})
+                return
 
 
 def check_axioms(
@@ -308,48 +313,18 @@ def check_axioms(
     if pair_radius is None:
         pair_radius = radius
     report = AxiomReport(spec.describe(), radius, pair_radius)
-    ax1 = AxiomCheck("pieces-concatenate")
-    ax2 = AxiomCheck("inverse-symmetry")
-    ax3 = AxiomCheck("piece-runs-stable")
-    ax4 = AxiomCheck("triangle-factorizations")
-    report.checks = [ax1, ax2, ax3, ax4]
-
-    rank = spec.rank
-    for w in enumerate_ball(rank, radius, cap):
-        letters = w.letters
-        lengths = piece_lengths(spec, letters)
-        cuts = boundaries(lengths)
-        pieces = _pieces_from_cuts(letters, cuts)
-
-        ax1.checked += 1
-        acc: Letters = ()
-        for piece in pieces:
-            acc = multiply_letters(acc, piece)
-        if acc != letters or sum(lengths) != len(letters) or any(not p for p in pieces):
-            ax1.fail({"word": str(w)})
-            continue
-
-        ax2.checked += 1
-        inv_pieces = piece_lengths(spec, invert_letters(letters))
-        if inv_pieces != tuple(reversed(lengths)) or not _inverse_pieces_match(
-            letters, cuts
-        ):
-            ax2.fail({"word": str(w)})
-
-        ax3.checked += 1
-        ok = True
-        m = len(pieces)
-        for i in range(m):
-            for j in range(i + 1, m + 1):
-                run = letters[cuts[i] : cuts[j]]
-                if piece_lengths(spec, run) != lengths[i:j]:
-                    ok = False
-                    ax3.fail({"word": str(w), "run": (i + 1, j)})
-                    break
-            if not ok:
-                break
-
-    _check_triangles(spec, pair_radius, cap, report, ax4, jobs)
+    ball = list(enumerate_ball(spec.rank, radius, cap))
+    words = scan(_word_axioms_probe, spec, ball, jobs)
+    triangles = _scan_triangles(spec, pair_radius, cap, jobs)
+    report.checks = [
+        StageResult.from_scan(name, words)
+        for name in ("pieces-concatenate", "inverse-symmetry", "piece-runs-stable")
+    ]
+    report.checks.append(StageResult.from_scan("triangle-factorizations", triangles))
+    r_hat, report.r_hat_argmax = triangles.best("r_hat", -1)
+    report.r_hat = max(r_hat, 0)
+    if pair_radius >= 1:
+        report.r_hat_previous_radius = triangles.best("r_hat_inner", -1)[0]
     return report
 
 
@@ -364,25 +339,6 @@ def _inverse_pieces_match(letters: Letters, cuts: tuple[int, ...]) -> bool:
         if inv[total - hi : total - lo] != expected:
             return False
     return True
-
-
-def _check_triangles(
-    spec: DecompositionSpec,
-    pair_radius: int,
-    cap: int | None,
-    report: AxiomReport,
-    check: AxiomCheck,
-    jobs: int = 1,
-) -> None:
-    ball = list(enumerate_ball(spec.rank, pair_radius, cap))
-    result = parallel_triangle_scan(spec, ball, jobs, pair_radius - 1)
-    check.checked = result["checked"]
-    if result["counterexample"] is not None:
-        check.fail(result["counterexample"])
-    report.r_hat = result["r_hat"]
-    report.r_hat_argmax = result["r_hat_argmax"]
-    if pair_radius >= 1:
-        report.r_hat_previous_radius = result["r_hat_inner"]
 
 
 class _ScanData:
@@ -555,17 +511,34 @@ def verify_triangle(
     return True
 
 
+def _triangle_chunk(payload, chunk) -> Scan:
+    spec, ball, inner_radius = payload
+    checked, counterexample, r_hat, argmax, r_inner = triangle_scan(
+        spec, chunk, ball, inner_radius
+    )
+    out = Scan(checked)
+    if counterexample is not None:
+        out.fail("triangle-factorizations", counterexample)
+    if argmax is not None:
+        out.offer("r_hat", r_hat, argmax)
+    out.offer("r_hat_inner", r_inner)
+    return out
+
+
+def _scan_triangles(spec: DecompositionSpec, pair_radius: int, cap: int | None, jobs: int) -> Scan:
+    """Triangle scan of every pair of the pair-radius ball, rows split over
+    workers: check ``triangle-factorizations``, statistics ``r_hat`` (with its
+    pair) and ``r_hat_inner`` (over the pairs of the ball one smaller)."""
+    ball = list(enumerate_ball(spec.rank, pair_radius, cap))
+    return chunked_map(_triangle_chunk, (spec, ball, pair_radius - 1), ball, jobs)
+
+
 def measure_r_hat(
     spec: DecompositionSpec, pair_radius: int, cap: int | None = None, jobs: int = 1
 ) -> int:
     """Max observed thick length over all pairs in the pair-radius ball."""
-    report = AxiomReport(spec.describe(), 0, pair_radius)
-    check = AxiomCheck("triangle-factorizations")
-    report.checks = [check]
-    _check_triangles(spec, pair_radius, cap, report, check, jobs)
-    if not check.passed:
-        raise UsageError(
-            f"triangle factorization failed while measuring R-hat: {check.counterexample}"
-        )
-    return report.r_hat
-
+    triangles = _scan_triangles(spec, pair_radius, cap, jobs)
+    failure = triangles.failures.get("triangle-factorizations")
+    if failure is not None:
+        raise UsageError(f"triangle factorization failed while measuring R-hat: {failure}")
+    return max(triangles.best("r_hat", -1)[0], 0)

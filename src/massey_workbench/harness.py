@@ -6,13 +6,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .config import load_config, massey_from_json, qm_from_json, spec_from_json
+from ._parallel import Scan, pair_scan, scan
+from .config import load_config, massey_from_json, qm_from_json, read_int, spec_from_json
 from .decomposition import check_axioms, measure_r_hat
 from .errors import ConfigError
 from .massey import verify_massey_triviality, verify_primitives
 from .quasimorphism import QuasiMorphism, defect, defect_from_triangle, defect_sup
 from .report import Report, StageResult, now_iso
-from .words import enumerate_ball
+from .words import Word, enumerate_ball
 
 
 # Top-level keys each command reads; any other key is a typo that would
@@ -35,7 +36,7 @@ CONFIG_KEYS = {
         "jobs",
     },
     "verify-primitive": _COMMON_KEYS | _MASSEY_KEYS,
-    "massey": _COMMON_KEYS | _MASSEY_KEYS | {"r_hat"},
+    "massey": _COMMON_KEYS | _MASSEY_KEYS,
 }
 
 
@@ -46,23 +47,10 @@ def check_config_keys(doc: dict, command: str) -> None:
         raise ConfigError(f"unknown {command} config keys: {sorted(unknown)}")
 
 
-def _integer(doc: dict, key: str, default: int | None) -> int | None:
-    """The config value of an integer key; a JSON bool, float or string is refused.
-
-    ``None`` is accepted only for an optional key whose default is ``None``.
-    """
-    value = doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _setting(overrides: dict, doc: dict, key: str, default: int) -> int:
     """A command-line override if given (0 included), else the config value."""
     value = overrides.get(key)
-    return _integer(doc if value is None else overrides, key, default)
+    return read_int(doc if value is None else overrides, key, default)
 
 
 def _jobs(value: int) -> int:
@@ -83,11 +71,11 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     overrides = overrides or {}
     check_config_keys(doc, "axioms")
     started, started_at = time.monotonic(), now_iso()
-    rank = _integer(doc, "rank", 2)
+    rank = read_int(doc, "rank", 2)
     spec = spec_from_json(doc.get("decomposition", {"family": "letter"}), rank)
     radius = _setting(overrides, doc, "radius", 6)
-    pair_radius = _integer(doc, "pair_radius", min(radius, 5))
-    cap = _integer(doc, "enumeration_cap", None)
+    pair_radius = read_int(doc, "pair_radius", min(radius, 5))
+    cap = read_int(doc, "enumeration_cap", None)
     jobs = _jobs(_setting(overrides, doc, "jobs", 1))
     stabilize = doc.get("check_stabilization", True)
     if not isinstance(stabilize, bool):
@@ -96,9 +84,7 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     report = Report(command="axioms")
     axioms = check_axioms(spec, radius, pair_radius, cap, jobs)
     for check in axioms.checks:
-        report.add(
-            StageResult(check.name, check.passed, check.checked, check.counterexample)
-        )
+        report.add(check)
     report.notes = {
         "spec": axioms.spec_description,
         "radius": radius,
@@ -122,40 +108,42 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     return _finish(report, started, started_at, doc)
 
 
-def _antisymmetry_stage(q: QuasiMorphism, radius: int, cap) -> StageResult:
-    stage = StageResult("qm-antisymmetry", True)
-    for g in enumerate_ball(q.rank, radius, cap):
-        stage.checked += 1
-        if q.value(g) != -q.value(g.inverse()):
-            stage.passed = False
-            stage.counterexample = {
+def _antisymmetry_probe(q: QuasiMorphism, g: Word, out: Scan):
+    if q.value(g) != -q.value(g.inverse()):
+        out.fail(
+            "qm-antisymmetry",
+            {
                 "word": str(g),
                 "value": str(q.value(g)),
                 "inverse_value": str(q.value(g.inverse())),
-            }
-            break
-    return stage
+            },
+        )
+        return True
 
 
-def _tripod_identity_stage(q: QuasiMorphism, radius: int, cap) -> StageResult:
-    """defect(g, h) must equal phi(r1) + phi(r2) + phi(r3) exactly."""
-    stage = StageResult("defect-tripod-identity", True)
+def _antisymmetry_stage(q: QuasiMorphism, radius: int, cap, jobs: int = 1) -> StageResult:
+    """phi(g^-1) must equal -phi(g) on every word of the ball."""
     ball = list(enumerate_ball(q.rank, radius, cap))
-    for g in ball:
-        for h in ball:
-            stage.checked += 1
-            d = defect(q, g, h)
-            via_triangle = defect_from_triangle(q, g, h)
-            if d != via_triangle:
-                stage.passed = False
-                stage.counterexample = {
-                    "g": str(g),
-                    "h": str(h),
-                    "defect": str(d),
-                    "triangle_sum": str(via_triangle),
-                }
-                return stage
-    return stage
+    return StageResult.from_scan("qm-antisymmetry", scan(_antisymmetry_probe, q, ball, jobs))
+
+
+def _tripod_probe(q: QuasiMorphism, pair: tuple[Word, Word], out: Scan):
+    g, h = pair
+    d = defect(q, g, h)
+    via_triangle = defect_from_triangle(q, g, h)
+    if d != via_triangle:
+        out.fail(
+            "defect-tripod-identity",
+            {"g": str(g), "h": str(h), "defect": str(d), "triangle_sum": str(via_triangle)},
+        )
+        return True
+
+
+def _tripod_identity_stage(q: QuasiMorphism, radius: int, cap, jobs: int = 1) -> StageResult:
+    """defect(g, h) must equal phi(r1) + phi(r2) + phi(r3) exactly."""
+    ball = list(enumerate_ball(q.rank, radius, cap))
+    result = pair_scan(_tripod_probe, q, ball, ball, jobs)
+    return StageResult.from_scan("defect-tripod-identity", result)
 
 
 def run_defect(doc: dict, overrides: dict | None = None) -> Report:
@@ -163,26 +151,26 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     overrides = overrides or {}
     check_config_keys(doc, "defect")
     started, started_at = time.monotonic(), now_iso()
-    rank = _integer(doc, "rank", 2)
+    rank = read_int(doc, "rank", 2)
     qm_doc = doc.get("quasimorphism") or doc.get("phi")
     if qm_doc is None:
         raise ConfigError("defect config needs a 'quasimorphism' (or 'phi') key")
     q = qm_from_json(qm_doc, rank)
     radius = _setting(overrides, doc, "radius", 4)
-    pair_radius = _integer(doc, "pair_radius", radius)
-    random_pairs = _integer(doc, "random_pairs", 2000)
-    max_len = _integer(doc, "max_len", 100)
+    pair_radius = read_int(doc, "pair_radius", radius)
+    random_pairs = read_int(doc, "random_pairs", 2000)
+    max_len = read_int(doc, "max_len", 100)
     seed = _setting(overrides, doc, "seed", 0)
-    cap = _integer(doc, "enumeration_cap", None)
+    cap = read_int(doc, "enumeration_cap", None)
     jobs = _jobs(_setting(overrides, doc, "jobs", 1))
 
     report = Report(command="defect")
-    report.add(_antisymmetry_stage(q, radius + 2, cap))
-    report.add(_tripod_identity_stage(q, radius, cap))
+    report.add(_antisymmetry_stage(q, radius + 2, cap, jobs))
+    report.add(_tripod_identity_stage(q, radius, cap, jobs))
 
     r_hat = measure_r_hat(q.spec, pair_radius, cap, jobs)
     bound = Fraction(3 * r_hat) * q.table.sup
-    stats = defect_sup(q, radius, random_pairs, max_len, seed, cap)
+    stats = defect_sup(q, radius, random_pairs, max_len, seed, cap, jobs)
     bound_stage = StageResult(
         "defect-bound",
         stats.max_abs <= bound,
@@ -221,7 +209,7 @@ def _massey_setup(doc: dict, overrides: dict, command: str):
 def run_massey(doc: dict, overrides: dict | None = None) -> Report:
     started, started_at = time.monotonic(), now_iso()
     instance, plan = _massey_setup(doc, overrides or {}, "massey")
-    report = verify_massey_triviality(instance, plan, doc.get("r_hat"))
+    report = verify_massey_triviality(instance, plan)
     return _finish(report, started, started_at, doc)
 
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._parallel import chunked_map
+from ._parallel import Scan, scan
 from .checks import (
     describe_tuple,
     identity_stage,
-    merge_scan_parts,
     stage_tasks,
     sup_scan,
     vanishing_stage,
@@ -392,239 +391,34 @@ def three_sum_residual(
     return total, ledger
 
 
-def _three_sum_worker(payload, start: int, chunk) -> dict:
-    m, primitive, r_bound = payload
-    ctx = EvalContext()
-    out = {
-        "checked": len(chunk),
-        "bad_index": None,
-        "counterexample": None,
-        "ledger_bad_index": None,
-        "ledger_counterexample": None,
-        "max_survivors": 0,
-        "max_bound": 0,
-    }
-    for i, t in enumerate(chunk):
-        total, ledger = three_sum_residual(m, t, ctx)
-        direct = primitive._eval(t, ctx)
-        if total != direct and out["bad_index"] is None:
-            out["bad_index"] = start + i
-            out["counterexample"] = {
-                "tuple": describe_tuple(t),
-                "three_sum": str(total),
-                "primitive": str(direct),
-            }
-        survivors = len(ledger.surviving_terms)
-        out["max_survivors"] = max(out["max_survivors"], survivors)
-        out["max_bound"] = max(out["max_bound"], ledger.bound)
-        if (survivors > ledger.bound or ledger.bound > r_bound) and out[
-            "ledger_bad_index"
-        ] is None:
-            out["ledger_bad_index"] = start + i
-            out["ledger_counterexample"] = {
+def _three_sum_probe(payload, t: WordTuple, out: Scan) -> None:
+    m, primitive, r_bound, ctx = payload
+    total, ledger = three_sum_residual(m, t, ctx)
+    direct = primitive._eval(t, ctx)
+    if total != direct:
+        out.fail(
+            "three-sum-equality",
+            {"tuple": describe_tuple(t), "three_sum": str(total), "primitive": str(direct)},
+        )
+    survivors = len(ledger.surviving_terms)
+    out.offer("survivors", survivors)
+    out.offer("thick_bound", ledger.bound)
+    if survivors > ledger.bound or ledger.bound > r_bound:
+        out.fail(
+            "ledger-bound",
+            {
                 "tuple": describe_tuple(t),
                 "survivors": survivors,
                 "bound": ledger.bound,
                 "three_r_hat": r_bound,
-            }
-    return out
-
-
-def verify_massey_triviality(
-    m: MasseyInstance, plan: ExperimentPlan, r_hat: int | None = None
-) -> Report:
-    """Run the full verification ladder for one instance.
-
-    Stages, in order: the omega factors are cocycles on aligned tuples; the
-    beta primitives satisfy their coboundary identities; the representative
-    collapses to the eta form; delta P equals the representative; the
-    three-sum display reproduces P with the cancellation ledger inside the
-    thick bound; sup |P| plateaus along the length ladder and stays under
-    3 R-hat times the product of the measured norms.
-    """
-    report = Report(command="massey")
-    jobs = plan.jobs
-    if r_hat is None:
-        r_hat = measure_r_hat(m.phi.spec, plan.pair_radius, plan.enumeration_cap, jobs)
-    lambda_sup = m.phi.table.sup
-    report.notes = {
-        "r_hat": r_hat,
-        "pair_radius": plan.pair_radius,
-        "lambda_sup": str(lambda_sup),
-        "k1": m.k1,
-        "k2": m.k2,
-        "mutation": m.mutation,
-        "convention_dependent": m.convention_dependent,
-    }
-
-    phi_expr = qm_cochain(m.phi)
-    delta_phi = coboundary(phi_expr)
-
-    report.add(
-        vanishing_stage(
-            "cocycle-omega1",
-            coboundary(m.omega1),
-            stage_tasks(plan, m.k1 + 1, "cocycle"),
-            jobs,
-        )
-    )
-    report.add(
-        vanishing_stage(
-            "cocycle-omega2",
-            coboundary(m.omega2),
-            stage_tasks(plan, m.k2 + 1, "cocycle"),
-            jobs,
-        )
-    )
-
-    report.add(
-        identity_stage(
-            "primitive-beta1",
-            coboundary(beta1(m)),
-            cup(m.omega1, delta_phi),
-            stage_tasks(plan, m.k1 + 2, "primitive"),
-            jobs,
-        )
-    )
-    report.add(
-        identity_stage(
-            "primitive-beta2",
-            coboundary(beta2(m)),
-            cup(delta_phi, m.omega2),
-            stage_tasks(plan, m.k2 + 2, "primitive"),
-            jobs,
-        )
-    )
-
-    mu = massey_representative(m)
-    arity = m.k1 + m.k2 + 1
-    report.add(
-        identity_stage(
-            "mu-simplification",
-            mu,
-            mu_simplified(m),
-            stage_tasks(plan, arity, "mu_simplification"),
-            jobs,
-        )
-    )
-    report.add(
-        vanishing_stage(
-            "mu-cocycle",
-            coboundary(mu),
-            stage_tasks(plan, arity + 1, "mu_cocycle"),
-            jobs,
-        )
-    )
-
-    primitive = bounded_primitive(m)
-    report.add(
-        identity_stage(
-            "delta-p-equals-mu",
-            coboundary(primitive),
-            mu,
-            stage_tasks(plan, arity, "delta_p"),
-            jobs,
-        )
-    )
-
-    tasks = stage_tasks(plan, m.k1 + m.k2, "three_sum")
-    parts = chunked_map(_three_sum_worker, (m, primitive, 3 * r_hat), tasks, jobs)
-    merged = merge_scan_parts(
-        [
-            {
-                "checked": p["checked"],
-                "bad_index": p["bad_index"],
-                "counterexample": p["counterexample"],
-            }
-            for p in parts
-        ]
-    )
-    ledger_merged = merge_scan_parts(
-        [
-            {
-                "checked": p["checked"],
-                "bad_index": p["ledger_bad_index"],
-                "counterexample": p["ledger_counterexample"],
-            }
-            for p in parts
-        ]
-    )
-    max_survivors = max((p["max_survivors"] for p in parts), default=0)
-    max_bound = max((p["max_bound"] for p in parts), default=0)
-    report.add(
-        StageResult(
-            "three-sum-equality",
-            merged["counterexample"] is None,
-            merged["checked"],
-            merged["counterexample"],
-            stats={"max_survivors": max_survivors, "max_thick_bound": max_bound},
-        )
-    )
-    report.add(
-        StageResult(
-            "ledger-bound",
-            ledger_merged["counterexample"] is None,
-            ledger_merged["checked"],
-            ledger_merged["counterexample"],
-            stats={"max_survivors": max_survivors, "three_r_hat": 3 * r_hat},
-        )
-    )
-
-    norm1 = sup_scan(m.omega1, stage_tasks(plan, m.k1, "norms"), jobs)
-    norm2 = sup_scan(m.omega2, stage_tasks(plan, m.k2, "norms"), jobs)
-    sup_bound = Fraction(3 * r_hat) * norm1["max"] * lambda_sup * norm2["max"]
-    ladder_stats: list[dict] = []
-    sups: list[Fraction] = []
-    for max_len in plan.max_len_ladder:
-        rung_tasks = random_aligned_tuples(
-            plan.rank,
-            m.k1 + m.k2,
-            plan.ladder_samples,
-            max_len,
-            f"{plan.seed}:ladder:{max_len}",
-        )
-        rung = sup_scan(primitive, rung_tasks, jobs)
-        sups.append(rung["max"])
-        ladder_stats.append(
-            {
-                "max_len": max_len,
-                "sup": str(rung["max"]),
-                "argmax": rung["argmax"],
-                "checked": rung["checked"],
-            }
-        )
-    plateau_ok = all(s <= sups[0] for s in sups[1:]) if sups else True
-    within = all(s <= sup_bound for s in sups)
-    counterexample = None
-    if not (plateau_ok and within):
-        counterexample = {
-            "ladder": [str(s) for s in sups],
-            "bound": str(sup_bound),
-        }
-    report.add(
-        StageResult(
-            "sup-p-ladder",
-            plateau_ok and within,
-            sum(r["checked"] for r in ladder_stats),
-            counterexample,
-            stats={
-                "ladder": ladder_stats,
-                "bound": str(sup_bound),
-                "omega1_norm": str(norm1["max"]),
-                "omega2_norm": str(norm2["max"]),
-                "lambda_sup": str(lambda_sup),
-                "r_hat": r_hat,
             },
         )
-    )
-    return report
 
 
-def verify_primitives(m: MasseyInstance, plan: ExperimentPlan) -> Report:
-    """Cocycle preconditions and the two beta identities only."""
-    report = Report(command="verify-primitive")
+def _primitive_stages(m: MasseyInstance, plan: ExperimentPlan, report: Report) -> None:
+    """The cocycle preconditions and the two beta identities, the first four
+    stages of both the ``massey`` and the ``verify-primitive`` command."""
     jobs = plan.jobs
-    report.notes = {"k1": m.k1, "k2": m.k2, "mutation": m.mutation}
     delta_phi = coboundary(qm_cochain(m.phi))
     report.add(
         vanishing_stage(
@@ -660,4 +454,122 @@ def verify_primitives(m: MasseyInstance, plan: ExperimentPlan) -> Report:
             jobs,
         )
     )
+
+
+def verify_massey_triviality(m: MasseyInstance, plan: ExperimentPlan) -> Report:
+    """Run the full verification ladder for one instance.
+
+    Stages, in order: the omega factors are cocycles on aligned tuples; the
+    beta primitives satisfy their coboundary identities; the representative
+    collapses to the eta form; delta P equals the representative; the
+    three-sum display reproduces P with the cancellation ledger inside the
+    thick bound; sup |P| plateaus along the length ladder and stays under
+    3 R-hat times the product of the measured norms.
+    """
+    report = Report(command="massey")
+    jobs = plan.jobs
+    r_hat = measure_r_hat(m.phi.spec, plan.pair_radius, plan.enumeration_cap, jobs)
+    lambda_sup = m.phi.table.sup
+    report.notes = {
+        "r_hat": r_hat,
+        "pair_radius": plan.pair_radius,
+        "lambda_sup": str(lambda_sup),
+        "k1": m.k1,
+        "k2": m.k2,
+        "mutation": m.mutation,
+        "convention_dependent": m.convention_dependent,
+    }
+
+    _primitive_stages(m, plan, report)
+
+    mu = massey_representative(m)
+    arity = m.k1 + m.k2 + 1
+    report.add(
+        identity_stage(
+            "mu-simplification",
+            mu,
+            mu_simplified(m),
+            stage_tasks(plan, arity, "mu_simplification"),
+            jobs,
+        )
+    )
+    report.add(
+        vanishing_stage(
+            "mu-cocycle",
+            coboundary(mu),
+            stage_tasks(plan, arity + 1, "mu_cocycle"),
+            jobs,
+        )
+    )
+
+    primitive = bounded_primitive(m)
+    report.add(
+        identity_stage(
+            "delta-p-equals-mu",
+            coboundary(primitive),
+            mu,
+            stage_tasks(plan, arity, "delta_p"),
+            jobs,
+        )
+    )
+
+    r_bound = 3 * r_hat
+    tasks = stage_tasks(plan, m.k1 + m.k2, "three_sum")
+    result = scan(_three_sum_probe, (m, primitive, r_bound, EvalContext()), tasks, jobs)
+    max_survivors = result.best("survivors", 0)[0]
+    stats = {"max_survivors": max_survivors, "max_thick_bound": result.best("thick_bound", 0)[0]}
+    report.add(StageResult.from_scan("three-sum-equality", result, stats=stats))
+    stats = {"max_survivors": max_survivors, "three_r_hat": r_bound}
+    report.add(StageResult.from_scan("ledger-bound", result, stats=stats))
+
+    norm1, _, _ = sup_scan(m.omega1, stage_tasks(plan, m.k1, "norms"), jobs)
+    norm2, _, _ = sup_scan(m.omega2, stage_tasks(plan, m.k2, "norms"), jobs)
+    sup_bound = Fraction(r_bound) * norm1 * lambda_sup * norm2
+    ladder_stats: list[dict] = []
+    sups: list[Fraction] = []
+    for max_len in plan.max_len_ladder:
+        rung_tasks = random_aligned_tuples(
+            plan.rank,
+            m.k1 + m.k2,
+            plan.ladder_samples,
+            max_len,
+            f"{plan.seed}:ladder:{max_len}",
+        )
+        sup, argmax, checked = sup_scan(primitive, rung_tasks, jobs)
+        sups.append(sup)
+        ladder_stats.append(
+            {"max_len": max_len, "sup": str(sup), "argmax": argmax, "checked": checked}
+        )
+    plateau_ok = all(s <= sups[0] for s in sups[1:]) if sups else True
+    within = all(s <= sup_bound for s in sups)
+    counterexample = None
+    if not (plateau_ok and within):
+        counterexample = {
+            "ladder": [str(s) for s in sups],
+            "bound": str(sup_bound),
+        }
+    report.add(
+        StageResult(
+            "sup-p-ladder",
+            plateau_ok and within,
+            sum(r["checked"] for r in ladder_stats),
+            counterexample,
+            stats={
+                "ladder": ladder_stats,
+                "bound": str(sup_bound),
+                "omega1_norm": str(norm1),
+                "omega2_norm": str(norm2),
+                "lambda_sup": str(lambda_sup),
+                "r_hat": r_hat,
+            },
+        )
+    )
+    return report
+
+
+def verify_primitives(m: MasseyInstance, plan: ExperimentPlan) -> Report:
+    """Cocycle preconditions and the two beta identities only."""
+    report = Report(command="verify-primitive")
+    report.notes = {"k1": m.k1, "k2": m.k2, "mutation": m.mutation}
+    _primitive_stages(m, plan, report)
     return report

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from ._parallel import Scan, pair_scan, scan
 from .decomposition import (
     DecompositionSpec,
     boundaries,
@@ -245,6 +246,11 @@ class DefectStats:
         }
 
 
+def _defect_probe(q: QuasiMorphism, pair: tuple[Word, Word], out: Scan) -> None:
+    g, h = pair
+    out.offer("defect", abs(defect(q, g, h)), pair)
+
+
 def defect_sup(
     q: QuasiMorphism,
     ball_radius: int = 0,
@@ -252,32 +258,24 @@ def defect_sup(
     max_len: int = 50,
     seed: int = 0,
     cap: int | None = None,
+    jobs: int = 1,
 ) -> DefectStats:
     """Max |defect| over an exhaustive ball and/or seeded random pairs."""
-    best = _ZERO
-    argmax: tuple[str, str] | None = None
-    checked = 0
-
-    def consider(g: Word, h: Word):
-        nonlocal best, argmax, checked
-        checked += 1
-        d = abs(defect(q, g, h))
-        if d > best:
-            best = d
-            argmax = (str(g), str(h))
-
+    result = Scan()
     if ball_radius > 0:
         ball = list(enumerate_ball(q.rank, ball_radius, cap))
-        for g in ball:
-            for h in ball:
-                consider(g, h)
+        result = pair_scan(_defect_probe, q, ball, ball, jobs)
     if random_pairs > 0:
         rng = random.Random(f"{seed}:defect")
+        pairs = []
         for _ in range(random_pairs):
             lg = rng.randint(0, max_len)
             lh = rng.randint(0, max_len)
-            consider(sample_word(q.rank, lg, rng), sample_word(q.rank, lh, rng))
-    return DefectStats(best, argmax, checked)
+            pairs.append((sample_word(q.rank, lg, rng), sample_word(q.rank, lh, rng)))
+        result.merge(scan(_defect_probe, q, pairs, jobs))
+    best, pair = result.best("defect", _ZERO)
+    argmax = None if pair is None else (str(pair[0]), str(pair[1]))
+    return DefectStats(best, argmax, result.checked)
 
 
 def piece_values(q: QuasiMorphism, g: Word) -> list[Fraction]:

@@ -11,8 +11,12 @@ import datetime as _dt
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from ._parallel import Scan
 
 SCHEMA_VERSION = 1
 TIMING_KEY = "timing"
@@ -48,7 +52,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigError("rank must be >= 1")
-        for key in ("max_len", "ladder_samples", "jobs"):
+        # An entry radius of 0 would read as "no cap" in the tuple enumeration.
+        for key in ("exhaustive_entry_radius", "max_len", "ladder_samples", "jobs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         ladder = tuple(self.max_len_ladder)
@@ -64,7 +69,7 @@ class ExperimentPlan:
     def samples(self, stage: str) -> int:
         if stage in self.sample_counts:
             return self.sample_counts[stage]
-        return self.DEFAULT_SAMPLES.get(stage, 1_000)
+        return self.DEFAULT_SAMPLES[stage]
 
     def budget(self, arity: int) -> int:
         return self.exhaustive_total_budget if arity <= 5 else self.deep_budget
@@ -95,6 +100,12 @@ class StageResult:
     checked: int = 0
     counterexample: dict | None = None
     stats: dict | None = None
+
+    @classmethod
+    def from_scan(cls, name: str, result: Scan, stats: dict | None = None) -> StageResult:
+        """The stage whose check a scan recorded under the stage's name."""
+        counterexample = result.failures.get(name)
+        return cls(name, counterexample is None, result.checked, counterexample, stats)
 
     def to_json(self) -> dict:
         return {

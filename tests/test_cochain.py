@@ -22,8 +22,8 @@ from massey_workbench.cochain import (
     random_aligned_tuple,
     random_aligned_tuples,
     restrict,
-    sup_norm_estimate,
 )
+from massey_workbench.checks import sup_scan
 from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.errors import UsageError
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
@@ -254,28 +254,27 @@ def test_random_aligned_tuple_properties():
     assert rand_tuples(3, 5, seed=10) == rand_tuples(3, 5, seed=10)
 
 
-def test_sup_norm_estimate():
-    c = constant(Fraction(-7, 2))
-    stats = sup_norm_estimate(c, 2)
-    assert stats.max_abs == Fraction(7, 2)
-    # homomorphism-like quasi-morphism: zero defect, zero coboundary norm
+def small_pairs(seed):
+    """Every aligned pair within total length 4, then 200 random pairs."""
+    return list(exhaustive_aligned_tuples(2, 2, 4)) + random_aligned_tuples(2, 2, 200, 25, seed)
+
+
+def test_sup_scan():
+    assert sup_scan(constant(Fraction(-7, 2)), [()]) == (Fraction(7, 2), [], 1)
+    # homomorphism-like quasi-morphism: zero defect, zero coboundary norm,
+    # and no argmax because no tuple beats 0
     letter_qm = QuasiMorphism(
         DecompositionSpec("letter", 2), LambdaTable({W("a"): 1})
     )
-    stats = sup_norm_estimate(
-        coboundary(qm_cochain(letter_qm)), 2, exhaustive_budget=4, samples=200, seed=3
-    )
-    assert stats.max_abs == 0
-    # brooks counting function: restricted coboundary achieves 1
-    stats = sup_norm_estimate(
-        restrict(coboundary(qm_cochain(brooks_qm()))),
-        2,
-        exhaustive_budget=4,
-        samples=200,
-        seed=4,
-    )
-    assert stats.max_abs == 1
-    assert stats.histogram["1"] >= 1
+    tasks = small_pairs(3)
+    assert sup_scan(coboundary(qm_cochain(letter_qm)), tasks) == (0, None, len(tasks))
+    # brooks counting function: restricted coboundary achieves 1, and the
+    # argmax is the first tuple that reaches it
+    expr = restrict(coboundary(qm_cochain(brooks_qm())))
+    tasks = small_pairs(4)
+    first = next(t for t in tasks if abs(evaluate(expr, t)) == 1)
+    for jobs in (1, 2):
+        assert sup_scan(expr, tasks, jobs) == (1, [str(w) for w in first], len(tasks))
 
 
 def test_context_never_returns_a_freed_nodes_value():

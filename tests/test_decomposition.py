@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from massey_workbench import decomposition
-from massey_workbench._parallel import parallel_triangle_scan
 from massey_workbench.decomposition import (
     DecompositionSpec,
     check_axioms,
@@ -247,13 +246,19 @@ def naive_triangle_scan(spec, ball):
 )
 def test_triangle_scan_matches_naive_oracle(spec, radius):
     ball = list(enumerate_ball(spec.rank, radius))
-    assert triangle_scan(spec, ball, ball)[:4] == naive_triangle_scan(spec, ball)
+    naive = naive_triangle_scan(spec, ball)
+    assert triangle_scan(spec, ball, ball)[:4] == naive
+    for jobs in (1, 2):
+        report = check_axioms(spec, 1, radius, jobs=jobs)
+        triangles = report.checks[3]
+        assert (triangles.checked, triangles.counterexample) == naive[:2]
+        assert (report.r_hat, report.r_hat_argmax) == naive[2:]
     # R-hat of Brooks(aab) grows 0, 0, 2, 3, 3 over radii 0..4, so every
     # inner radius below the ball's is compared, not only radius - 1.
     for inner in range(radius):
         assert triangle_scan(spec, ball, ball, inner)[4] == measure_r_hat(spec, inner)
-    previous = check_axioms(spec, 1, radius).r_hat_previous_radius
-    assert previous == measure_r_hat(spec, radius - 1)
+        previous = check_axioms(spec, 0, inner + 1).r_hat_previous_radius
+        assert previous == measure_r_hat(spec, inner)
     serial = check_axioms(spec, 2, radius - 1, jobs=1).to_json()
     assert check_axioms(spec, 2, radius - 1, jobs=2).to_json() == serial
 
@@ -273,7 +278,6 @@ def test_triangle_scan_is_not_vacuous(monkeypatch):
     ball = list(enumerate_ball(2, 3))
     expected = {"g": "a", "h": "bab"}
     assert triangle_scan(ROLLI, ball, ball)[1] == expected
-    assert parallel_triangle_scan(ROLLI, ball, 2)["counterexample"] == expected
     for jobs in (1, 2):
         report = check_axioms(ROLLI, 1, 3, jobs=jobs)
         assert report.checks[3].counterexample == expected

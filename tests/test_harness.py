@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -13,7 +14,15 @@ from massey_workbench.config import (
     spec_from_json,
 )
 from massey_workbench.errors import ConfigError
-from massey_workbench.harness import run_axioms, run_config, run_defect, run_massey
+from massey_workbench.harness import (
+    _antisymmetry_stage,
+    _tripod_identity_stage,
+    run_axioms,
+    run_config,
+    run_defect,
+    run_massey,
+)
+from massey_workbench.quasimorphism import QuasiMorphism, tampered_lambda
 from massey_workbench.report import (
     ExperimentPlan,
     load_report,
@@ -417,12 +426,16 @@ def test_cli_rejects_jobs_zero_and_massey_radius(tmp_path, capsys):
 def test_unknown_config_keys_rejected(tmp_path):
     with pytest.raises(ConfigError, match="mutaton"):
         run_massey(massey_doc(mutaton="flip-eta-sign"))
+    with pytest.raises(ConfigError, match="r_hat"):
+        run_massey(massey_doc(r_hat=1000))
     with pytest.raises(ConfigError):
         run_axioms({"rank": 2, "radius": 2, "radiu": 3})
     with pytest.raises(ConfigError):
         run_defect(dict(DEFECT_DOC, random_pair=10))
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps(massey_doc(mutaton="flip-eta-sign")), encoding="utf-8")
+    assert main(["massey", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps(massey_doc(r_hat=1000)), encoding="utf-8")
     assert main(["massey", "--config", str(cfg)]) == 2
 
 
@@ -447,6 +460,7 @@ def test_shipped_configs_pass_the_key_check():
         {"max_len_ladder": [0, 10]},
         {"max_len_ladder": [-5]},
         {"jobs": 0},
+        {"exhaustive_entry_radius": 0},
     ],
 )
 def test_plan_rejects_non_positive_sizes(tmp_path, bad):
@@ -458,6 +472,9 @@ def test_plan_rejects_non_positive_sizes(tmp_path, bad):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["massey", "--config", str(cfg)]) == 2
 
+
+MASSEY_DOC = massey_doc()
+VERIFY_DOC = massey_doc(command="verify-primitive")
 
 AXIOMS_DOC = {
     "command": "axioms",
@@ -488,11 +505,36 @@ AXIOMS_DOC = {
             (DEFECT_DOC, "seed", "0"),
             (DEFECT_DOC, "enumeration_cap", "7"),
             (DEFECT_DOC, "jobs", 1.5),
+            (MASSEY_DOC, "rank", True),
+            (MASSEY_DOC, "k1", "x"),
+            (MASSEY_DOC, "k2", 2.0),
+            (VERIFY_DOC, "k1", "2"),
+            (MASSEY_DOC, "plan.rank", "2"),
+            (MASSEY_DOC, "plan.seed", "5"),
+            (MASSEY_DOC, "plan.exhaustive_entry_radius", 4.0),
+            (MASSEY_DOC, "plan.exhaustive_total_budget", "5"),
+            (MASSEY_DOC, "plan.deep_budget", True),
+            (MASSEY_DOC, "plan.pair_radius", "3"),
+            (MASSEY_DOC, "plan.max_len", 15.5),
+            (MASSEY_DOC, "plan.ladder_samples", None),
+            (MASSEY_DOC, "plan.enumeration_cap", "7"),
+            (MASSEY_DOC, "plan.jobs", "1"),
+            (MASSEY_DOC, "plan.max_len_ladder", 5),
+            (MASSEY_DOC, "plan.max_len_ladder", ["10"]),
+            (MASSEY_DOC, "plan.sample_counts", [5]),
+            (MASSEY_DOC, "plan.sample_counts.delta_p", "5"),
+            (VERIFY_DOC, "plan.pair_radius", "3"),
         ]
     ],
 )
 def test_config_values_must_have_their_json_type(tmp_path, base, key, bad):
-    doc = dict(base, **{key: bad})
+    """``key`` may be a dotted path into the plan."""
+    doc = copy.deepcopy(base)
+    *parents, last = key.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[last] = bad
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main([doc["command"], "--config", str(cfg)]) == 2
@@ -503,3 +545,42 @@ def test_check_stabilization_false_skips_the_stage():
     assert report.stages[-1].name == "triangle-factorizations"
     report = run_axioms(dict(AXIOMS_DOC, check_stabilization=True))
     assert report.stages[-1].name == "r-hat-stabilization"
+
+
+def test_unknown_sample_count_stage_rejected(tmp_path):
+    # "delta-p" for "delta_p" used to run the stage on the default 10,000 tuples.
+    with pytest.raises(ConfigError, match="delta-p"):
+        plan_from_json({"sample_counts": {"delta-p": 5}}, 2)
+    doc = massey_doc()
+    doc["plan"] = dict(SMALL_PLAN, sample_counts={"delta-p": 5})
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["massey", "--config", str(cfg)]) == 2
+    plan = plan_from_json({"sample_counts": {"delta_p": 5}}, 2)
+    assert plan.samples("delta_p") == 5
+    assert plan.samples("three_sum") == ExperimentPlan.DEFAULT_SAMPLES["three_sum"]
+
+
+def test_defect_at_two_jobs_matches_serial():
+    serial = strip_timing(run_defect(DEFECT_DOC).to_json())
+    parallel = strip_timing(run_defect(DEFECT_DOC, {"jobs": 2}).to_json())
+    assert parallel == serial
+
+
+def test_failing_defect_stages_match_across_jobs():
+    """A tampered (non-alternating) table fails both checks; the first
+    counterexample and the domain-size count do not depend on the job count."""
+    phi = qm_from_json(DEFECT_DOC["phi"], 2)
+    tampered = QuasiMorphism(phi.spec, tampered_lambda(phi.table, W("BA"), 0))
+    stages = {
+        jobs: (
+            _antisymmetry_stage(tampered, 3, None, jobs),
+            _tripod_identity_stage(tampered, 3, None, jobs),
+        )
+        for jobs in (1, 2)
+    }
+    for anti, tripod in stages.values():
+        assert not anti.passed and not tripod.passed
+        assert anti.checked == 53  # the ball of radius 3
+        assert tripod.checked == 53**2
+    assert stages[1] == stages[2]

@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from massey_workbench.decomposition import (
 )
 from massey_workbench.errors import ConfigError
 from massey_workbench.quasimorphism import (
+    DefectStats,
     LambdaTable,
     QuasiMorphism,
     defect,
@@ -21,7 +23,14 @@ from massey_workbench.quasimorphism import (
     reference_value,
     tampered_lambda,
 )
-from massey_workbench.words import Word, _make, invert_letters, parse_word, sample_word
+from massey_workbench.words import (
+    Word,
+    _make,
+    enumerate_ball,
+    invert_letters,
+    parse_word,
+    sample_word,
+)
 
 W = lambda s: parse_word(s, 2)
 
@@ -133,6 +142,7 @@ def test_homomorphism_has_zero_defect():
     q = QuasiMorphism(LETTER, LambdaTable({W("a"): 1}))
     stats = defect_sup(q, ball_radius=3)
     assert stats.max_abs == 0
+    assert stats.argmax is None  # nothing beats the starting value 0
     assert stats.checked == 53 * 53
 
 
@@ -143,6 +153,21 @@ def test_defect_sup_deterministic_and_bounded():
     assert s1.max_abs == s2.max_abs and s1.argmax == s2.argmax
     # measured R-hat for brooks(ab) is 1, lambda sup is 1: defect within 3
     assert s1.max_abs <= 3
+    # The plain loop: ball pairs row by row, then the seeded random pairs;
+    # the first pair reaching the max is the argmax, for any job count.
+    ball = list(enumerate_ball(2, 2))
+    pairs = [(g, h) for g in ball for h in ball]
+    rng = random.Random("11:defect")
+    for _ in range(50):
+        lg, lh = rng.randint(0, 40), rng.randint(0, 40)
+        pairs.append((sample_word(2, lg, rng), sample_word(2, lh, rng)))
+    best, argmax = 0, None
+    for g, h in pairs:
+        if abs(defect(q, g, h)) > best:
+            best, argmax = abs(defect(q, g, h)), (str(g), str(h))
+    for jobs in (1, 2):
+        stats = defect_sup(q, ball_radius=2, random_pairs=50, max_len=40, seed=11, jobs=jobs)
+        assert stats == DefectStats(best, argmax, len(pairs))
 
 
 def test_tampered_lambda_breaks_antisymmetry():
