@@ -47,8 +47,15 @@ def _identity_probe(payload, t: WordTuple, out: Scan):
     name, lhs, rhs, ctx = payload
     left = lhs._eval(t, ctx)
     right = rhs._eval(t, ctx)
-    if left != right:
-        out.fail(name, {"tuple": describe_tuple(t), "lhs": str(left), "rhs": str(right)})
+    if left * rhs.den != right * lhs.den:
+        out.fail(
+            name,
+            {
+                "tuple": describe_tuple(t),
+                "lhs": str(Fraction(left, lhs.den)),
+                "rhs": str(Fraction(right, rhs.den)),
+            },
+        )
         return True
 
 
@@ -69,7 +76,7 @@ def _zero_probe(payload, t: WordTuple, out: Scan):
     name, expr, ctx = payload
     value = expr._eval(t, ctx)
     if value:
-        out.fail(name, {"tuple": describe_tuple(t), "value": str(value)})
+        out.fail(name, {"tuple": describe_tuple(t), "value": str(Fraction(value, expr.den))})
         return True
 
 
@@ -88,7 +95,11 @@ def sup_scan(
     expr: Cochain, tasks: list[WordTuple], jobs: int = 1
 ) -> tuple[Fraction, list[str] | None, int]:
     """(max |value|, the first tuple reaching it or None if all vanish, tuples
-    checked), independent of job count."""
+    checked), independent of job count.
+
+    The scan maximizes numerators, which orders tuples as their values do
+    because ``expr.den`` is fixed.
+    """
     result = scan(_abs_probe, (expr, EvalContext()), tasks, jobs)
-    best, arg = result.best("abs", Fraction(0))
-    return best, None if arg is None else describe_tuple(arg), result.checked
+    best, arg = result.best("abs", 0)
+    return Fraction(best, expr.den), None if arg is None else describe_tuple(arg), result.checked

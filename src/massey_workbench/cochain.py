@@ -5,10 +5,17 @@ immutable trees: quasi-morphism and table leaves combined by coboundary,
 cup product, alternation, restriction to the aligned domain, and linear
 combination. Aligned-only leaves extend by zero off the aligned tuples
 (entries nontrivial, adjacent products concatenating without cancellation).
+
+Every node has a fixed positive integer ``den``, and its ``_eval`` returns
+the integer numerator of its value over that ``den``: a cup multiplies the
+factors' denominators, a linear combination takes their lcm and scales each
+term by a precomputed integer. ``evaluate`` is where the ``Fraction`` is
+built; everything below it is integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +33,6 @@ from .words import (
     sphere_size,
     words_of_length,
 )
-
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 WordTuple = tuple[Word, ...]
 
@@ -65,10 +69,10 @@ class EvalContext:
     __slots__ = ("node_values", "limit")
 
     def __init__(self, limit: int = 1_500_000):
-        self.node_values: dict[tuple, Fraction] = {}
+        self.node_values: dict[tuple, int] = {}
         self.limit = limit
 
-    def store(self, key: tuple, value: Fraction) -> Fraction:
+    def store(self, key: tuple, value: int) -> int:
         if len(self.node_values) >= self.limit:
             self.node_values.clear()
         self.node_values[key] = value
@@ -80,15 +84,18 @@ def _key(node: "Cochain", t: WordTuple) -> tuple:
 
 
 class Cochain:
-    """Base expression node; subclasses set ``degree`` and ``_eval``.
+    """Base expression node; subclasses set ``degree``, ``den`` and ``_eval``.
 
-    Nodes compare and hash by identity (``eq=False`` on the dataclass
-    nodes), which keeps cache keys cheap to hash.
+    ``_eval`` returns the integer numerator of the value over ``den``, which
+    is fixed when the node is built. Nodes compare and hash by identity
+    (``eq=False`` on the dataclass nodes), which keeps cache keys cheap to
+    hash.
     """
 
     degree: int
+    den: int
 
-    def _eval(self, t: WordTuple, ctx: EvalContext) -> Fraction:
+    def _eval(self, t: WordTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
 
 
@@ -97,7 +104,7 @@ def evaluate(expr: Cochain, t: Sequence[Word], ctx: EvalContext | None = None) -
     t = tuple(t)
     if len(t) != expr.degree:
         raise UsageError(f"arity {len(t)} does not match degree {expr.degree}")
-    return expr._eval(t, ctx if ctx is not None else EvalContext())
+    return Fraction(expr._eval(t, ctx if ctx is not None else EvalContext()), expr.den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,29 +112,40 @@ class ConstantCochain(Cochain):
     value: Fraction
     degree: int = 0
 
+    @property
+    def den(self) -> int:
+        return self.value.denominator
+
     def _eval(self, t, ctx):
-        return self.value
+        return self.value.numerator
 
 
 class TableCochain(Cochain):
-    """Finite-support cochain on aligned tuples, zero elsewhere."""
+    """Finite-support cochain on aligned tuples, zero elsewhere.
 
-    __slots__ = ("degree", "table")
+    ``table`` maps each key's letters to its entry's numerator over ``den``,
+    the lcm of the entries' denominators.
+    """
+
+    __slots__ = ("degree", "den", "table")
 
     def __init__(self, degree: int, table: Mapping[WordTuple, Fraction | int | str]):
         self.degree = degree
-        store: dict[tuple[Letters, ...], Fraction] = {}
+        values: dict[tuple[Letters, ...], Fraction] = {}
         for key, raw in table.items():
             key = tuple(key)
             if len(key) != degree:
                 raise UsageError(f"table key arity {len(key)} != degree {degree}")
             if not is_aligned(key):
                 raise UsageError(f"table key {tuple(map(str, key))} is not aligned")
-            store[tuple(w.letters for w in key)] = Fraction(raw)
-        self.table = store
+            values[tuple(w.letters for w in key)] = Fraction(raw)
+        self.den = math.lcm(*(v.denominator for v in values.values()))
+        self.table = {
+            k: v.numerator * (self.den // v.denominator) for k, v in values.items()
+        }
 
     def _eval(self, t, ctx):
-        return self.table.get(tuple(w.letters for w in t), _ZERO)
+        return self.table.get(tuple(w.letters for w in t), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +154,10 @@ class QMCochain(Cochain):
 
     qm: QuasiMorphism
     degree: int = 1
+
+    @property
+    def den(self) -> int:
+        return self.qm.den
 
     def _eval(self, t, ctx):
         return self.qm.value_letters(t[0].letters)
@@ -151,12 +173,16 @@ class Restriction(Cochain):
     def degree(self) -> int:
         return self.child.degree
 
+    @property
+    def den(self) -> int:
+        return self.child.den
+
     def _eval(self, t, ctx):
         key = _key(self, t)
         cached = ctx.node_values.get(key)
         if cached is not None:
             return cached
-        value = self.child._eval(t, ctx) if is_aligned(t) else _ZERO
+        value = self.child._eval(t, ctx) if is_aligned(t) else 0
         return ctx.store(key, value)
 
 
@@ -167,6 +193,10 @@ class Coboundary(Cochain):
     @property
     def degree(self) -> int:
         return self.child.degree + 1
+
+    @property
+    def den(self) -> int:
+        return self.child.den
 
     def _eval(self, t, ctx):
         k = self.child.degree
@@ -195,17 +225,24 @@ class CupProduct(Cochain):
     def degree(self) -> int:
         return self.left.degree + self.right.degree
 
+    @property
+    def den(self) -> int:
+        return self.left.den * self.right.den
+
     def _eval(self, t, ctx):
         p = self.left.degree
         a = self.left._eval(t[:p], ctx)
         if not a:
-            return _ZERO
+            return 0
         return a * self.right._eval(t[p:], ctx)
 
 
 @dataclass(frozen=True, eq=False)
 class Alternation(Cochain):
-    """alt(f)(t) = (f(t) + (-1)^ceil(k/2) f(flip t)) / 2; identity in degree 0."""
+    """alt(f)(t) = (f(t) + (-1)^ceil(k/2) f(flip t)) / 2; identity in degree 0.
+
+    The halving is carried by ``den``, twice the child's.
+    """
 
     child: Cochain
 
@@ -213,17 +250,28 @@ class Alternation(Cochain):
     def degree(self) -> int:
         return self.child.degree
 
+    @property
+    def den(self) -> int:
+        return 2 * self.child.den
+
     def _eval(self, t, ctx):
         k = self.child.degree
         straight = self.child._eval(t, ctx)
         flipped = self.child._eval(flip(t), ctx)
         if ((k + 1) // 2) % 2 == 0:
-            return (straight + flipped) * _HALF
-        return (straight - flipped) * _HALF
+            return straight + flipped
+        return straight - flipped
 
 
 class LinearCombination(Cochain):
-    __slots__ = ("degree", "terms")
+    """sum of c * e over the terms.
+
+    ``den`` is the lcm of ``c.denominator * e.den`` over the nonzero terms,
+    and ``terms`` holds (integer multiplier of the numerator of e, e) for
+    each of them; zero terms are never evaluated.
+    """
+
+    __slots__ = ("degree", "den", "terms")
 
     def __init__(self, terms: Sequence[tuple[Fraction | int | str, Cochain]]):
         terms = tuple((Fraction(c), e) for c, e in terms)
@@ -232,14 +280,17 @@ class LinearCombination(Cochain):
         degrees = {e.degree for _, e in terms}
         if len(degrees) != 1:
             raise UsageError(f"mixed degrees in linear combination: {sorted(degrees)}")
-        self.terms = terms
         self.degree = degrees.pop()
+        live = [(c, e) for c, e in terms if c]
+        self.den = math.lcm(*(c.denominator * e.den for c, e in live))
+        self.terms = tuple(
+            (c.numerator * (self.den // (c.denominator * e.den)), e) for c, e in live
+        )
 
     def _eval(self, t, ctx):
-        total = _ZERO
+        total = 0
         for c, e in self.terms:
-            if c:
-                total += c * e._eval(t, ctx)
+            total += c * e._eval(t, ctx)
         return total
 
 

@@ -17,6 +17,9 @@ cancel positionally down to the thick parts of the tripod of (1, g_{k1},
 g_{k1} h_1); at most 3 R-hat terms survive, which bounds sup |P|.
 
 Here z<_j / z>_j are the products of the pieces before / after the j-th one.
+
+The eta nodes follow the integer convention of ``cochain``: each returns the
+numerator of its sum over ``den``, the product of its factors' denominators.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ from .errors import UsageError
 from .quasimorphism import QuasiMorphism
 from .report import ExperimentPlan, Report, StageResult
 from .words import Letters, _make, multiply_letters
-
-_ZERO = Fraction(0)
 
 MUTATIONS = ("flip-eta-sign", "shift-z-boundary", "flip-beta1-cup-sign")
 
@@ -97,7 +98,8 @@ class MasseyInstance:
 
 
 def _piece_runs(m: MasseyInstance, letters: Letters):
-    """Per piece j: (lambda value, prefix letters, suffix letters).
+    """Per piece j: (lambda numerator over ``phi.den``, prefix letters,
+    suffix letters).
 
     Prefix/suffix are the piece products before/after j; the shift mutation
     moves both cut points one piece outward.
@@ -118,7 +120,7 @@ def _piece_runs(m: MasseyInstance, letters: Letters):
 class _EtaBase(Cochain):
     """Shared caching for the eta family of leaves."""
 
-    __slots__ = ("m", "degree")
+    __slots__ = ("m", "degree", "den")
 
     def _eval(self, t, ctx):
         key = _key(self, t)
@@ -127,7 +129,7 @@ class _EtaBase(Cochain):
             return cached
         return ctx.store(key, self._compute(t, ctx))
 
-    def _compute(self, t: WordTuple, ctx: EvalContext) -> Fraction:
+    def _compute(self, t: WordTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
 
 
@@ -137,13 +139,14 @@ class Eta1(_EtaBase):
     def __init__(self, m: MasseyInstance):
         self.m = m
         self.degree = m.k1
+        self.den = m.omega1.den * m.phi.den
 
     def _compute(self, t, ctx):
         m = self.m
         rank = m.rank
         head = t[:-1]
         omega1 = m.omega1
-        total = _ZERO
+        total = 0
         for lam, pre, _suf in _piece_runs(m, t[-1].letters):
             if not lam:
                 continue
@@ -159,13 +162,14 @@ class Eta2(_EtaBase):
     def __init__(self, m: MasseyInstance):
         self.m = m
         self.degree = m.k2
+        self.den = m.phi.den * m.omega2.den
 
     def _compute(self, t, ctx):
         m = self.m
         rank = m.rank
         tail = t[1:]
         omega2 = m.omega2
-        total = _ZERO
+        total = 0
         for lam, _pre, suf in _piece_runs(m, t[0].letters):
             if not lam:
                 continue
@@ -181,6 +185,7 @@ class EtaBridge(_EtaBase):
     def __init__(self, m: MasseyInstance):
         self.m = m
         self.degree = m.k1 + m.k2 - 1
+        self.den = m.omega1.den * m.phi.den * m.omega2.den
 
     def _compute(self, t, ctx):
         m = self.m
@@ -188,7 +193,7 @@ class EtaBridge(_EtaBase):
         mid = m.k1 - 1
         head, e, tail = t[:mid], t[mid], t[mid + 1 :]
         omega1, omega2 = m.omega1, m.omega2
-        total = _ZERO
+        total = 0
         for lam, pre, suf in _piece_runs(m, e.letters):
             if not lam:
                 continue
@@ -305,27 +310,28 @@ def _side_terms(
     merge_suffix: Letters,
     merge_prefix: Letters,
     ctx: EvalContext,
-) -> list[Fraction]:
+) -> list[int]:
     """Terms of one of the three boundary sums, for the decomposition of
-    ``middle``. ``merge_suffix`` is appended to the suffix product before it
-    enters omega2 (side 1 merges h_1 there); ``merge_prefix`` is prepended
-    to the prefix product before it enters omega1 (side 2 merges g_{k1})."""
+    ``middle``, as numerators over the bridge's denominator.
+    ``merge_suffix`` is appended to the suffix product before it enters
+    omega2 (side 1 merges h_1 there); ``merge_prefix`` is prepended to the
+    prefix product before it enters omega1 (side 2 merges g_{k1})."""
     rank = m.rank
     omega1, omega2 = m.omega1, m.omega2
     cuts = boundaries(piece_lengths(m.phi.spec, middle))
     phi = m.phi
-    terms: list[Fraction] = []
+    terms: list[int] = []
     for j in range(1, len(cuts)):
         piece = middle[cuts[j - 1] : cuts[j]]
         lam = phi.value_letters(piece)
         if not lam:
-            terms.append(_ZERO)
+            terms.append(0)
             continue
         pre = multiply_letters(merge_prefix, middle[: cuts[j - 1]])
         suf = multiply_letters(middle[cuts[j] :], merge_suffix)
         v1 = omega1._eval(head + (_make(pre, rank),), ctx)
         if not v1:
-            terms.append(_ZERO)
+            terms.append(0)
             continue
         v2 = omega2._eval((_make(suf, rank),) + tail, ctx)
         terms.append(v1 * lam * v2)
@@ -360,7 +366,8 @@ def three_sum_residual(
     gh = multiply_letters(g.letters, h.letters)
     side3 = _side_terms(m, head, tail, gh, empty, empty, ctx)
 
-    total = sum(side1, _ZERO) + sum(side2, _ZERO) - sum(side3, _ZERO)
+    den = m.omega1.den * m.phi.den * m.omega2.den
+    total = Fraction(sum(side1) + sum(side2) - sum(side3), den)
 
     tri = triangle_split(spec, g, h)
     n1 = len(piece_lengths(spec, tri.c1.letters))
@@ -387,14 +394,14 @@ def three_sum_residual(
     ):
         for j, value in enumerate(terms):
             if not canceled[j]:
-                ledger.surviving_terms.append((side_no, j + 1, value))
+                ledger.surviving_terms.append((side_no, j + 1, Fraction(value, den)))
     return total, ledger
 
 
 def _three_sum_probe(payload, t: WordTuple, out: Scan) -> None:
     m, primitive, r_bound, ctx = payload
     total, ledger = three_sum_residual(m, t, ctx)
-    direct = primitive._eval(t, ctx)
+    direct = Fraction(primitive._eval(t, ctx), primitive.den)
     if total != direct:
         out.fail(
             "three-sum-equality",
@@ -540,7 +547,7 @@ def verify_massey_triviality(m: MasseyInstance, plan: ExperimentPlan) -> Report:
         ladder_stats.append(
             {"max_len": max_len, "sup": str(sup), "argmax": argmax, "checked": checked}
         )
-    plateau_ok = all(s <= sups[0] for s in sups[1:]) if sups else True
+    plateau_ok = all(s <= sups[0] for s in sups[1:])
     within = all(s <= sup_bound for s in sups)
     counterexample = None
     if not (plateau_ok and within):

@@ -3,8 +3,9 @@ over the pieces of a decomposition.
 
 Values are exact rationals throughout, so every downstream identity can be
 asserted with equality rather than tolerance. A quasi-morphism is evaluated
-by an integer counting kernel (``counting_kernel``); the plain sum over the
-pieces (``reference_value``) is kept as the oracle it is tested against.
+by an integer counting kernel (``counting_kernel``) as a numerator over the
+least common denominator of its table; the plain sum over the pieces
+(``reference_value``) is kept as the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -63,9 +64,13 @@ _ZERO = Fraction(0)
 
 
 class QuasiMorphism:
-    """phi(g) = sum of lambda over the pieces of the decomposition of g."""
+    """phi(g) = sum of lambda over the pieces of the decomposition of g.
 
-    __slots__ = ("spec", "table", "name", "_cache", "_kernel")
+    ``den`` is the least common denominator of lambda; ``value_letters``
+    returns the integer numerator of phi over it, ``value`` the ``Fraction``.
+    """
+
+    __slots__ = ("spec", "table", "name", "den", "_cache", "_kernel")
 
     def __init__(self, spec: DecompositionSpec, table: LambdaTable, name: str = "phi"):
         for letters in table.entries:
@@ -76,8 +81,8 @@ class QuasiMorphism:
         self.spec = spec
         self.table = table
         self.name = name
-        self._cache: dict[Letters, Fraction] = {}
-        self._kernel = counting_kernel(spec, table)
+        self._cache: dict[Letters, int] = {}
+        self.den, self._kernel = counting_kernel(spec, table)
 
     @property
     def rank(self) -> int:
@@ -86,9 +91,9 @@ class QuasiMorphism:
     def value(self, g: Word) -> Fraction:
         if g.rank != self.rank:
             raise UsageError(f"word rank {g.rank} differs from {self.rank}")
-        return self.value_letters(g.letters)
+        return Fraction(self.value_letters(g.letters), self.den)
 
-    def value_letters(self, letters: Letters) -> Fraction:
+    def value_letters(self, letters: Letters) -> int:
         cached = self._cache.get(letters)
         if cached is not None:
             return cached
@@ -107,7 +112,7 @@ class QuasiMorphism:
     def __setstate__(self, state):
         self.spec, self.table, self.name = state
         self._cache = {}
-        self._kernel = counting_kernel(self.spec, self.table)
+        self.den, self._kernel = counting_kernel(self.spec, self.table)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,12 @@ def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
     return groups
 
 
-def counting_kernel(spec: DecompositionSpec, table: LambdaTable) -> Callable[[Letters], Fraction]:
-    """Exact evaluator of the quasi-morphism (spec, table) on letter tuples.
+def counting_kernel(
+    spec: DecompositionSpec, table: LambdaTable
+) -> tuple[int, Callable[[Letters], int]]:
+    """(den, evaluator): the least common denominator of the table and an
+    exact evaluator of the numerator over it of the quasi-morphism (spec,
+    table) on letter tuples.
 
     Every table entry is read as given, so a table that is not alternating
     (``tampered_lambda``) is evaluated exactly as the piece sum would be.
@@ -191,7 +200,7 @@ def counting_kernel(spec: DecompositionSpec, table: LambdaTable) -> Callable[[Le
     groups = [(tr, terms) for tr, terms in groups if terms]
     packers: dict[int, Callable[..., bytes]] = {}  # word length -> struct packer
 
-    def kernel(letters: Letters) -> Fraction:
+    def kernel(letters: Letters) -> int:
         pack = packers.get(len(letters))
         if pack is None:
             pack = packers[len(letters)] = struct.Struct(f"{len(letters) + 1}b").pack
@@ -201,9 +210,9 @@ def counting_kernel(spec: DecompositionSpec, table: LambdaTable) -> Callable[[Le
             t = s if translation is None else s.translate(translation)
             for pattern, coeff in terms:
                 total += coeff * t.count(pattern)
-        return Fraction(total, den)
+        return total
 
-    return kernel
+    return den, kernel
 
 
 def _is_legal_piece(spec: DecompositionSpec, letters: Letters) -> bool:
@@ -223,7 +232,8 @@ def defect(q: QuasiMorphism, g: Word, h: Word) -> Fraction:
     """phi(g) + phi(h) - phi(g h), exactly."""
     if g.rank != q.rank or h.rank != q.rank:
         raise UsageError("rank mismatch in defect")
-    return q.value(g) + q.value(h) - q.value(g * h)
+    value = q.value_letters
+    return Fraction(value(g.letters) + value(h.letters) - value((g * h).letters), q.den)
 
 
 def defect_from_triangle(q: QuasiMorphism, g: Word, h: Word) -> Fraction:

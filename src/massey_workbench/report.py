@@ -57,6 +57,9 @@ class ExperimentPlan:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         ladder = tuple(self.max_len_ladder)
+        # With no rung the sup bound would pass unchecked.
+        if not ladder:
+            raise ConfigError("max_len_ladder needs at least one rung")
         if any(rung < 1 for rung in ladder):
             raise ConfigError(f"max_len_ladder rungs must be >= 1, got {list(ladder)}")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):

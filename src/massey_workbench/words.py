@@ -7,6 +7,7 @@ with no adjacent cancelling pair; the empty tuple is the identity.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from typing import Iterable, Iterator
@@ -271,11 +272,21 @@ def _sample_letters(
     """Random reduced letters; the first letter avoids `-first_banned` if nonzero."""
     if length == 0:
         return ()
-    alphabet = _alphabet(rank)
+    followers = _followers(rank)
     out: list[int] = []
     last = first_banned
     for _ in range(length):
-        choices = [x for x in alphabet if x != -last] if last else alphabet
-        last = rng.choice(choices)
+        last = rng.choice(followers[last])
         out.append(last)
     return tuple(out)
+
+
+@functools.cache
+def _followers(rank: int) -> dict[int, tuple[int, ...]]:
+    """Letter (0 for none) -> the letters that may follow it, in alphabet
+    order. Read-only: the dict is shared by every caller."""
+    alphabet = _alphabet(rank)
+    followers = {0: tuple(alphabet)}
+    for last in alphabet:
+        followers[last] = tuple(x for x in alphabet if x != -last)
+    return followers

@@ -109,7 +109,7 @@ def test_coboundary_matches_oracle():
     nodes = [qm_cochain(q), table_two(), restrict(coboundary(qm_cochain(q)))]
     for node in nodes:
         ctx = EvalContext()
-        fn = lambda t: node._eval(t, ctx)
+        fn = lambda t: evaluate(node, t, ctx)
         for t in rand_tuples(node.degree + 1, 30, seed=node.degree):
             assert evaluate(coboundary(node), t) == delta_oracle(fn, t)
 
@@ -252,6 +252,33 @@ def test_random_aligned_tuple_properties():
         assert is_aligned(t)
         assert all(1 <= len(w) <= 6 for w in t)
     assert rand_tuples(3, 5, seed=10) == rand_tuples(3, 5, seed=10)
+
+
+def old_random_aligned_tuples(rank, arity, count, max_len, seed):
+    """The sampler as it was before the follower lists: the allowed letters
+    rebuilt for every letter drawn."""
+    alphabet = [x for i in range(1, rank + 1) for x in (i, -i)]
+    rng = random.Random(f"{seed}:aligned:{arity}:{max_len}")
+    out = []
+    for _ in range(count):
+        t, last = [], 0
+        for _ in range(arity):
+            letters = []
+            for _ in range(rng.randint(1, max_len)):
+                choices = [x for x in alphabet if x != -last] if last else alphabet
+                last = rng.choice(choices)
+                letters.append(last)
+            t.append(Word(letters, rank))
+        out.append(tuple(t))
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_random_aligned_tuples_keep_their_random_stream(rank):
+    for arity, max_len, seed in [(1, 30, 0), (2, 12, "7:delta_p"), (4, 50, 3)]:
+        assert random_aligned_tuples(rank, arity, 40, max_len, seed) == (
+            old_random_aligned_tuples(rank, arity, 40, max_len, seed)
+        )
 
 
 def small_pairs(seed):

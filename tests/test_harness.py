@@ -461,6 +461,7 @@ def test_shipped_configs_pass_the_key_check():
         {"max_len_ladder": [-5]},
         {"jobs": 0},
         {"exhaustive_entry_radius": 0},
+        {"max_len_ladder": []},
     ],
 )
 def test_plan_rejects_non_positive_sizes(tmp_path, bad):

@@ -1,0 +1,222 @@
+"""The integer cochain tree against a plain ``Fraction`` interpreter.
+
+Every node evaluates to an integer numerator over its own fixed ``den``.
+Here random trees over every node kind are built twice: once from the
+library's nodes and once as ``Fraction`` closures written straight from the
+definitions (coboundary sum, front/back cup, halved alternation, extension
+by zero, linear combination, piece sums). Both are evaluated on aligned and
+non-aligned tuples and must agree exactly. The eta nodes are checked the
+same way against the sums in the ``massey`` module docstring.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from massey_workbench.cochain import (
+    EvalContext,
+    TableCochain,
+    alternate,
+    coboundary,
+    constant,
+    cup,
+    evaluate,
+    lincomb,
+    qm_cochain,
+    random_aligned_tuples,
+    restrict,
+)
+from massey_workbench.decomposition import DecompositionSpec, boundaries, piece_lengths
+from massey_workbench.massey import MasseyInstance, eta1, eta2, eta_bridge
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, reference_value
+from massey_workbench.words import Word, parse_word
+
+RANK = 2
+W = lambda s: parse_word(s, RANK)
+
+QMS = (
+    QuasiMorphism(
+        DecompositionSpec("rolli", RANK),
+        LambdaTable({W("a"): Fraction(1, 2), W("b"): Fraction(1, 3)}),
+    ),
+    QuasiMorphism(
+        DecompositionSpec("rolli", RANK),
+        LambdaTable({W("a"): Fraction(2, 3), W("aa"): Fraction(-1, 4), W("b"): 1}),
+    ),
+    QuasiMorphism(
+        DecompositionSpec("brooks", RANK, W("ab")),
+        LambdaTable({W("ab"): 1, W("a"): Fraction(1, 5)}),
+    ),
+)
+
+VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+LETTERS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=5)
+WORDS = LETTERS.map(lambda ls: Word(ls, RANK))
+
+
+def ref_aligned(t) -> bool:
+    if any(len(w) == 0 for w in t):
+        return False
+    return all(len(u * v) == len(u) + len(v) for u, v in zip(t, t[1:]))
+
+
+def ref_flip(t):
+    return tuple(w.inverse() for w in reversed(t))
+
+
+@st.composite
+def aligned_tuples(draw, degree):
+    """An aligned tuple: the cut decomposition of a reduced word."""
+    seed = draw(st.integers(0, 2**16))
+    return random_aligned_tuples(RANK, degree, 1, 4, seed)[0]
+
+
+@st.composite
+def trees(draw, degree: int, depth: int):
+    """(library node, Fraction reference) of a random tree of this degree."""
+    kinds = ["table"]
+    if degree == 0:
+        kinds.append("const")
+    if degree == 1:
+        kinds.append("qm")
+    if depth > 0:
+        kinds += ["alt", "restrict", "lincomb"]
+        if degree >= 1:
+            kinds += ["coboundary", "cup"]
+    kind = draw(st.sampled_from(kinds))
+
+    if kind == "const":
+        v = draw(VALUES)
+        return constant(v), lambda t: v
+    if kind == "qm":
+        q = draw(st.sampled_from(QMS))
+        return qm_cochain(q), lambda t: reference_value(q, t[0])
+    if kind == "table":
+        rows = draw(st.lists(st.tuples(aligned_tuples(degree), VALUES), max_size=4))
+        entries = {tuple(w.letters for w in key): v for key, v in rows}
+        node = TableCochain(degree, dict(rows))
+        return node, lambda t: entries.get(tuple(w.letters for w in t), Fraction(0))
+    if kind == "coboundary":
+        child, f = draw(trees(degree - 1, depth - 1))
+
+        def delta(t):
+            k = len(t) - 1
+            total = f(t[1:])
+            for i in range(1, k + 1):
+                total += (-1) ** i * f(t[: i - 1] + (t[i - 1] * t[i],) + t[i + 1 :])
+            return total + (-1) ** (k + 1) * f(t[:k])
+
+        return coboundary(child), delta
+    if kind == "cup":
+        p = draw(st.integers(0, degree))
+        left, f = draw(trees(p, depth - 1))
+        right, g = draw(trees(degree - p, depth - 1))
+        return cup(left, right), lambda t: f(t[:p]) * g(t[p:])
+    if kind == "alt":
+        child, f = draw(trees(degree, depth - 1))
+        sign = (-1) ** ((degree + 1) // 2)
+        return alternate(child), lambda t: (f(t) + sign * f(ref_flip(t))) / 2
+    if kind == "restrict":
+        child, f = draw(trees(degree, depth - 1))
+        return restrict(child), lambda t: f(t) if ref_aligned(t) else Fraction(0)
+    parts = draw(st.lists(st.tuples(VALUES, trees(degree, depth - 1)), min_size=1, max_size=3))
+    node = lincomb(*((c, e) for c, (e, _) in parts))
+    return node, lambda t: sum((c * f(t) for c, (_, f) in parts), Fraction(0))
+
+
+def tuples_of(degree):
+    """Two aligned tuples and two arbitrary ones (identity entries and
+    cancelling neighbours allowed)."""
+    return st.tuples(
+        aligned_tuples(degree),
+        aligned_tuples(degree),
+        st.tuples(*[WORDS] * degree),
+        st.tuples(*[WORDS] * degree),
+    )
+
+
+def check_node(node, ref, tasks):
+    assert isinstance(node.den, int) and node.den > 0
+    shared = EvalContext()
+    for t in tasks:
+        assert isinstance(node._eval(t, EvalContext()), int)
+        assert evaluate(node, t) == ref(t)
+        assert evaluate(node, t, shared) == ref(t)
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_integer_tree_matches_fraction_interpreter(data):
+    degree = data.draw(st.integers(0, 3))
+    node, ref = data.draw(trees(degree, 3))
+    check_node(node, ref, data.draw(tuples_of(degree)))
+
+
+def ref_pieces(q: QuasiMorphism, g: Word):
+    """(z<_j, lambda(piece_j), z>_j) over the pieces of g."""
+    letters = g.letters
+    cuts = boundaries(piece_lengths(q.spec, letters))
+    for j in range(1, len(cuts)):
+        yield (
+            Word(letters[: cuts[j - 1]], RANK),
+            q.table.value(letters[cuts[j - 1] : cuts[j]]),
+            Word(letters[cuts[j] :], RANK),
+        )
+
+
+@st.composite
+def omegas(draw, degree):
+    """A random tree plus a multiple of a cochain that rarely vanishes on
+    short tuples (phi, or a cup or coboundary of quasi-morphisms), so that
+    the eta sums below are seldom zero."""
+    q, r = draw(st.sampled_from(QMS)), draw(st.sampled_from(QMS))
+    if degree == 1:
+        dense, g = qm_cochain(q), lambda t: reference_value(q, t[0])
+    elif draw(st.booleans()):
+        dense = cup(qm_cochain(q), qm_cochain(r))
+        g = lambda t: reference_value(q, t[0]) * reference_value(r, t[1])
+    else:
+        dense = coboundary(qm_cochain(q))
+        g = lambda t: (
+            reference_value(q, t[1]) - reference_value(q, t[0] * t[1]) + reference_value(q, t[0])
+        )
+    node, f = draw(trees(degree, 2))
+    c = draw(VALUES.filter(bool))
+    return lincomb((c, dense), (1, node)), lambda t: c * g(t) + f(t)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_eta_nodes_match_their_sums(data):
+    k1, k2 = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    omega1, f1 = data.draw(omegas(k1))
+    omega2, f2 = data.draw(omegas(k2))
+    phi = data.draw(st.sampled_from(QMS))
+    m = MasseyInstance(phi, omega1, omega2, k1, k2)
+
+    def ref_eta1(t):
+        return sum(
+            (f1(t[:-1] + (pre,)) * lam for pre, lam, _ in ref_pieces(phi, t[-1])),
+            Fraction(0),
+        )
+
+    def ref_eta2(t):
+        return sum(
+            (lam * f2((suf,) + t[1:]) for _, lam, suf in ref_pieces(phi, t[0])),
+            Fraction(0),
+        )
+
+    def ref_bridge(t):
+        head, e, tail = t[: k1 - 1], t[k1 - 1], t[k1:]
+        return sum(
+            (
+                f1(head + (pre,)) * lam * f2((suf,) + tail)
+                for pre, lam, suf in ref_pieces(phi, e)
+            ),
+            Fraction(0),
+        )
+
+    check_node(eta1(m), ref_eta1, data.draw(tuples_of(k1)))
+    check_node(eta2(m), ref_eta2, data.draw(tuples_of(k2)))
+    check_node(eta_bridge(m), ref_bridge, data.draw(tuples_of(k1 + k2 - 1)))

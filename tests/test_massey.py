@@ -99,7 +99,7 @@ def test_eta1_letter_example():
     omega2 = TableCochain(1, {(W("b"),): 1})
     m = MasseyInstance(phi, omega1, omega2, 1, 1)
     # pieces of ab are (a, b); the j = 1 prefix is the identity and vanishes
-    assert evaluate(eta1(m), (W("ab"),)) == omega1.table[((1,),)] * phi(W("b"))
+    assert evaluate(eta1(m), (W("ab"),)) == evaluate(omega1, (W("a"),)) * phi(W("b"))
     assert evaluate(eta1(m), (W("ab"),)) == 0
     assert evaluate(eta1(m), (W("1"),)) == 0
     # single piece: the only prefix product is the identity

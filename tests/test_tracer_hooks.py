@@ -10,6 +10,9 @@ import sys
 from pathlib import Path
 
 from massey_workbench import harness
+from massey_workbench.checks import sup_scan
+from massey_workbench.cochain import TableCochain, alternate, random_aligned_tuples
+from massey_workbench.words import parse_word
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,6 +37,43 @@ def library_bindings() -> dict:
     return out
 
 
+# The standard instance on a tiny plan: every stage of the ladder runs.
+TINY_MASSEY = {
+    "rank": 2,
+    "phi": {
+        "decomposition": {"family": "brooks", "word": "ab"},
+        "lambda": [{"piece": "ab", "value": "1"}],
+    },
+    "quasimorphisms": {
+        "psi1": {
+            "decomposition": {"family": "brooks", "word": "aB"},
+            "lambda": [{"piece": "aB", "value": "1"}],
+        },
+        "psi2": {
+            "decomposition": {"family": "rolli"},
+            "lambda": [{"piece": "a", "value": "1/2"}, {"piece": "b", "value": "1/3"}],
+        },
+    },
+    "omega1": "delta-qm:psi1",
+    "omega2": "delta-qm:psi2",
+    "k1": 2,
+    "k2": 2,
+    "plan": {
+        "exhaustive_total_budget": 4,
+        "deep_budget": 4,
+        "pair_radius": 2,
+        "sample_counts": {
+            stage: 5
+            for stage in ("cocycle", "primitive", "mu_simplification", "delta_p",
+                          "three_sum", "mu_cocycle", "norms")
+        },
+        "max_len": 6,
+        "max_len_ladder": [6],
+        "ladder_samples": 5,
+    },
+}
+
+
 def test_tracer_installs_counts_and_uninstalls():
     tracer_module = load_tracer()
     before = library_bindings()
@@ -45,10 +85,21 @@ def test_tracer_installs_counts_and_uninstalls():
             {"rank": 2, "decomposition": {"family": "letter"}, "radius": 2, "pair_radius": 2}
         )
         assert report.passed
+        assert harness.RUNNERS["massey"](TINY_MASSEY).passed
+        # Table and alternation nodes, which the standard instance does not use.
+        w = parse_word("ab", 2)
+        table = TableCochain(2, {(w, w): 1})
+        sup_scan(alternate(table), random_aligned_tuples(2, 2, 5, 3, 0))
     finally:
         tracer.uninstall()
     assert tracer.counts["decomposition.triangle_scan.pairs"] > 0
     assert tracer.counts["parallel.chunked_map"] > 0
+    for kind in tracer_module.EVAL_KINDS.values():
+        assert tracer.counts[f"cochain.eval.{kind}"] > 0, kind
+    for kind in tracer_module.ETA_KINDS.values():
+        assert tracer.counts[f"massey.eta.{kind}"] > 0, kind
+    assert tracer.counts["quasimorphism.value_letters"] > 0
+    assert tracer.counts["massey.three_sum_residual"] > 0
     after = library_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
