@@ -10,6 +10,7 @@ from .cochain import (
     EvalContext,
     WordTuple,
     exhaustive_aligned_tuples,
+    letters_of,
     random_aligned_tuples,
 )
 from .report import ExperimentPlan, StageResult
@@ -45,8 +46,9 @@ def stage_tasks(plan: ExperimentPlan, arity: int, stage: str) -> list[WordTuple]
 
 def _identity_probe(payload, t: WordTuple, out: Scan):
     name, lhs, rhs, ctx = payload
-    left = lhs._eval(t, ctx)
-    right = rhs._eval(t, ctx)
+    letters = letters_of(t)
+    left = lhs._eval(letters, ctx)
+    right = rhs._eval(letters, ctx)
     if left * rhs.den != right * lhs.den:
         out.fail(
             name,
@@ -74,7 +76,7 @@ def identity_stage(
 
 def _zero_probe(payload, t: WordTuple, out: Scan):
     name, expr, ctx = payload
-    value = expr._eval(t, ctx)
+    value = expr._eval(letters_of(t), ctx)
     if value:
         out.fail(name, {"tuple": describe_tuple(t), "value": str(Fraction(value, expr.den))})
         return True
@@ -88,7 +90,7 @@ def vanishing_stage(
 
 def _abs_probe(payload, t: WordTuple, out: Scan) -> None:
     expr, ctx = payload
-    out.offer("abs", abs(expr._eval(t, ctx)), t)
+    out.offer("abs", abs(expr._eval(letters_of(t), ctx)), t)
 
 
 def sup_scan(

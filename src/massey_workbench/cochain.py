@@ -11,6 +11,10 @@ the integer numerator of its value over that ``den``: a cup multiplies the
 factors' denominators, a linear combination takes their lcm and scales each
 term by a precomputed integer. ``evaluate`` is where the ``Fraction`` is
 built; everything below it is integer arithmetic.
+
+Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s:
+cache keys are ``(node, t)`` and a coboundary face is a bare
+``multiply_letters`` result.
 """
 
 from __future__ import annotations
@@ -29,21 +33,26 @@ from .words import (
     _make,
     _sample_letters,
     enumeration_cap,
+    invert_letters,
     multiply_letters,
     sphere_size,
     words_of_length,
 )
 
 WordTuple = tuple[Word, ...]
+LettersTuple = tuple[Letters, ...]
 
 
-def is_aligned(t: Sequence[Word]) -> bool:
+def letters_of(t: Sequence[Word]) -> LettersTuple:
+    return tuple(w.letters for w in t)
+
+
+def aligned_letters(t: Sequence[Letters]) -> bool:
     """Membership in the aligned tuple set: no identity entries, and every
     adjacent product concatenates with zero cancellation. The empty tuple
     is aligned."""
     prev_last = 0
-    for w in t:
-        letters = w.letters
+    for letters in t:
         if not letters:
             return False
         if prev_last and letters[0] == -prev_last:
@@ -52,9 +61,17 @@ def is_aligned(t: Sequence[Word]) -> bool:
     return True
 
 
-def flip(t: WordTuple) -> WordTuple:
+def is_aligned(t: Sequence[Word]) -> bool:
+    return aligned_letters(letters_of(t))
+
+
+def flip_letters(t: LettersTuple) -> LettersTuple:
     """Reverse the tuple and invert each entry; preserves alignment."""
-    return tuple(w.inverse() for w in reversed(t))
+    return tuple(invert_letters(x) for x in reversed(t))
+
+
+def flip(t: WordTuple) -> WordTuple:
+    return tuple(_make(x, w.rank) for x, w in zip(flip_letters(letters_of(t)), reversed(t)))
 
 
 class EvalContext:
@@ -79,10 +96,6 @@ class EvalContext:
         return value
 
 
-def _key(node: "Cochain", t: WordTuple) -> tuple:
-    return (node, tuple(w.letters for w in t))
-
-
 class Cochain:
     """Base expression node; subclasses set ``degree``, ``den`` and ``_eval``.
 
@@ -95,7 +108,7 @@ class Cochain:
     degree: int
     den: int
 
-    def _eval(self, t: WordTuple, ctx: EvalContext) -> int:
+    def _eval(self, t: LettersTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
 
 
@@ -104,7 +117,8 @@ def evaluate(expr: Cochain, t: Sequence[Word], ctx: EvalContext | None = None) -
     t = tuple(t)
     if len(t) != expr.degree:
         raise UsageError(f"arity {len(t)} does not match degree {expr.degree}")
-    return Fraction(expr._eval(t, ctx if ctx is not None else EvalContext()), expr.den)
+    value = expr._eval(letters_of(t), ctx if ctx is not None else EvalContext())
+    return Fraction(value, expr.den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,14 +152,14 @@ class TableCochain(Cochain):
                 raise UsageError(f"table key arity {len(key)} != degree {degree}")
             if not is_aligned(key):
                 raise UsageError(f"table key {tuple(map(str, key))} is not aligned")
-            values[tuple(w.letters for w in key)] = Fraction(raw)
+            values[letters_of(key)] = Fraction(raw)
         self.den = math.lcm(*(v.denominator for v in values.values()))
         self.table = {
             k: v.numerator * (self.den // v.denominator) for k, v in values.items()
         }
 
     def _eval(self, t, ctx):
-        return self.table.get(tuple(w.letters for w in t), 0)
+        return self.table.get(t, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +174,7 @@ class QMCochain(Cochain):
         return self.qm.den
 
     def _eval(self, t, ctx):
-        return self.qm.value_letters(t[0].letters)
+        return self.qm.value_letters(t[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,11 +192,11 @@ class Restriction(Cochain):
         return self.child.den
 
     def _eval(self, t, ctx):
-        key = _key(self, t)
+        key = (self, t)
         cached = ctx.node_values.get(key)
         if cached is not None:
             return cached
-        value = self.child._eval(t, ctx) if is_aligned(t) else 0
+        value = self.child._eval(t, ctx) if aligned_letters(t) else 0
         return ctx.store(key, value)
 
 
@@ -205,9 +219,7 @@ class Coboundary(Cochain):
         sign = 1
         for i in range(k):
             sign = -sign
-            merged = _make(
-                multiply_letters(t[i].letters, t[i + 1].letters), t[i].rank
-            )
+            merged = multiply_letters(t[i], t[i + 1])
             face_value = child._eval(t[:i] + (merged,) + t[i + 2 :], ctx)
             total = total + face_value if sign > 0 else total - face_value
         last = child._eval(t[:-1], ctx)
@@ -257,7 +269,7 @@ class Alternation(Cochain):
     def _eval(self, t, ctx):
         k = self.child.degree
         straight = self.child._eval(t, ctx)
-        flipped = self.child._eval(flip(t), ctx)
+        flipped = self.child._eval(flip_letters(t), ctx)
         if ((k + 1) // 2) % 2 == 0:
             return straight + flipped
         return straight - flipped

@@ -13,7 +13,7 @@ from .errors import ConfigError
 from .massey import verify_massey_triviality, verify_primitives
 from .quasimorphism import QuasiMorphism, defect, defect_from_triangle, defect_sup
 from .report import Report, StageResult, now_iso
-from .words import Word, enumerate_ball
+from .words import Word, enumerate_ball, enumeration_cap
 
 
 # Top-level keys each command reads; any other key is a typo that would
@@ -75,7 +75,7 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     spec = spec_from_json(doc.get("decomposition", {"family": "letter"}), rank)
     radius = _setting(overrides, doc, "radius", 6)
     pair_radius = read_int(doc, "pair_radius", min(radius, 5))
-    cap = read_int(doc, "enumeration_cap", None)
+    cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
     jobs = _jobs(_setting(overrides, doc, "jobs", 1))
     stabilize = doc.get("check_stabilization", True)
     if not isinstance(stabilize, bool):
@@ -161,7 +161,7 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     random_pairs = read_int(doc, "random_pairs", 2000)
     max_len = read_int(doc, "max_len", 100)
     seed = _setting(overrides, doc, "seed", 0)
-    cap = read_int(doc, "enumeration_cap", None)
+    cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
     jobs = _jobs(_setting(overrides, doc, "jobs", 1))
 
     report = Report(command="defect")

@@ -20,6 +20,7 @@ Here z<_j / z>_j are the products of the pieces before / after the j-th one.
 
 The eta nodes follow the integer convention of ``cochain``: each returns the
 numerator of its sum over ``den``, the product of its factors' denominators.
+Each entry is decomposed once per instance (``_piece_runs``).
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from .checks import (
 from .cochain import (
     Cochain,
     EvalContext,
+    LettersTuple,
     WordTuple,
-    _key,
+    aligned_letters,
     coboundary,
     cup,
-    is_aligned,
+    letters_of,
     lincomb,
     qm_cochain,
     random_aligned_tuples,
@@ -51,9 +53,11 @@ from .decomposition import boundaries, measure_r_hat, piece_lengths, triangle_sp
 from .errors import UsageError
 from .quasimorphism import QuasiMorphism
 from .report import ExperimentPlan, Report, StageResult
-from .words import Letters, _make, multiply_letters
+from .words import Letters, multiply_letters
 
 MUTATIONS = ("flip-eta-sign", "shift-z-boundary", "flip-beta1-cup-sign")
+# The piece-run memo of an instance is cleared wholesale at this many entries.
+PIECE_RUN_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,7 @@ class MasseyInstance:
     k1: int
     k2: int
     mutation: str | None = None
+    piece_runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:
@@ -98,38 +103,50 @@ class MasseyInstance:
 
 
 def _piece_runs(m: MasseyInstance, letters: Letters):
-    """Per piece j: (lambda numerator over ``phi.den``, prefix letters,
-    suffix letters).
+    """(cuts, runs) of an entry: its piece boundaries ``cuts`` and, for each
+    piece j with nonzero lambda, (j, lambda numerator over ``phi.den``).
 
-    Prefix/suffix are the piece products before/after j; the shift mutation
-    moves both cut points one piece outward.
+    Piece j spans ``letters[cuts[j - 1]:cuts[j]]``, so the products before
+    and after it are ``letters[:cuts[j - 1]]`` and ``letters[cuts[j]:]``.
+    The memo is unshifted and holds integers only; the readers slice.
     """
-    cuts = boundaries(piece_lengths(m.phi.spec, letters))
-    shift = 1 if m.mutation == "shift-z-boundary" else 0
-    phi = m.phi
-    out = []
-    npieces = len(cuts) - 1
-    for j in range(1, npieces + 1):
-        piece = letters[cuts[j - 1] : cuts[j]]
-        pre_cut = cuts[min(j - 1 + shift, npieces)]
-        suf_cut = cuts[max(j - shift, 0)]
-        out.append((phi.value_letters(piece), letters[:pre_cut], letters[suf_cut:]))
-    return out
+    memo = m.piece_runs
+    hit = memo.get(letters)
+    if hit is None:
+        cuts = boundaries(piece_lengths(m.phi.spec, letters))
+        value = m.phi.value_letters
+        lams = (value(letters[a:b]) for a, b in zip(cuts, cuts[1:]))
+        runs = tuple((j, lam) for j, lam in enumerate(lams, 1) if lam)
+        if len(memo) >= PIECE_RUN_LIMIT:
+            memo.clear()
+        memo[letters] = hit = (cuts, runs)
+    return hit
 
 
 class _EtaBase(Cochain):
-    """Shared caching for the eta family of leaves."""
+    """Shared caching for the eta family of leaves.
 
-    __slots__ = ("m", "degree", "den")
+    The ``shift-z-boundary`` mutation is applied as the memo is read: the
+    prefix of piece j ends at ``cuts[j - 1 + shift]`` and its suffix starts at
+    ``cuts[j - shift]``, so both cut points move one piece outward.
+    """
+
+    __slots__ = ("m", "degree", "den", "shift")
+
+    def __init__(self, m: MasseyInstance, degree: int, den: int):
+        self.m = m
+        self.degree = degree
+        self.den = den
+        self.shift = 1 if m.mutation == "shift-z-boundary" else 0
 
     def _eval(self, t, ctx):
-        key = _key(self, t)
+        key = (self, t)
         cached = ctx.node_values.get(key)
         if cached is not None:
             return cached
         return ctx.store(key, self._compute(t, ctx))
 
-    def _compute(self, t: WordTuple, ctx: EvalContext) -> int:
+    def _compute(self, t: LettersTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
 
 
@@ -137,20 +154,16 @@ class Eta1(_EtaBase):
     """Correction term whose coboundary makes beta1 bounded."""
 
     def __init__(self, m: MasseyInstance):
-        self.m = m
-        self.degree = m.k1
-        self.den = m.omega1.den * m.phi.den
+        super().__init__(m, m.k1, m.omega1.den * m.phi.den)
 
     def _compute(self, t, ctx):
-        m = self.m
-        rank = m.rank
-        head = t[:-1]
-        omega1 = m.omega1
+        head, e = t[:-1], t[-1]
+        omega1 = self.m.omega1
+        shift = self.shift
+        cuts, runs = _piece_runs(self.m, e)
         total = 0
-        for lam, pre, _suf in _piece_runs(m, t[-1].letters):
-            if not lam:
-                continue
-            v = omega1._eval(head + (_make(pre, rank),), ctx)
+        for j, lam in runs:
+            v = omega1._eval(head + (e[: cuts[j - 1 + shift]],), ctx)
             if v:
                 total += v * lam
         return total
@@ -160,20 +173,16 @@ class Eta2(_EtaBase):
     """Correction term whose coboundary makes beta2 bounded."""
 
     def __init__(self, m: MasseyInstance):
-        self.m = m
-        self.degree = m.k2
-        self.den = m.phi.den * m.omega2.den
+        super().__init__(m, m.k2, m.phi.den * m.omega2.den)
 
     def _compute(self, t, ctx):
-        m = self.m
-        rank = m.rank
-        tail = t[1:]
-        omega2 = m.omega2
+        e, tail = t[0], t[1:]
+        omega2 = self.m.omega2
+        shift = self.shift
+        cuts, runs = _piece_runs(self.m, e)
         total = 0
-        for lam, _pre, suf in _piece_runs(m, t[0].letters):
-            if not lam:
-                continue
-            v = omega2._eval((_make(suf, rank),) + tail, ctx)
+        for j, lam in runs:
+            v = omega2._eval((e[cuts[j - shift] :],) + tail, ctx)
             if v:
                 total += lam * v
         return total
@@ -183,24 +192,21 @@ class EtaBridge(_EtaBase):
     """Triple-product sum over the decomposition of the middle entry."""
 
     def __init__(self, m: MasseyInstance):
-        self.m = m
-        self.degree = m.k1 + m.k2 - 1
-        self.den = m.omega1.den * m.phi.den * m.omega2.den
+        super().__init__(m, m.k1 + m.k2 - 1, m.omega1.den * m.phi.den * m.omega2.den)
 
     def _compute(self, t, ctx):
         m = self.m
-        rank = m.rank
         mid = m.k1 - 1
         head, e, tail = t[:mid], t[mid], t[mid + 1 :]
         omega1, omega2 = m.omega1, m.omega2
+        shift = self.shift
+        cuts, runs = _piece_runs(m, e)
         total = 0
-        for lam, pre, suf in _piece_runs(m, e.letters):
-            if not lam:
-                continue
-            v1 = omega1._eval(head + (_make(pre, rank),), ctx)
+        for j, lam in runs:
+            v1 = omega1._eval(head + (e[: cuts[j - 1 + shift]],), ctx)
             if not v1:
                 continue
-            v2 = omega2._eval((_make(suf, rank),) + tail, ctx)
+            v2 = omega2._eval((e[cuts[j - shift] :],) + tail, ctx)
             if v2:
                 total += v1 * lam * v2
         return total
@@ -304,8 +310,8 @@ class TriangleTermLedger:
 
 def _side_terms(
     m: MasseyInstance,
-    head: WordTuple,
-    tail: WordTuple,
+    head: LettersTuple,
+    tail: LettersTuple,
     middle: Letters,
     merge_suffix: Letters,
     merge_prefix: Letters,
@@ -315,26 +321,18 @@ def _side_terms(
     ``middle``, as numerators over the bridge's denominator.
     ``merge_suffix`` is appended to the suffix product before it enters
     omega2 (side 1 merges h_1 there); ``merge_prefix`` is prepended to the
-    prefix product before it enters omega1 (side 2 merges g_{k1})."""
-    rank = m.rank
+    prefix product before it enters omega1 (side 2 merges g_{k1}). The
+    piece runs are read unshifted: the sides are the oracle the mutated
+    primitive is compared with."""
     omega1, omega2 = m.omega1, m.omega2
-    cuts = boundaries(piece_lengths(m.phi.spec, middle))
-    phi = m.phi
-    terms: list[int] = []
-    for j in range(1, len(cuts)):
-        piece = middle[cuts[j - 1] : cuts[j]]
-        lam = phi.value_letters(piece)
-        if not lam:
-            terms.append(0)
-            continue
+    cuts, runs = _piece_runs(m, middle)
+    terms = [0] * (len(cuts) - 1)
+    for j, lam in runs:
         pre = multiply_letters(merge_prefix, middle[: cuts[j - 1]])
-        suf = multiply_letters(middle[cuts[j] :], merge_suffix)
-        v1 = omega1._eval(head + (_make(pre, rank),), ctx)
-        if not v1:
-            terms.append(0)
-            continue
-        v2 = omega2._eval((_make(suf, rank),) + tail, ctx)
-        terms.append(v1 * lam * v2)
+        v1 = omega1._eval(head + (pre,), ctx)
+        if v1:
+            suf = multiply_letters(middle[cuts[j] :], merge_suffix)
+            terms[j - 1] = v1 * lam * omega2._eval((suf,) + tail, ctx)
     return terms
 
 
@@ -353,23 +351,23 @@ def three_sum_residual(
     """
     if len(t) != m.k1 + m.k2:
         raise UsageError(f"expected arity {m.k1 + m.k2}, got {len(t)}")
-    if not is_aligned(t):
+    letters = letters_of(t)
+    if not aligned_letters(letters):
         raise UsageError("three-sum residual is defined on aligned tuples")
     ctx = ctx if ctx is not None else EvalContext()
-    g, h = t[m.k1 - 1], t[m.k1]
-    head, tail = t[: m.k1 - 1], t[m.k1 + 1 :]
+    g, h = letters[m.k1 - 1], letters[m.k1]
+    head, tail = letters[: m.k1 - 1], letters[m.k1 + 1 :]
     spec = m.phi.spec
     empty: Letters = ()
 
-    side1 = _side_terms(m, head, tail, g.letters, h.letters, empty, ctx)
-    side2 = _side_terms(m, head, tail, h.letters, empty, g.letters, ctx)
-    gh = multiply_letters(g.letters, h.letters)
-    side3 = _side_terms(m, head, tail, gh, empty, empty, ctx)
+    side1 = _side_terms(m, head, tail, g, h, empty, ctx)
+    side2 = _side_terms(m, head, tail, h, empty, g, ctx)
+    side3 = _side_terms(m, head, tail, multiply_letters(g, h), empty, empty, ctx)
 
     den = m.omega1.den * m.phi.den * m.omega2.den
     total = Fraction(sum(side1) + sum(side2) - sum(side3), den)
 
-    tri = triangle_split(spec, g, h)
+    tri = triangle_split(spec, t[m.k1 - 1], t[m.k1])
     n1 = len(piece_lengths(spec, tri.c1.letters))
     n3 = len(piece_lengths(spec, tri.c3.letters))
 
@@ -401,7 +399,7 @@ def three_sum_residual(
 def _three_sum_probe(payload, t: WordTuple, out: Scan) -> None:
     m, primitive, r_bound, ctx = payload
     total, ledger = three_sum_residual(m, t, ctx)
-    direct = Fraction(primitive._eval(t, ctx), primitive.den)
+    direct = Fraction(primitive._eval(letters_of(t), ctx), primitive.den)
     if total != direct:
         out.fail(
             "three-sum-equality",

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+from .words import enumeration_cap
 
 if TYPE_CHECKING:
     from ._parallel import Scan
@@ -56,6 +57,8 @@ class ExperimentPlan:
         for key in ("exhaustive_entry_radius", "max_len", "ladder_samples", "jobs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.enumeration_cap is not None:
+            enumeration_cap(self.enumeration_cap)
         ladder = tuple(self.max_len_ladder)
         # With no rung the sup bound would pass unchecked.
         if not ladder:
@@ -169,7 +172,12 @@ def now_iso() -> str:
 
 
 def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A stored report: a JSON object whose ``stages`` is a list of objects."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    stages = doc.get("stages") if isinstance(doc, dict) else None
+    if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
+        raise ConfigError(f"{path} is not a report: no 'stages' list of objects")
+    return doc
 
 
 def strip_timing(doc: dict) -> dict:

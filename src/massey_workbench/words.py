@@ -218,10 +218,20 @@ def _alphabet(rank: int) -> list[int]:
 
 
 def enumeration_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(ENUMERATION_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUMERATION_CAP
+    """``override``, else the environment variable, else the default; a
+    value that is not an integer >= 1 is a ``ConfigError``."""
+    source, raw = "enumeration_cap", override
+    if raw is None:
+        source, raw = ENUMERATION_CAP_ENV, os.environ.get(ENUMERATION_CAP_ENV)
+        if not raw:
+            return DEFAULT_ENUMERATION_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def words_of_length(rank: int, length: int) -> Iterator[Letters]:

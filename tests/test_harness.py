@@ -486,6 +486,20 @@ AXIOMS_DOC = {
 }
 
 
+def config_args(tmp_path, base, key, value) -> list[str]:
+    """CLI arguments running a copy of ``base`` with ``key`` (which may be a
+    dotted path into the plan) set to ``value``."""
+    doc = copy.deepcopy(base)
+    *parents, last = key.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[last] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    return [doc["command"], "--config", str(cfg)]
+
+
 @pytest.mark.parametrize(
     "base, key, bad",
     [
@@ -529,16 +543,42 @@ AXIOMS_DOC = {
     ],
 )
 def test_config_values_must_have_their_json_type(tmp_path, base, key, bad):
-    """``key`` may be a dotted path into the plan."""
-    doc = copy.deepcopy(base)
-    *parents, last = key.split(".")
-    target = doc
-    for parent in parents:
-        target = target[parent]
-    target[last] = bad
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([doc["command"], "--config", str(cfg)]) == 2
+    assert main(config_args(tmp_path, base, key, bad)) == 2
+
+
+@pytest.mark.parametrize(
+    "base, key, bad",
+    [
+        (AXIOMS_DOC, "enumeration_cap", -1),
+        (DEFECT_DOC, "enumeration_cap", 0),
+        (MASSEY_DOC, "plan.enumeration_cap", 0),
+        (VERIFY_DOC, "plan.enumeration_cap", -5),
+    ],
+)
+def test_cli_rejects_non_positive_enumeration_cap(tmp_path, capsys, base, key, bad):
+    assert main(config_args(tmp_path, base, key, bad)) == 2
+    assert "enumeration_cap must be an integer >= 1" in capsys.readouterr().err
+    assert main(config_args(tmp_path, base, key, None)) == 0
+
+
+@pytest.mark.parametrize("value", ["x", "-5", "0", "1e3"])
+def test_cli_rejects_invalid_enumeration_cap_env(monkeypatch, capsys, value):
+    from pathlib import Path
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "axioms-letter.json"
+    monkeypatch.setenv("MASSEY_WORKBENCH_ENUM_CAP", value)
+    assert main(["axioms", "--config", str(config)]) == 2
+    assert "MASSEY_WORKBENCH_ENUM_CAP must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"command": "massey"}', '{"stages": [1]}'])
+def test_cli_report_rejects_non_reports(tmp_path, capsys, text):
+    path = tmp_path / "not-a-report.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "not a report" in captured.err
+    assert captured.out == ""
 
 
 def test_check_stabilization_false_skips_the_stage():

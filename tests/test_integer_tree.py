@@ -140,7 +140,7 @@ def check_node(node, ref, tasks):
     assert isinstance(node.den, int) and node.den > 0
     shared = EvalContext()
     for t in tasks:
-        assert isinstance(node._eval(t, EvalContext()), int)
+        assert isinstance(node._eval(tuple(w.letters for w in t), EvalContext()), int)
         assert evaluate(node, t) == ref(t)
         assert evaluate(node, t, shared) == ref(t)
 

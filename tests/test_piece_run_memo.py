@@ -1,0 +1,139 @@
+"""The per-instance piece-run memo against a recomputation from the
+definitions.
+
+``massey._piece_runs`` decomposes each eta entry once per instance and keeps
+its unshifted cuts and the (j, lambda numerator) of the pieces whose lambda
+is nonzero. Here every lookup (first, repeated, and after the memo was
+cleared) is compared with ``piece_lengths`` / ``boundaries`` /
+``reference_value`` computed in the test, and the prefix and suffix products
+the eta nodes read from it are recorded and compared with the products the
+``shift-z-boundary`` mutation prescribes, while the three-sum sides must
+stay unshifted.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from massey_workbench import massey
+from massey_workbench.cochain import Cochain, EvalContext
+from massey_workbench.decomposition import DecompositionSpec, boundaries, piece_lengths
+from massey_workbench.massey import (
+    MasseyInstance,
+    eta1,
+    eta2,
+    eta_bridge,
+    three_sum_residual,
+)
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, reference_value
+from massey_workbench.words import Word, parse_word, reduce_letters
+
+
+def _qm(rank, family, word, table):
+    spec = DecompositionSpec(family, rank, parse_word(word, rank) if word else None)
+    return QuasiMorphism(
+        spec, LambdaTable({parse_word(p, rank): Fraction(v) for p, v in table.items()})
+    )
+
+
+# Each table leaves some pieces at lambda 0, so the memo's filter is exercised.
+PHIS = {
+    "letter": _qm(2, "letter", None, {"a": "1/2"}),
+    "rolli": _qm(2, "rolli", None, {"a": "1/2", "aa": "-1/3", "b": 1}),
+    "brooks(ab)": _qm(2, "brooks", "ab", {"ab": 1}),
+    "brooks(aab)": _qm(2, "brooks", "aab", {"aab": "2/3", "b": "1/5"}),
+    "brooks(abC)": _qm(3, "brooks", "abC", {"abC": 1, "c": "-1/2"}),
+}
+
+
+class Recorder(Cochain):
+    """Degree-1 cochain that is 1 everywhere and records its arguments."""
+
+    def __init__(self):
+        self.degree = 1
+        self.den = 1
+        self.calls = []
+
+    def _eval(self, t, ctx):
+        self.calls.append(t)
+        return 1
+
+
+def ref_runs(phi, letters):
+    cuts = boundaries(piece_lengths(phi.spec, letters))
+    runs = []
+    for j in range(1, len(cuts)):
+        piece = Word(letters[cuts[j - 1] : cuts[j]], phi.rank)
+        lam = reference_value(phi, piece) * phi.den
+        assert lam.denominator == 1
+        if lam:
+            runs.append((j, int(lam)))
+    return cuts, tuple(runs)
+
+
+def check_lookup(m, letters, shift):
+    phi = m.phi
+    cuts, runs = ref_runs(phi, letters)
+    assert massey._piece_runs(m, letters) == (cuts, runs)
+    n = len(cuts) - 1
+    pres = [(letters[: cuts[min(j - 1 + shift, n)]],) for j, _ in runs]
+    sufs = [(letters[cuts[max(j - shift, 0)] :],) for j, _ in runs]
+    rec1, rec2 = m.omega1, m.omega2
+    for node, expect1, expect2 in (
+        (eta1(m), pres, []),
+        (eta2(m), [], sufs),
+        (eta_bridge(m), pres, sufs),
+    ):
+        rec1.calls.clear()
+        rec2.calls.clear()
+        assert node._eval((letters,), EvalContext()) == sum(lam for _, lam in runs)
+        assert rec1.calls == expect1
+        assert rec2.calls == expect2
+
+
+def entries(rank):
+    letter = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    return st.lists(st.lists(letter, max_size=14).map(reduce_letters), min_size=1, max_size=6)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_piece_run_memo_matches_recomputation(data):
+    phi = PHIS[data.draw(st.sampled_from(sorted(PHIS)))]
+    mutation = data.draw(st.sampled_from([None, "shift-z-boundary"]))
+    shift = 1 if mutation else 0
+    words = data.draw(entries(phi.rank))
+    m = MasseyInstance(phi, Recorder(), Recorder(), 1, 1, mutation=mutation)
+
+    for _ in ("first lookup", "repeat lookup"):
+        for letters in words:
+            check_lookup(m, letters, shift)
+    assert set(m.piece_runs) == set(words)
+
+    # An entry longer than any drawn one is a miss, so it clears the memo.
+    extra = (1,) * 15
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(massey, "PIECE_RUN_LIMIT", 1)
+        check_lookup(m, extra, shift)
+        assert list(m.piece_runs) == [extra]
+        for letters in words + words:
+            check_lookup(m, letters, shift)
+            assert list(m.piece_runs) == [letters]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_three_sum_sides_read_the_memo_unshifted(data):
+    phi = PHIS[data.draw(st.sampled_from(sorted(PHIS)))]
+    g, h = data.draw(entries(phi.rank).filter(lambda ws: len(ws) >= 2))[:2]
+    assume(g and h and g[-1] != -h[0])
+    t = (Word(g, phi.rank), Word(h, phi.rank))
+    plain = MasseyInstance(phi, Recorder(), Recorder(), 1, 1)
+    shifted = MasseyInstance(phi, Recorder(), Recorder(), 1, 1, mutation="shift-z-boundary")
+    total, ledger = three_sum_residual(plain, t)
+    shifted_total, shifted_ledger = three_sum_residual(shifted, t)
+    assert (shifted_total, shifted_ledger) == (total, ledger)
+    assert plain.omega1.calls == shifted.omega1.calls
+    assert plain.omega2.calls == shifted.omega2.calls
