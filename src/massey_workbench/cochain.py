@@ -53,9 +53,8 @@ def aligned_letters(t: Sequence[Letters]) -> bool:
     is aligned."""
     prev_last = 0
     for letters in t:
-        if not letters:
-            return False
-        if prev_last and letters[0] == -prev_last:
+        # Byte 0 is no letter, so the first entry never cancels.
+        if not letters or letters[0] + prev_last == 256:
             return False
         prev_last = letters[-1]
     return True
@@ -145,7 +144,7 @@ class TableCochain(Cochain):
 
     def __init__(self, degree: int, table: Mapping[WordTuple, Fraction | int | str]):
         self.degree = degree
-        values: dict[tuple[Letters, ...], Fraction] = {}
+        values: dict[LettersTuple, Fraction] = {}
         for key, raw in table.items():
             key = tuple(key)
             if len(key) != degree:

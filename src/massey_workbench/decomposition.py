@@ -276,7 +276,7 @@ def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
     cuts = boundaries(lengths)
     pieces = _pieces_from_cuts(letters, cuts)
 
-    acc: Letters = ()
+    acc: Letters = b""
     for piece in pieces:
         acc = multiply_letters(acc, piece)
     if acc != letters or sum(lengths) != len(letters) or any(not p for p in pieces):
@@ -418,9 +418,10 @@ def triangle_scan(
             lb = len(b)
             inv_b = dh.inverse
 
+            # words.cancelled_length, inlined for the per-pair loop.
             c = 0
             m = la if la < lb else lb
-            while c < m and a[la - 1 - c] == -b[c]:
+            while c < m and a[la - 1 - c] + b[c] == 256:
                 c += 1
             ghinv = inv_b[: lb - c] + inv_a[c:]
             total = la + lb - 2 * c

@@ -358,7 +358,7 @@ def three_sum_residual(
     g, h = letters[m.k1 - 1], letters[m.k1]
     head, tail = letters[: m.k1 - 1], letters[m.k1 + 1 :]
     spec = m.phi.spec
-    empty: Letters = ()
+    empty: Letters = b""
 
     side1 = _side_terms(m, head, tail, g, h, empty, ctx)
     side2 = _side_terms(m, head, tail, h, empty, g, ctx)

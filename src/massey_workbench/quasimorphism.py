@@ -6,13 +6,17 @@ asserted with equality rather than tolerance. A quasi-morphism is evaluated
 by an integer counting kernel (``counting_kernel``) as a numerator over the
 least common denominator of its table; the plain sum over the pieces
 (``reference_value``) is kept as the oracle it is tested against.
+
+Words arrive as ``Letters``, the packed ``bytes`` of ``words``. The value
+cache is keyed by those bytes, whose hash is computed once per object, and
+the kernel counts substrings directly in them: lambda's pieces are already
+the byte patterns it looks for.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -119,21 +123,17 @@ class QuasiMorphism:
 # Exact counting kernels
 #
 # For every family, phi(g) is an integer combination of substring counts of
-# g, divided by the least common denominator of lambda. The letters are
-# packed one signed byte each (rank <= 26 fits) behind a leading 0 byte,
-# which is no letter, and each count is one ``bytes.count``.
+# g, divided by the least common denominator of lambda. The kernel counts on
+# the word's own letter bytes behind a leading 0 byte, which is no letter,
+# and each count is one ``bytes.count``.
 
 # (translation table or None, ((pattern, integer coefficient), ...))
 _CountGroup = tuple[bytes | None, tuple[tuple[bytes, int], ...]]
 
 
-def _letter_bytes(letters: Letters) -> bytes:
-    return struct.pack(f"{len(letters)}b", *letters)
-
-
 def _letter_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
     """Every piece is one letter: count each letter."""
-    return [(None, tuple((_letter_bytes(p), c) for p, c in scaled.items()))]
+    return [(None, tuple(scaled.items()))]
 
 
 def _brooks_terms(w: Letters, scaled: dict[Letters, int]) -> list[_CountGroup]:
@@ -154,7 +154,7 @@ def _brooks_terms(w: Letters, scaled: dict[Letters, int]) -> list[_CountGroup]:
     for p, c in scaled.items():
         if len(p) == 1:
             coeffs[p] = c
-    return [(None, tuple((_letter_bytes(p), c) for p, c in coeffs.items() if c))]
+    return [(None, tuple((p, c) for p, c in coeffs.items() if c))]
 
 
 def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
@@ -170,7 +170,7 @@ def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
         powers.setdefault(p[0], {})[len(p)] = c
     groups: list[_CountGroup] = []
     for x, lam in powers.items():
-        indicator = bytes(1 if b == x & 0xFF else 0 for b in range(256))
+        indicator = bytes(1 if b == x else 0 for b in range(256))
         ks = sorted(set(lam) | {k + 1 for k in lam})
         terms = tuple(
             (b"\0" + b"\1" * k, lam.get(k, 0) - lam.get(k - 1, 0)) for k in ks
@@ -184,7 +184,7 @@ def counting_kernel(
 ) -> tuple[int, Callable[[Letters], int]]:
     """(den, evaluator): the least common denominator of the table and an
     exact evaluator of the numerator over it of the quasi-morphism (spec,
-    table) on letter tuples.
+    table) on ``Letters``.
 
     Every table entry is read as given, so a table that is not alternating
     (``tampered_lambda``) is evaluated exactly as the piece sum would be.
@@ -198,13 +198,9 @@ def counting_kernel(
     else:
         groups = _brooks_terms(spec.brooks_word.letters, scaled)  # type: ignore[union-attr]
     groups = [(tr, terms) for tr, terms in groups if terms]
-    packers: dict[int, Callable[..., bytes]] = {}  # word length -> struct packer
 
     def kernel(letters: Letters) -> int:
-        pack = packers.get(len(letters))
-        if pack is None:
-            pack = packers[len(letters)] = struct.Struct(f"{len(letters) + 1}b").pack
-        s = pack(0, *letters)
+        s = b"\0" + letters
         total = 0
         for translation, terms in groups:
             t = s if translation is None else s.translate(translation)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -125,7 +126,13 @@ class StageResult:
 
 @dataclass
 class Report:
-    """Aggregated outcome of one workbench command."""
+    """Aggregated outcome of one workbench command.
+
+    ``stage_timing`` holds, for each added stage, its wall time from the
+    previous ``add`` (or from the report's creation) and its tuples per
+    second. Stages added together after one shared scan (the axiom checks,
+    three-sum and ledger) put the whole scan on the first of them.
+    """
 
     command: str
     stages: list[StageResult] = field(default_factory=list)
@@ -133,12 +140,26 @@ class Report:
     notes: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
     started_at: str = ""
+    stage_timing: list[dict] = field(default_factory=list, init=False)
+
+    def __post_init__(self):
+        self._last_mark = time.perf_counter()
 
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.stages)
 
     def add(self, stage: StageResult) -> StageResult:
+        now = time.perf_counter()
+        wall = round(now - self._last_mark, 3)
+        self._last_mark = now
+        self.stage_timing.append(
+            {
+                "name": stage.name,
+                "wall_time_s": wall,
+                "tuples_per_s": round(stage.checked / wall, 1) if wall else None,
+            }
+        )
         self.stages.append(stage)
         return stage
 
@@ -156,6 +177,7 @@ class Report:
             TIMING_KEY: {
                 "started_at": self.started_at,
                 "wall_time_s": self.wall_time_s,
+                "stages": self.stage_timing,
             },
         }
 
@@ -171,12 +193,31 @@ def now_iso() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
+def _is_stage(stage) -> bool:
+    """A stage record as ``StageResult.to_json`` writes it."""
+    return (
+        isinstance(stage, dict)
+        and isinstance(stage.get("name"), str)
+        and isinstance(stage.get("status"), str)
+        and type(stage.get("checked_count")) is int
+        and all(isinstance(stage.get(k), (dict, type(None))) for k in ("counterexample", "stats"))
+    )
+
+
 def load_report(path: str | Path) -> dict:
-    """A stored report: a JSON object whose ``stages`` is a list of objects."""
+    """A stored report: a JSON object whose ``stages`` is a list of stage
+    records (string ``name`` and ``status``, integer ``checked_count``, and
+    ``counterexample`` and ``stats`` each an object or null)."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     stages = doc.get("stages") if isinstance(doc, dict) else None
-    if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
-        raise ConfigError(f"{path} is not a report: no 'stages' list of objects")
+    if not isinstance(stages, list):
+        raise ConfigError(f"{path} is not a report: no 'stages' list")
+    for i, stage in enumerate(stages):
+        if not _is_stage(stage):
+            raise ConfigError(
+                f"{path} is not a report: stage {i} needs a string name and status, "
+                "an integer checked_count, and an object or null counterexample and stats"
+            )
     return doc
 
 

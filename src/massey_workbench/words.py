@@ -1,8 +1,20 @@
 """Reduced words in a free group of finite rank.
 
 A letter is a nonzero integer: ``+i`` is the i-th generator, ``-i`` its
-formal inverse (1-indexed, ``i <= rank``). A word is a tuple of letters
-with no adjacent cancelling pair; the empty tuple is the identity.
+formal inverse (1-indexed, ``i <= rank <= 26``). ``Word(...)`` and the word
+syntax take letters in that signed form; everything below them holds a word
+as ``Letters``, a ``bytes`` object with one signed byte per letter
+(``x & 0xFF``: ``+i`` is byte ``i``, ``-i`` is byte ``256 - i``). The bytes
+of a word are reduced (no adjacent cancelling pair) and hold no zero byte;
+``b""`` is the identity.
+
+Two letter bytes are inverse exactly when they sum to 256; that is the one
+inverse test, used by reduction, by ``cancelled_length`` (the junction of a
+product, inlined in the triangle scan) and by alignment. ``INVERSE`` maps every letter byte to its
+inverse's, so a word is inverted by one ``translate`` of its reversal.
+Bytes rather than tuples of ints because ``bytes`` hashes in C and caches
+its hash, so a word that keys several caches is hashed once, and a slice or
+a product is one compact copy.
 """
 
 from __future__ import annotations
@@ -17,41 +29,57 @@ from .errors import ConfigError, ResourceCapError, UsageError
 DEFAULT_ENUMERATION_CAP = 5_000_000
 ENUMERATION_CAP_ENV = "MASSEY_WORKBENCH_ENUM_CAP"
 
-Letters = tuple[int, ...]
+Letters = bytes
+
+# Letter byte -> byte of the inverse letter (the signed negation mod 256).
+INVERSE = bytes(-b & 0xFF for b in range(256))
+# Letter byte -> its character in the word syntax.
+_TEXT = bytes(
+    ord("a") + b - 1 if 1 <= b <= 26 else ord("A") + 255 - b if b >= 230 else ord("?")
+    for b in range(256)
+)
 
 
 def reduce_letters(raw: Iterable[int]) -> Letters:
-    """Cancel adjacent inverse pairs until none remain (stack pass)."""
-    out: list[int] = []
-    push = out.append
-    pop = out.pop
+    """Pack signed letters, cancelling adjacent inverse pairs until none
+    remain (stack pass)."""
+    out = bytearray()
     for x in raw:
-        if out and out[-1] == -x:
-            pop()
+        b = x & 0xFF
+        if out and out[-1] + b == 256:
+            out.pop()
         else:
-            push(x)
-    return tuple(out)
+            out.append(b)
+    return bytes(out)
+
+
+def cancelled_length(a: Letters, b: Letters) -> int:
+    """Length of the longest suffix of ``a`` whose inverse is a prefix of
+    ``b``: the letters that cancel at the junction of ``a b``."""
+    la = len(a)
+    m = min(la, len(b))
+    c = 0
+    while c < m and a[la - 1 - c] + b[c] == 256:
+        c += 1
+    return c
 
 
 def multiply_letters(a: Letters, b: Letters) -> Letters:
-    """Reduced product of two already-reduced letter tuples."""
-    la, lb = len(a), len(b)
-    c = 0
-    m = min(la, lb)
-    while c < m and a[la - 1 - c] == -b[c]:
-        c += 1
-    return a[: la - c] + b[c:]
+    """Reduced product of two reduced words."""
+    c = cancelled_length(a, b)
+    return a[: len(a) - c] + b[c:]
 
 
 def invert_letters(a: Letters) -> Letters:
-    return tuple(-x for x in reversed(a))
+    return a[::-1].translate(INVERSE)
 
 
 class Word:
     """Immutable reduced word of a fixed rank.
 
-    The constructor reduces its input, so every held value is in canonical
-    form; binary operations require matching ranks.
+    The constructor takes signed letters, checks each against the rank and
+    packs and reduces them, so every held value is in canonical form;
+    binary operations require matching ranks.
     """
 
     __slots__ = ("letters", "rank")
@@ -59,11 +87,11 @@ class Word:
     def __init__(self, letters: Iterable[int] = (), rank: int = 2):
         if not 1 <= rank <= 26:
             raise ConfigError(f"rank must be in [1, 26], got {rank}")
-        reduced = reduce_letters(letters)
-        for x in reduced:
-            if x == 0 or abs(x) > rank:
+        signed = tuple(letters)
+        for x in signed:
+            if not 0 < abs(x) <= rank:
                 raise ConfigError(f"letter {x} outside rank {rank}")
-        object.__setattr__(self, "letters", reduced)
+        object.__setattr__(self, "letters", reduce_letters(signed))
         object.__setattr__(self, "rank", rank)
 
     def __setattr__(self, name, value):
@@ -94,7 +122,7 @@ class Word:
         return _make(invert_letters(self.letters), self.rank)
 
     def identity(self) -> "Word":
-        return _make((), self.rank)
+        return _make(b"", self.rank)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, rank={self.rank})"
@@ -107,7 +135,7 @@ class Word:
 
 
 def _make(letters: Letters, rank: int) -> Word:
-    """Fast constructor for letters already known to be reduced."""
+    """Fast constructor for packed letters already known to be reduced."""
     w = object.__new__(Word)
     object.__setattr__(w, "letters", letters)
     object.__setattr__(w, "rank", rank)
@@ -160,13 +188,7 @@ def parse_word(text: str, rank: int) -> Word:
 
 def format_word(w: Word) -> str:
     """Canonical text: lower-case generators, upper-case inverses, 1 for identity."""
-    if not w.letters:
-        return "1"
-    out = []
-    for x in w.letters:
-        ch = chr(ord("a") + abs(x) - 1)
-        out.append(ch if x > 0 else ch.upper())
-    return "".join(out)
+    return w.letters.translate(_TEXT).decode("ascii") or "1"
 
 
 def split_product(g: Word, h: Word) -> tuple[Word, Word, Word]:
@@ -178,13 +200,9 @@ def split_product(g: Word, h: Word) -> tuple[Word, Word, Word]:
     if g.rank != h.rank:
         raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
     a, b = g.letters, h.letters
-    la, lb = len(a), len(b)
-    c = 0
-    m = min(la, lb)
-    while c < m and a[la - 1 - c] == -b[c]:
-        c += 1
-    p = _make(a[: la - c], g.rank)
-    t = _make(a[la - c :], g.rank)
+    c = cancelled_length(a, b)
+    p = _make(a[: len(a) - c], g.rank)
+    t = _make(a[len(a) - c :], g.rank)
     q = _make(b[c:], g.rank)
     return p, t, q
 
@@ -209,14 +227,6 @@ def sphere_size(rank: int, length: int) -> int:
     return 2 * rank * (2 * rank - 1) ** (length - 1)
 
 
-def _alphabet(rank: int) -> list[int]:
-    letters = []
-    for i in range(1, rank + 1):
-        letters.append(i)
-        letters.append(-i)
-    return letters
-
-
 def enumeration_cap(override: int | None = None) -> int:
     """``override``, else the environment variable, else the default; a
     value that is not an integer >= 1 is a ``ConfigError``."""
@@ -235,24 +245,20 @@ def enumeration_cap(override: int | None = None) -> int:
 
 
 def words_of_length(rank: int, length: int) -> Iterator[Letters]:
-    """All reduced letter tuples of exact length, in lexicographic letter order."""
-    alphabet = _alphabet(rank)
-    if length == 0:
-        yield ()
-        return
+    """All reduced words of exact length, in lexicographic alphabet order."""
+    followers = _followers(rank)
+    prefix = bytearray()
 
-    def extend(prefix: list[int], remaining: int) -> Iterator[Letters]:
+    def extend(last: int, remaining: int) -> Iterator[Letters]:
         if remaining == 0:
-            yield tuple(prefix)
+            yield bytes(prefix)
             return
-        last = prefix[-1] if prefix else 0
-        for x in alphabet:
-            if x != -last:
-                prefix.append(x)
-                yield from extend(prefix, remaining - 1)
-                prefix.pop()
+        for x in followers[last]:
+            prefix.append(x)
+            yield from extend(x, remaining - 1)
+            prefix.pop()
 
-    yield from extend([], length)
+    yield from extend(0, length)
 
 
 def enumerate_ball(rank: int, radius: int, cap: int | None = None) -> Iterator[Word]:
@@ -279,24 +285,25 @@ def sample_word(rank: int, length: int, seed: int | random.Random) -> Word:
 def _sample_letters(
     rank: int, length: int, rng: random.Random, first_banned: int
 ) -> Letters:
-    """Random reduced letters; the first letter avoids `-first_banned` if nonzero."""
-    if length == 0:
-        return ()
+    """Random reduced letters; the first letter avoids the inverse of the
+    letter byte ``first_banned`` if nonzero."""
     followers = _followers(rank)
-    out: list[int] = []
+    out = bytearray()
     last = first_banned
     for _ in range(length):
         last = rng.choice(followers[last])
         out.append(last)
-    return tuple(out)
+    return bytes(out)
 
 
 @functools.cache
-def _followers(rank: int) -> dict[int, tuple[int, ...]]:
-    """Letter (0 for none) -> the letters that may follow it, in alphabet
-    order. Read-only: the dict is shared by every caller."""
-    alphabet = _alphabet(rank)
-    followers = {0: tuple(alphabet)}
+def _followers(rank: int) -> dict[int, bytes]:
+    """Letter byte (0 for none) -> the letter bytes that may follow it, in
+    alphabet order ``1, -1, 2, -2, ...`` (not byte order), the order of
+    every enumeration and of the sampler's choices. Read-only: the dict is
+    shared by every caller."""
+    alphabet = bytes(x & 0xFF for i in range(1, rank + 1) for x in (i, -i))
+    followers = {0: alphabet}
     for last in alphabet:
-        followers[last] = tuple(x for x in alphabet if x != -last)
+        followers[last] = bytes(x for x in alphabet if x + last != 256)
     return followers

@@ -27,7 +27,7 @@ from massey_workbench.checks import sup_scan
 from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.errors import UsageError
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.words import Word, parse_word, words_of_length
+from massey_workbench.words import Word, _make, parse_word, words_of_length
 
 W = lambda s: parse_word(s, 2)
 
@@ -219,7 +219,7 @@ def test_exhaustive_aligned_tuples_against_brute_force():
     # brute force: all pairs of nonempty ball words, filtered by alignment
     budget = 4
     words = [
-        Word(l, 2) for n in range(1, budget) for l in words_of_length(2, n)
+        _make(l, 2) for n in range(1, budget) for l in words_of_length(2, n)
     ]
     brute = {
         (u.letters, v.letters)

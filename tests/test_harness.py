@@ -97,7 +97,7 @@ def test_spec_and_qm_parsing():
         },
         2,
     )
-    assert q(parse_word("aaa", 2)) == Fraction(2, 3) * 0 + q.table.value((1, 1, 1))
+    assert q(parse_word("aaa", 2)) == Fraction(2, 3) * 0 + q.table.value(W("aaa").letters)
     assert q(W("a")) == Fraction(2, 3)
 
 
@@ -224,6 +224,23 @@ def test_run_massey_small():
     report = run_massey(massey_doc())
     assert report.passed
     assert report.to_json()["overall_status"] == "pass"
+
+
+def test_report_times_every_stage():
+    for report in (run_massey(massey_doc()), run_axioms(AXIOMS_DOC), run_defect(DEFECT_DOC)):
+        doc = report.to_json()
+        timing = doc["timing"]["stages"]
+        assert [t["name"] for t in timing] == [s["name"] for s in doc["stages"]]
+        for t, stage in zip(timing, doc["stages"]):
+            assert isinstance(t["wall_time_s"], float) and t["wall_time_s"] >= 0
+            if t["wall_time_s"]:
+                assert t["tuples_per_s"] == round(stage["checked_count"] / t["wall_time_s"], 1)
+            else:
+                assert t["tuples_per_s"] is None
+        # Stage intervals are disjoint and lie inside the run.
+        total = sum(t["wall_time_s"] for t in timing)
+        assert total <= doc["timing"]["wall_time_s"] + 0.001 * len(timing)
+        assert "timing" not in strip_timing(doc)
 
 
 def test_run_config_dispatch(tmp_path):
@@ -571,7 +588,26 @@ def test_cli_rejects_invalid_enumeration_cap_env(monkeypatch, capsys, value):
     assert "MASSEY_WORKBENCH_ENUM_CAP must be an integer >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '{"command": "massey"}', '{"stages": [1]}'])
+def stage_doc(**fields):
+    stage = {"name": "x", "status": "pass", "checked_count": 1, "counterexample": None, "stats": None}
+    return json.dumps({"stages": [dict(stage, **fields)]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '{"command": "massey"}',
+        '{"stages": [1]}',
+        stage_doc(stats=[1]),
+        stage_doc(stats="abc"),
+        stage_doc(checked_count="3"),
+        stage_doc(checked_count=True),
+        stage_doc(counterexample=[1]),
+        stage_doc(name=None),
+        stage_doc(status=1),
+    ],
+)
 def test_cli_report_rejects_non_reports(tmp_path, capsys, text):
     path = tmp_path / "not-a-report.json"
     path.write_text(text, encoding="utf-8")

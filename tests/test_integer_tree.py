@@ -30,7 +30,7 @@ from massey_workbench.cochain import (
 from massey_workbench.decomposition import DecompositionSpec, boundaries, piece_lengths
 from massey_workbench.massey import MasseyInstance, eta1, eta2, eta_bridge
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, reference_value
-from massey_workbench.words import Word, parse_word
+from massey_workbench.words import Word, _make, parse_word
 
 RANK = 2
 W = lambda s: parse_word(s, RANK)
@@ -159,9 +159,9 @@ def ref_pieces(q: QuasiMorphism, g: Word):
     cuts = boundaries(piece_lengths(q.spec, letters))
     for j in range(1, len(cuts)):
         yield (
-            Word(letters[: cuts[j - 1]], RANK),
+            _make(letters[: cuts[j - 1]], RANK),
             q.table.value(letters[cuts[j - 1] : cuts[j]]),
-            Word(letters[cuts[j] :], RANK),
+            _make(letters[cuts[j] :], RANK),
         )
 
 

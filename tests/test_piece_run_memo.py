@@ -28,7 +28,8 @@ from massey_workbench.massey import (
     three_sum_residual,
 )
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, reference_value
-from massey_workbench.words import Word, parse_word, reduce_letters
+from massey_workbench.words import _make, parse_word, reduce_letters
+from test_letters import signed
 
 
 def _qm(rank, family, word, table):
@@ -65,7 +66,7 @@ def ref_runs(phi, letters):
     cuts = boundaries(piece_lengths(phi.spec, letters))
     runs = []
     for j in range(1, len(cuts)):
-        piece = Word(letters[cuts[j - 1] : cuts[j]], phi.rank)
+        piece = _make(letters[cuts[j - 1] : cuts[j]], phi.rank)
         lam = reference_value(phi, piece) * phi.den
         assert lam.denominator == 1
         if lam:
@@ -113,7 +114,7 @@ def test_piece_run_memo_matches_recomputation(data):
     assert set(m.piece_runs) == set(words)
 
     # An entry longer than any drawn one is a miss, so it clears the memo.
-    extra = (1,) * 15
+    extra = reduce_letters((1,) * 15)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(massey, "PIECE_RUN_LIMIT", 1)
         check_lookup(m, extra, shift)
@@ -128,8 +129,8 @@ def test_piece_run_memo_matches_recomputation(data):
 def test_three_sum_sides_read_the_memo_unshifted(data):
     phi = PHIS[data.draw(st.sampled_from(sorted(PHIS)))]
     g, h = data.draw(entries(phi.rank).filter(lambda ws: len(ws) >= 2))[:2]
-    assume(g and h and g[-1] != -h[0])
-    t = (Word(g, phi.rank), Word(h, phi.rank))
+    assume(g and h and signed(g)[-1] != -signed(h)[0])
+    t = (_make(g, phi.rank), _make(h, phi.rank))
     plain = MasseyInstance(phi, Recorder(), Recorder(), 1, 1)
     shifted = MasseyInstance(phi, Recorder(), Recorder(), 1, 1, mutation="shift-z-boundary")
     total, ledger = three_sum_residual(plain, t)

@@ -23,14 +23,8 @@ from massey_workbench.quasimorphism import (
     reference_value,
     tampered_lambda,
 )
-from massey_workbench.words import (
-    Word,
-    _make,
-    enumerate_ball,
-    invert_letters,
-    parse_word,
-    sample_word,
-)
+from massey_workbench.words import Word, enumerate_ball, parse_word, sample_word
+from test_letters import signed
 
 W = lambda s: parse_word(s, 2)
 
@@ -89,7 +83,7 @@ def test_eval_brute_force_cross_check():
     q = brooks_counting_qm()
     for seed in range(40):
         g = sample_word(2, seed % 25, seed)
-        s = g.letters
+        s = signed(g.letters)
         plus = sum(1 for i in range(len(s) - 1) if s[i : i + 2] == (1, 2))
         minus = sum(1 for i in range(len(s) - 1) if s[i : i + 2] == (-2, -1))
         assert eval_qm(q, g) == plus - minus
@@ -199,24 +193,21 @@ def qm_cases(draw):
             .filter(lambda w: w.letters and is_non_self_overlapping(w))
         )
         spec = DecompositionSpec("brooks", rank, w)
-        piece = st.one_of(
-            letter.map(lambda x: (x,)),
-            st.sampled_from([w.letters, invert_letters(w.letters)]),
-        )
+        piece = st.one_of(letter.map(lambda x: Word([x], rank)), st.sampled_from([w, w.inverse()]))
     elif family == "rolli":
         spec = DecompositionSpec("rolli", rank)
-        piece = st.tuples(letter, st.integers(1, 5)).map(lambda p: (p[0],) * p[1])
+        piece = st.tuples(letter, st.integers(1, 5)).map(lambda p: Word([p[0]] * p[1], rank))
     else:
         spec = DecompositionSpec("letter", rank)
-        piece = letter.map(lambda x: (x,))
+        piece = letter.map(lambda x: Word([x], rank))
     value = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     entries: dict = {}
     for p, v in draw(st.lists(st.tuples(piece, value), max_size=6)):
-        if invert_letters(p) not in entries:
+        if p.inverse() not in entries:
             entries[p] = v
-    table = LambdaTable({_make(p, rank): v for p, v in entries.items()})
+    table = LambdaTable(entries)
     for p, v in draw(st.lists(st.tuples(piece, value), max_size=2)):
-        table = tampered_lambda(table, _make(p, rank), v)
+        table = tampered_lambda(table, p, v)
     q = QuasiMorphism(spec, table)
 
     uniform = sample_word(rank, draw(st.integers(0, 400)), draw(st.integers(0, 2**32)))
