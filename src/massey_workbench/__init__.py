@@ -27,8 +27,6 @@ from .decomposition import (
     decompose,
     is_non_self_overlapping,
     measure_r_hat,
-    prefix_product,
-    suffix_product,
     triangle_split,
 )
 from .errors import ConfigError, ResourceCapError, UsageError, WorkbenchError
@@ -52,7 +50,6 @@ from .quasimorphism import (
     defect,
     defect_from_triangle,
     defect_sup,
-    eval_qm,
 )
 from .report import ExperimentPlan, Report, StageResult
 from .words import (

@@ -36,6 +36,37 @@ def integer(value, name: str, optional: bool = False) -> int | None:
     return value
 
 
+def rational(value, name: str) -> Fraction:
+    """``value`` as an exact rational: a JSON number or a string such as
+    ``"1/3"``; a bool, any other type or a zero denominator is a
+    ``ConfigError``."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be a rational number, got {value!r}")
+
+
+def field(obj, key: str, where: str):
+    """``obj[key]``; a missing key, or an ``obj`` that is no JSON object, is
+    a ``ConfigError``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"{where} needs a {key!r} key, got {obj!r}")
+    return obj[key]
+
+
+_JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
+
+
+def typed(value, kind: type, name: str):
+    """``value`` if it is of JSON type ``kind`` (list, dict or str), else a
+    ``ConfigError``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def read_int(doc: dict, key: str, default: int | None) -> int | None:
     """The integer value of a config key; null is accepted only for an
     optional key, whose default is ``None``."""
@@ -57,34 +88,27 @@ def load_config(path: str | Path) -> dict:
 
 
 def spec_from_json(obj: dict, rank: int) -> DecompositionSpec:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ConfigError("decomposition spec needs a 'family' key")
-    family = obj["family"]
+    family = field(obj, "family", "decomposition spec")
     word = None
     if family == "brooks":
-        if "word" not in obj:
-            raise ConfigError("brooks decomposition needs a 'word' key")
-        word = parse_word(obj["word"], rank)
+        word = parse_word(typed(field(obj, "word", "brooks spec"), str, "brooks word"), rank)
     return DecompositionSpec(family, rank, word)
 
 
 def qm_from_json(obj: dict, rank: int, name: str = "phi") -> QuasiMorphism:
-    if not isinstance(obj, dict) or "decomposition" not in obj:
-        raise ConfigError(f"quasimorphism {name!r} needs a 'decomposition' key")
-    spec = spec_from_json(obj["decomposition"], rank)
+    spec = spec_from_json(field(obj, "decomposition", f"quasimorphism {name!r}"), rank)
     entries: dict[Word, Fraction] = {}
-    for row in obj.get("lambda", []):
-        try:
-            piece = parse_word(row["piece"], rank)
-            value = Fraction(row["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad lambda row {row!r}: {exc}") from exc
-        entries[piece] = value
+    for row in typed(obj.get("lambda", []), list, f"lambda of {name!r}"):
+        piece = parse_word(typed(field(row, "piece", "lambda row"), str, "lambda piece"), rank)
+        if piece in entries:
+            raise ConfigError(f"duplicate lambda rows for piece {piece} of {name!r}")
+        entries[piece] = rational(field(row, "value", "lambda row"), "lambda value")
     return QuasiMorphism(spec, LambdaTable(entries), name=name)
 
 
-def _tuple_from_json(items: list, rank: int) -> tuple[Word, ...]:
-    return tuple(parse_word(s, rank) for s in items)
+def _tuple_from_json(items, rank: int) -> tuple[Word, ...]:
+    items = typed(items, list, "table tuple")
+    return tuple(parse_word(typed(s, str, "table tuple entry"), rank) for s in items)
 
 
 def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
@@ -100,37 +124,39 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ConfigError(f"expression must be a preset string or an object with 'op': {obj!r}")
     op = obj["op"]
+    where = f"{op!r} expression"
+
+    def child(key: str = "child") -> Cochain:
+        return expr_from_json(field(obj, key, where), rank, qms)
+
     if op == "const":
-        return constant(Fraction(obj["value"]))
+        return constant(rational(field(obj, "value", where), "const value"))
     if op == "qm":
         if "name" in obj:
-            if obj["name"] not in qms:
+            if not isinstance(obj["name"], str) or obj["name"] not in qms:
                 raise ConfigError(f"unknown quasimorphism {obj['name']!r}")
             return qm_cochain(qms[obj["name"]])
-        return qm_cochain(qm_from_json(obj["quasimorphism"], rank))
+        return qm_cochain(qm_from_json(field(obj, "quasimorphism", where), rank))
     if op == "table":
-        degree = int(obj["degree"])
-        table = {
-            _tuple_from_json(row["tuple"], rank): Fraction(row["value"])
-            for row in obj.get("entries", [])
-        }
+        degree = integer(field(obj, "degree", where), "table degree")
+        table = {}
+        for row in typed(obj.get("entries", []), list, "table entries"):
+            key = _tuple_from_json(field(row, "tuple", "table entry"), rank)
+            table[key] = rational(field(row, "value", "table entry"), "table value")
         return TableCochain(degree, table)
     if op == "delta":
-        return coboundary(expr_from_json(obj["child"], rank, qms))
+        return coboundary(child())
     if op == "cup":
-        return cup(
-            expr_from_json(obj["left"], rank, qms),
-            expr_from_json(obj["right"], rank, qms),
-        )
+        return cup(child("left"), child("right"))
     if op == "alt":
-        return alternate(expr_from_json(obj["child"], rank, qms))
+        return alternate(child())
     if op == "restrict":
-        return restrict(expr_from_json(obj["child"], rank, qms))
+        return restrict(child())
     if op == "lincomb":
-        terms = [
-            (Fraction(term["coeff"]), expr_from_json(term["child"], rank, qms))
-            for term in obj["terms"]
-        ]
+        terms = []
+        for term in typed(field(obj, "terms", where), list, "lincomb terms"):
+            coeff = rational(field(term, "coeff", "lincomb term"), "lincomb coeff")
+            terms.append((coeff, expr_from_json(field(term, "child", "lincomb term"), rank, qms)))
         return lincomb(*terms)
     raise ConfigError(f"unknown expression op {op!r}")
 
@@ -160,9 +186,7 @@ def plan_from_json(obj: dict | None, rank: int, seed_override: int | None = None
         if key in obj:
             integer(obj[key], key)
     read_int(obj, "enumeration_cap", None)
-    counts = obj.get("sample_counts", {})
-    if not isinstance(counts, dict):
-        raise ConfigError(f"sample_counts must be an object, got {counts!r}")
+    counts = typed(obj.get("sample_counts", {}), dict, "sample_counts")
     unknown = set(counts) - set(ExperimentPlan.DEFAULT_SAMPLES)
     if unknown:
         raise ConfigError(
@@ -172,22 +196,16 @@ def plan_from_json(obj: dict | None, rank: int, seed_override: int | None = None
     for stage, count in counts.items():
         integer(count, f"sample_counts.{stage}")
     if "max_len_ladder" in obj:
-        ladder = obj["max_len_ladder"]
-        if not isinstance(ladder, list):
-            raise ConfigError(f"max_len_ladder must be a list, got {ladder!r}")
+        ladder = typed(obj["max_len_ladder"], list, "max_len_ladder")
         obj["max_len_ladder"] = tuple(integer(rung, "max_len_ladder rung") for rung in ladder)
     return ExperimentPlan(**obj)
 
 
 def massey_from_json(doc: dict, seed_override: int | None = None) -> tuple[MasseyInstance, ExperimentPlan]:
     rank = read_int(doc, "rank", 2)
-    if "phi" not in doc:
-        raise ConfigError("massey config needs a 'phi' quasimorphism")
-    phi = qm_from_json(doc["phi"], rank, name="phi")
-    qms = {
-        name: qm_from_json(body, rank, name=name)
-        for name, body in doc.get("quasimorphisms", {}).items()
-    }
+    phi = qm_from_json(field(doc, "phi", "massey config"), rank, name="phi")
+    bodies = typed(doc.get("quasimorphisms", {}), dict, "quasimorphisms")
+    qms = {name: qm_from_json(body, rank, name=name) for name, body in bodies.items()}
     k1 = read_int(doc, "k1", 2)
     k2 = read_int(doc, "k2", 2)
     omega1 = expr_from_json(doc.get("omega1", "delta-qm:psi1"), rank, qms)

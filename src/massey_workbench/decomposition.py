@@ -8,9 +8,10 @@ Three concrete families are supported:
   and of ``w^-1`` are pieces; leftover letters are single-letter pieces.
 
 Every family cuts the letter sequence of the input, so the product of the
-pieces returns the word with no cancellation at any junction. The triangle
-split locates the piece-aligned corners of the tripod spanned by
-``(1, g, g*h)`` in the Cayley tree and measures the misaligned remainders.
+pieces returns the word with no cancellation at any junction. One tripod
+core over per-word tables locates the piece-aligned corners of the tripod
+spanned by ``(1, g, g*h)`` and counts the pieces of its thick remainders:
+``triangle_scan`` runs it on every pair of a ball, ``triangle_split`` on one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .words import (
     enumerate_ball,
     invert_letters,
     multiply_letters,
-    split_product,
 )
 
 PieceSequence = tuple[Word, ...]
@@ -138,25 +138,6 @@ def decompose(spec: DecompositionSpec, g: Word) -> PieceSequence:
     )
 
 
-
-def prefix_product(spec: DecompositionSpec, g: Word, j: int) -> Word:
-    """Product of the first ``j - 1`` pieces of ``g`` (identity for j = 1)."""
-    cuts = boundaries(piece_lengths(spec, g.letters))
-    n = len(cuts) - 1
-    if not 1 <= j <= n:
-        raise UsageError(f"piece index {j} outside [1, {n}]")
-    return _make(g.letters[: cuts[j - 1]], spec.rank)
-
-
-def suffix_product(spec: DecompositionSpec, g: Word, j: int) -> Word:
-    """Product of the pieces after the j-th one (identity for j = count)."""
-    cuts = boundaries(piece_lengths(spec, g.letters))
-    n = len(cuts) - 1
-    if not 1 <= j <= n:
-        raise UsageError(f"piece index {j} outside [1, {n}]")
-    return _make(g.letters[cuts[j] :], spec.rank)
-
-
 @dataclass(frozen=True)
 class TriangleDecomposition:
     """Piece-aligned corner words and thick remainders of the tripod of (1, g, gh).
@@ -177,62 +158,6 @@ class TriangleDecomposition:
     @property
     def thick_total(self) -> int:
         return sum(self.thick_lengths)
-
-
-def _max_aligned(candidates: tuple[int, ...], other: frozenset[int] | set[int], cap: int) -> int:
-    best = 0
-    for pos in candidates:
-        if pos > cap:
-            break
-        if pos in other and pos > best:
-            best = pos
-    return best
-
-
-def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecomposition:
-    """Corner words of maximal piece length for the triangle ``(1, g, gh)``.
-
-    Each corner word must end on a piece boundary of both adjacent sides;
-    nested prefixes make the maximal choice unique.
-    """
-    if g.rank != h.rank:
-        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
-    p, t, _q = split_product(g, h)
-    gl, hl = g.letters, h.letters
-    ghinv = invert_letters(multiply_letters(gl, hl))
-    total = len(ghinv)
-    rank = spec.rank
-
-    cuts_g = boundaries(piece_lengths(spec, gl))
-    cuts_h = boundaries(piece_lengths(spec, hl))
-    cuts_ghinv = boundaries(piece_lengths(spec, ghinv))
-
-    lead_g = cuts_g
-    trail_g = tuple(cuts_g[-1] - c for c in reversed(cuts_g))
-    lead_h = cuts_h
-    trail_h = tuple(cuts_h[-1] - c for c in reversed(cuts_h))
-    lead_ghinv = set(cuts_ghinv)
-    trail_ghinv = {total - c for c in cuts_ghinv}
-
-    # c2 sits inside the cancelled part t; c1 inside the shared prefix p of
-    # g and gh (a trailing run of (gh)^-1); c3 inside the shared suffix q of
-    # h and gh (inverted, a leading run of (gh)^-1).
-    len_c2 = _max_aligned(trail_g, set(lead_h), len(t))
-    len_c1 = _max_aligned(lead_g, trail_ghinv, len(p))
-    len_c3 = _max_aligned(trail_h, lead_ghinv, len(hl) - len(t))
-
-    c1 = _make(invert_letters(gl[:len_c1]), rank)
-    c2 = _make(gl[len(gl) - len_c2 :], rank)
-    c3 = _make(hl[len(hl) - len_c3 :], rank)
-    r1 = _make(gl[len_c1 : len(gl) - len_c2], rank)
-    r2 = _make(hl[len_c2 : len(hl) - len_c3], rank)
-    r3 = _make(ghinv[len_c3 : total - len_c1], rank)
-    thick = (
-        len(piece_lengths(spec, r1.letters)),
-        len(piece_lengths(spec, r2.letters)),
-        len(piece_lengths(spec, r3.letters)),
-    )
-    return TriangleDecomposition(c1, c2, c3, r1, r2, r3, thick)
 
 
 @dataclass
@@ -341,21 +266,38 @@ def _inverse_pieces_match(letters: Letters, cuts: tuple[int, ...]) -> bool:
     return True
 
 
+class _InverseRuns(dict):
+    """Piece lengths of the inverse of the piece-aligned prefixes
+    (``from_end``) or suffixes of a word, keyed by their letter length and
+    decomposed on first read, so a scan pays only for the corners it meets."""
+
+    __slots__ = ("spec", "inverse", "from_end")
+
+    def __init__(self, spec: DecompositionSpec, inverse: Letters, from_end: bool):
+        self.spec, self.inverse, self.from_end = spec, inverse, from_end
+
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        inv = self.inverse
+        segment = inv[len(inv) - k :] if self.from_end else inv[:k]
+        lengths = self[k] = piece_lengths(self.spec, segment)
+        return lengths
+
+
 class _ScanData:
-    """Precomputed boundary data for one ball word.
+    """Boundary data of one word, the per-word table of the tripod core.
 
     Besides the cut positions it holds the inverse letters and the piece
-    lengths of the inverse of every piece-aligned prefix (keyed by lead cut)
-    and suffix (keyed by trail cut): the two corner segments of a third side
-    ``(gh)^-1`` are exactly such inverses.
+    lengths of the inverse of each piece-aligned prefix (``inv_prefix``, by
+    lead cut) and suffix (``inv_suffix``, by trail cut): the two corner
+    segments of a third side ``(gh)^-1`` are exactly such inverses.
     """
 
     __slots__ = (
         "letters",
         "inverse",
-        "lead_list",
-        "lead_set",
+        "lead_desc",
         "trail_list",
+        "trail_desc",
         "index",
         "inv_prefix",
         "inv_suffix",
@@ -367,12 +309,112 @@ class _ScanData:
         inv = invert_letters(letters)
         self.letters = letters
         self.inverse = inv
-        self.lead_list = cuts
-        self.lead_set = set(cuts)
-        self.trail_list = tuple(total - c for c in reversed(cuts))
+        self.lead_desc = cuts[::-1]
+        self.trail_desc = tuple(total - c for c in cuts)
+        self.trail_list = self.trail_desc[::-1]
         self.index = {pos: i for i, pos in enumerate(cuts)}
-        self.inv_prefix = {k: piece_lengths(spec, inv[total - k :]) for k in cuts}
-        self.inv_suffix = {k: piece_lengths(spec, inv[:k]) for k in self.trail_list}
+        self.inv_prefix = _InverseRuns(spec, inv, True)
+        self.inv_suffix = _InverseRuns(spec, inv, False)
+
+
+def _tripod(
+    spec: DecompositionSpec, dg: _ScanData, dh: _ScanData
+) -> tuple[int, int, int, tuple[int, int, int]] | None:
+    """Corners and thick piece counts of the tripod of ``(1, g, gh)``.
+
+    Returns ``(len1, len2, len3, thick)``: the letter lengths of the corners
+    (``c1^-1`` is a prefix of ``g``, ``c2`` a suffix of ``g`` and ``c3`` a
+    suffix of ``h``, each the longest one ending on a piece boundary of both
+    adjacent sides) and the piece counts of the three remainders; ``None``
+    when the factorization of ``(gh)^-1`` fails.
+
+    Only ``(gh)^-1`` and its middle segment are decomposed; the two corner
+    segments are the inverses of a piece-aligned suffix of ``h`` and prefix
+    of ``g``, whose piece lengths are read from the tables. Piece runs within
+    ``g`` and ``h`` themselves are covered by the per-word run checks, so
+    their remainders are counted from the cut indices.
+    """
+    a, b = dg.letters, dh.letters
+    la, lb = len(a), len(b)
+    inv_a, inv_b = dg.inverse, dh.inverse
+
+    # words.cancelled_length, inlined for the per-pair loop.
+    c = 0
+    m = la if la < lb else lb
+    while c < m and a[la - 1 - c] + b[c] == 256:
+        c += 1
+    ghinv = inv_b[: lb - c] + inv_a[c:]
+    total = la + lb - 2 * c
+
+    full = piece_lengths(spec, ghinv)
+    lead_ghinv = set(itertools.accumulate(full, initial=0))
+
+    # c2 sits inside the cancelled part; c1 inside the shared prefix of g and
+    # gh (a trailing run of (gh)^-1); c3 inside the shared suffix of h and gh
+    # (inverted, a leading run of (gh)^-1). c1 and c3 are searched longest
+    # first; both descending cut lists end at 0, the empty corner.
+    len2 = 0
+    if c:
+        for pos in dg.trail_list:
+            if pos > c:
+                break
+            if pos in dh.index:
+                len2 = pos
+    cap1 = la - c
+    for len1 in dg.lead_desc:
+        if len1 <= cap1 and total - len1 in lead_ghinv:
+            break
+    cap3 = lb - c
+    for len3 in dh.trail_desc:
+        if len3 <= cap3 and len3 in lead_ghinv:
+            break
+
+    seg_mid = piece_lengths(spec, ghinv[len3 : total - len1])
+    # The letter comparisons show the end segments are the tabled words (they
+    # restate gh[:len1] == g[:len1] and gh[-len3:] == h[-len3:] on the
+    # inverse), so the table lookups are exact.
+    if not (
+        dh.inv_suffix[len3] + seg_mid + dg.inv_prefix[len1] == full
+        and ghinv[total - len1 :] == inv_a[la - len1 :]
+        and ghinv[:len3] == inv_b[:len3]
+        and a[la - len2 :] == inv_b[lb - len2 :]
+    ):
+        return None
+    thick = (
+        dg.index[la - len2] - dg.index[len1],
+        dh.index[lb - len3] - dh.index[len2],
+        len(seg_mid),
+    )
+    return len1, len2, len3, thick
+
+
+def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecomposition:
+    """Corner words of maximal piece length for the triangle ``(1, g, gh)``.
+
+    A one-pair call of the scan core: the tables of ``g`` and ``h`` are
+    built and only the two corner entries it reads are decomposed. A pair
+    whose factorization fails, which ``triangle_scan`` would record as a
+    counterexample, raises ``UsageError``.
+    """
+    if g.rank != h.rank:
+        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
+    a, b = g.letters, h.letters
+    found = _tripod(spec, _ScanData(spec, a), _ScanData(spec, b))
+    if found is None:
+        raise UsageError(f"triangle factorization fails for g = {g}, h = {h}")
+    len1, len2, len3, thick = found
+    la, lb = len(a), len(b)
+    ghinv = invert_letters(multiply_letters(a, b))
+    rank = spec.rank
+    return TriangleDecomposition(
+        _make(invert_letters(a[:len1]), rank),
+        _make(a[la - len2 :], rank),
+        _make(b[lb - len3 :], rank),
+        _make(a[len1 : la - len2], rank),
+        _make(b[len2 : lb - len3], rank),
+        _make(ghinv[len3 : len(ghinv) - len1], rank),
+        thick,
+    )
 
 
 def triangle_scan(
@@ -380,136 +422,40 @@ def triangle_scan(
 ) -> tuple[int, dict | None, int, dict | None, int]:
     """Check triangle factorizations for all pairs; track max thick length.
 
-    The per-pair check decomposes the third side ``(gh)^-1`` and its middle
-    segment fresh; its two corner segments are the inverses of a
-    piece-aligned suffix of ``h`` and prefix of ``g``, whose piece lengths
-    are read from per-word tables, and the check compares those letters.
-    Piece runs within ``g`` and ``h`` themselves are covered by the
-    exhaustive per-word run checks, so here only their boundary data is
-    consulted.
+    Each pair is one call of the tripod core on the per-word tables, which
+    are built once per word of ``left`` and ``right``.
 
     Returns (checked, first counterexample or None, r_hat, argmax info,
     r_hat over the pairs with ``|g|, |h| <= inner_radius`` or -1 if none).
     """
     data: dict[Letters, _ScanData] = {}
-    for w in right:
-        data[w.letters] = _ScanData(spec, w.letters)
-    for w in left:
+    for w in (*right, *left):
         if w.letters not in data:
             data[w.letters] = _ScanData(spec, w.letters)
-    rows = [data[w.letters] for w in right]
+    rows = [(h, data[h.letters]) for h in right]
 
-    get_lengths = piece_lengths
-    counterexample = None
-    r_hat = -1
-    r_inner = -1
-    argmax = None
-    rank = spec.rank
+    counterexample = argmax = None
+    r_hat = r_inner = -1
     for g in left:
         dg = data[g.letters]
-        a = dg.letters
-        la = len(a)
-        inv_a = dg.inverse
-        g_lead, g_trail, g_index = dg.lead_list, dg.trail_list, dg.index
-        g_inv_prefix = dg.inv_prefix
-        g_inner = la <= inner_radius
-        for dh in rows:
-            b = dh.letters
-            lb = len(b)
-            inv_b = dh.inverse
-
-            # words.cancelled_length, inlined for the per-pair loop.
-            c = 0
-            m = la if la < lb else lb
-            while c < m and a[la - 1 - c] + b[c] == 256:
-                c += 1
-            ghinv = inv_b[: lb - c] + inv_a[c:]
-            total = la + lb - 2 * c
-
-            full = get_lengths(spec, ghinv)
-            lead_ghinv = set(itertools.accumulate(full, initial=0))
-
-            len2 = 0
-            for pos in g_trail:
-                if pos > c:
-                    break
-                if pos in dh.lead_set:
-                    len2 = pos
-            len1 = 0
-            cap1 = la - c
-            for pos in g_lead:
-                if pos > cap1:
-                    break
-                if total - pos in lead_ghinv:
-                    len1 = pos
-            len3 = 0
-            cap3 = lb - c
-            for pos in dh.trail_list:
-                if pos > cap3:
-                    break
-                if pos in lead_ghinv:
-                    len3 = pos
-
-            seg_mid = get_lengths(spec, ghinv[len3 : total - len1])
-            # The end segments' piece lengths are looked up in the tables of
-            # h and g; the letter comparisons show the segments are the
-            # tabled words (they restate gh[:len1] == g[:len1] and
-            # gh[-len3:] == h[-len3:] on the inverse), so the lookups are exact.
-            ok = (
-                dh.inv_suffix[len3] + seg_mid + g_inv_prefix[len1] == full
-                and ghinv[total - len1 :] == inv_a[la - len1 :]
-                and ghinv[:len3] == inv_b[:len3]
-                and a[la - len2 :] == inv_b[lb - len2 :]
-            )
-            if not ok:
+        g_inner = len(g) <= inner_radius
+        for h, dh in rows:
+            found = _tripod(spec, dg, dh)
+            if found is None:
                 if counterexample is None:
-                    counterexample = {
-                        "g": str(_make(a, rank)),
-                        "h": str(_make(b, rank)),
-                    }
+                    counterexample = {"g": str(g), "h": str(h)}
                 continue
-            n_r1 = g_index[la - len2] - g_index[len1]
-            n_r2 = dh.index[lb - len3] - dh.index[len2]
-            n_r3 = len(seg_mid)
-            worst = n_r1 if n_r1 >= n_r2 else n_r2
-            if n_r3 > worst:
-                worst = n_r3
+            n1, n2, worst = thick = found[3]
+            if n1 > worst:
+                worst = n1
+            if n2 > worst:
+                worst = n2
             if worst > r_hat:
                 r_hat = worst
-                argmax = {
-                    "g": str(_make(a, rank)),
-                    "h": str(_make(b, rank)),
-                    "thick_lengths": (n_r1, n_r2, n_r3),
-                }
-            if worst > r_inner and g_inner and lb <= inner_radius:
+                argmax = {"g": str(g), "h": str(h), "thick_lengths": thick}
+            if worst > r_inner and g_inner and len(h) <= inner_radius:
                 r_inner = worst
     return len(left) * len(right), counterexample, max(r_hat, 0), argmax, r_inner
-
-
-def verify_triangle(
-    spec: DecompositionSpec, g: Word, h: Word, tri: TriangleDecomposition
-) -> bool:
-    """Recompute all nine corner/remainder decompositions and compare runs."""
-    gh = g * h
-    sides = (
-        (g, tri.c1.inverse(), tri.r1, tri.c2),
-        (h, tri.c2.inverse(), tri.r2, tri.c3),
-        (gh.inverse(), tri.c3.inverse(), tri.r3, tri.c1),
-    )
-    for side, first, mid, last in sides:
-        expect = piece_lengths(spec, side.letters)
-        got = (
-            piece_lengths(spec, first.letters)
-            + piece_lengths(spec, mid.letters)
-            + piece_lengths(spec, last.letters)
-        )
-        if got != expect:
-            return False
-        if multiply_letters(
-            multiply_letters(first.letters, mid.letters), last.letters
-        ) != side.letters:
-            return False
-    return True
 
 
 def _triangle_chunk(payload, chunk) -> Scan:

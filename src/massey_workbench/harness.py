@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from ._parallel import Scan, pair_scan, scan
-from .config import load_config, massey_from_json, qm_from_json, read_int, spec_from_json
+from .config import massey_from_json, qm_from_json, read_int, spec_from_json
 from .decomposition import check_axioms, measure_r_hat
 from .errors import ConfigError
 from .massey import verify_massey_triviality, verify_primitives
@@ -227,17 +226,3 @@ RUNNERS = {
     "massey": run_massey,
 }
 
-
-def run_config(path: str | Path, overrides: dict | None = None, out: str | Path | None = None) -> tuple[int, Report]:
-    """Execute the command named in the config; write the report if requested.
-
-    Returns (exit status, report); status 0 iff every stage passed.
-    """
-    doc = load_config(path)
-    command = doc.get("command")
-    if command not in RUNNERS:
-        raise ConfigError(f"config must set 'command' to one of {sorted(RUNNERS)}")
-    report = RUNNERS[command](doc, overrides)
-    if out is not None:
-        report.save(out)
-    return (0 if report.passed else 1), report

@@ -195,21 +195,46 @@ class EtaBridge(_EtaBase):
         super().__init__(m, m.k1 + m.k2 - 1, m.omega1.den * m.phi.den * m.omega2.den)
 
     def _compute(self, t, ctx):
-        m = self.m
-        mid = m.k1 - 1
-        head, e, tail = t[:mid], t[mid], t[mid + 1 :]
-        omega1, omega2 = m.omega1, m.omega2
-        shift = self.shift
-        cuts, runs = _piece_runs(m, e)
-        total = 0
-        for j, lam in runs:
-            v1 = omega1._eval(head + (e[: cuts[j - 1 + shift]],), ctx)
-            if not v1:
-                continue
-            v2 = omega2._eval((e[cuts[j - shift] :],) + tail, ctx)
-            if v2:
-                total += v1 * lam * v2
-        return total
+        mid = self.m.k1 - 1
+        return sum(_bridge_terms(self.m, t[:mid], t[mid], t[mid + 1 :], ctx, self.shift))
+
+
+def _bridge_terms(
+    m: MasseyInstance,
+    head: LettersTuple,
+    e: Letters,
+    tail: LettersTuple,
+    ctx: EvalContext,
+    shift: int = 0,
+    before: Letters = b"",
+    after: Letters = b"",
+) -> list[int]:
+    """The bridge sum over the pieces of ``e``, term by term, as numerators
+    over the bridge's denominator: piece j gives
+    ``omega1(head, before z<_j) lambda_j omega2(z>_j after, tail)``, and 0
+    when lambda_j or the omega1 factor vanishes (omega2 is then not
+    evaluated).
+
+    ``EtaBridge`` sums the terms, reading the piece runs with its ``shift``.
+    The three-sum sides read them unshifted, since they are the oracle the
+    mutated primitive is compared with: side 1 merges ``h`` into the suffix
+    products (``after``), side 2 merges ``g`` into the prefix products
+    (``before``).
+    """
+    omega1, omega2 = m.omega1, m.omega2
+    cuts, runs = _piece_runs(m, e)
+    terms = [0] * (len(cuts) - 1)
+    for j, lam in runs:
+        pre = e[: cuts[j - 1 + shift]]
+        if before:
+            pre = multiply_letters(before, pre)
+        v1 = omega1._eval(head + (pre,), ctx)
+        if v1:
+            suf = e[cuts[j - shift] :]
+            if after:
+                suf = multiply_letters(suf, after)
+            terms[j - 1] = v1 * lam * omega2._eval((suf,) + tail, ctx)
+    return terms
 
 
 def eta1(m: MasseyInstance) -> Eta1:
@@ -308,34 +333,6 @@ class TriangleTermLedger:
         }
 
 
-def _side_terms(
-    m: MasseyInstance,
-    head: LettersTuple,
-    tail: LettersTuple,
-    middle: Letters,
-    merge_suffix: Letters,
-    merge_prefix: Letters,
-    ctx: EvalContext,
-) -> list[int]:
-    """Terms of one of the three boundary sums, for the decomposition of
-    ``middle``, as numerators over the bridge's denominator.
-    ``merge_suffix`` is appended to the suffix product before it enters
-    omega2 (side 1 merges h_1 there); ``merge_prefix`` is prepended to the
-    prefix product before it enters omega1 (side 2 merges g_{k1}). The
-    piece runs are read unshifted: the sides are the oracle the mutated
-    primitive is compared with."""
-    omega1, omega2 = m.omega1, m.omega2
-    cuts, runs = _piece_runs(m, middle)
-    terms = [0] * (len(cuts) - 1)
-    for j, lam in runs:
-        pre = multiply_letters(merge_prefix, middle[: cuts[j - 1]])
-        v1 = omega1._eval(head + (pre,), ctx)
-        if v1:
-            suf = multiply_letters(middle[cuts[j] :], merge_suffix)
-            terms[j - 1] = v1 * lam * omega2._eval((suf,) + tail, ctx)
-    return terms
-
-
 def three_sum_residual(
     m: MasseyInstance, t: WordTuple, ctx: EvalContext | None = None
 ) -> tuple[Fraction, TriangleTermLedger]:
@@ -358,11 +355,10 @@ def three_sum_residual(
     g, h = letters[m.k1 - 1], letters[m.k1]
     head, tail = letters[: m.k1 - 1], letters[m.k1 + 1 :]
     spec = m.phi.spec
-    empty: Letters = b""
 
-    side1 = _side_terms(m, head, tail, g, h, empty, ctx)
-    side2 = _side_terms(m, head, tail, h, empty, g, ctx)
-    side3 = _side_terms(m, head, tail, multiply_letters(g, h), empty, empty, ctx)
+    side1 = _bridge_terms(m, head, g, tail, ctx, after=h)
+    side2 = _bridge_terms(m, head, h, tail, ctx, before=g)
+    side3 = _bridge_terms(m, head, multiply_letters(g, h), tail, ctx)
 
     den = m.omega1.den * m.phi.den * m.omega2.den
     total = Fraction(sum(side1) + sum(side2) - sum(side3), den)

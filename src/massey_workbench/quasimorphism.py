@@ -4,8 +4,8 @@ over the pieces of a decomposition.
 Values are exact rationals throughout, so every downstream identity can be
 asserted with equality rather than tolerance. A quasi-morphism is evaluated
 by an integer counting kernel (``counting_kernel``) as a numerator over the
-least common denominator of its table; the plain sum over the pieces
-(``reference_value``) is kept as the oracle it is tested against.
+least common denominator of its table; the tests compare it with the plain
+sum of lambda over the pieces (``tests/oracles.py``).
 
 Words arrive as ``Letters``, the packed ``bytes`` of ``words``. The value
 cache is keyed by those bytes, whose hash is computed once per object, and
@@ -22,12 +22,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from ._parallel import Scan, pair_scan, scan
-from .decomposition import (
-    DecompositionSpec,
-    boundaries,
-    piece_lengths,
-    triangle_split,
-)
+from .decomposition import DecompositionSpec, triangle_split
 from .errors import ConfigError, UsageError
 from .words import Letters, Word, _make, enumerate_ball, invert_letters, sample_word
 
@@ -220,10 +215,6 @@ def _is_legal_piece(spec: DecompositionSpec, letters: Letters) -> bool:
     return len(letters) == 1 or letters in (w, invert_letters(w))
 
 
-def eval_qm(q: QuasiMorphism, g: Word) -> Fraction:
-    return q.value(g)
-
-
 def defect(q: QuasiMorphism, g: Word, h: Word) -> Fraction:
     """phi(g) + phi(h) - phi(g h), exactly."""
     if g.rank != q.rank or h.rank != q.rank:
@@ -282,21 +273,6 @@ def defect_sup(
     best, pair = result.best("defect", _ZERO)
     argmax = None if pair is None else (str(pair[0]), str(pair[1]))
     return DefectStats(best, argmax, result.checked)
-
-
-def piece_values(q: QuasiMorphism, g: Word) -> list[Fraction]:
-    """lambda evaluated on each piece of g, in order."""
-    letters = g.letters
-    cuts = boundaries(piece_lengths(q.spec, letters))
-    return [
-        q.table.value(letters[cuts[i] : cuts[i + 1]]) for i in range(len(cuts) - 1)
-    ]
-
-
-def reference_value(q: QuasiMorphism, g: Word) -> Fraction:
-    """phi(g) straight from the definition, as the sum of lambda over the
-    pieces of g: the slow oracle the counting kernel is tested against."""
-    return sum(piece_values(q, g), _ZERO)
 
 
 def tampered_lambda(table: LambdaTable, piece: Word, value: Fraction | int | str) -> LambdaTable:

@@ -1,0 +1,127 @@
+"""Slow references written straight from the definitions, which the fast
+paths of the library are compared against.
+
+* ``triangle_split`` finds the three corners of the tripod of ``(1, g, gh)``
+  with its own corner search over the cut positions of ``g``, ``h`` and
+  ``(gh)^-1``, and decomposes every remainder fresh.
+* ``verify_triangle`` recomputes the nine corner and remainder
+  decompositions of a tripod and compares them with the three sides.
+* ``reference_value`` is phi as the plain sum of lambda over the pieces
+  (``piece_values``), the oracle of the counting kernel.
+"""
+
+from fractions import Fraction
+
+from massey_workbench.decomposition import (
+    DecompositionSpec,
+    TriangleDecomposition,
+    boundaries,
+    piece_lengths,
+)
+from massey_workbench.errors import UsageError
+from massey_workbench.quasimorphism import QuasiMorphism
+from massey_workbench.words import (
+    Word,
+    _make,
+    invert_letters,
+    multiply_letters,
+    split_product,
+)
+
+
+def _max_aligned(candidates: tuple[int, ...], other: set[int], cap: int) -> int:
+    best = 0
+    for pos in candidates:
+        if pos > cap:
+            break
+        if pos in other and pos > best:
+            best = pos
+    return best
+
+
+def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecomposition:
+    """Corner words of maximal piece length for the triangle ``(1, g, gh)``.
+
+    Each corner word must end on a piece boundary of both adjacent sides;
+    nested prefixes make the maximal choice unique. Nothing is checked: a
+    broken decomposition still yields a (wrong) split.
+    """
+    if g.rank != h.rank:
+        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
+    p, t, _q = split_product(g, h)
+    gl, hl = g.letters, h.letters
+    ghinv = invert_letters(multiply_letters(gl, hl))
+    total = len(ghinv)
+    rank = spec.rank
+
+    cuts_g = boundaries(piece_lengths(spec, gl))
+    cuts_h = boundaries(piece_lengths(spec, hl))
+    cuts_ghinv = boundaries(piece_lengths(spec, ghinv))
+
+    lead_g = cuts_g
+    trail_g = tuple(cuts_g[-1] - c for c in reversed(cuts_g))
+    lead_h = cuts_h
+    trail_h = tuple(cuts_h[-1] - c for c in reversed(cuts_h))
+    lead_ghinv = set(cuts_ghinv)
+    trail_ghinv = {total - c for c in cuts_ghinv}
+
+    # c2 sits inside the cancelled part t; c1 inside the shared prefix p of
+    # g and gh (a trailing run of (gh)^-1); c3 inside the shared suffix q of
+    # h and gh (inverted, a leading run of (gh)^-1).
+    len_c2 = _max_aligned(trail_g, set(lead_h), len(t))
+    len_c1 = _max_aligned(lead_g, trail_ghinv, len(p))
+    len_c3 = _max_aligned(trail_h, lead_ghinv, len(hl) - len(t))
+
+    c1 = _make(invert_letters(gl[:len_c1]), rank)
+    c2 = _make(gl[len(gl) - len_c2 :], rank)
+    c3 = _make(hl[len(hl) - len_c3 :], rank)
+    r1 = _make(gl[len_c1 : len(gl) - len_c2], rank)
+    r2 = _make(hl[len_c2 : len(hl) - len_c3], rank)
+    r3 = _make(ghinv[len_c3 : total - len_c1], rank)
+    thick = (
+        len(piece_lengths(spec, r1.letters)),
+        len(piece_lengths(spec, r2.letters)),
+        len(piece_lengths(spec, r3.letters)),
+    )
+    return TriangleDecomposition(c1, c2, c3, r1, r2, r3, thick)
+
+
+def verify_triangle(
+    spec: DecompositionSpec, g: Word, h: Word, tri: TriangleDecomposition
+) -> bool:
+    """Recompute all nine corner/remainder decompositions and compare runs."""
+    gh = g * h
+    sides = (
+        (g, tri.c1.inverse(), tri.r1, tri.c2),
+        (h, tri.c2.inverse(), tri.r2, tri.c3),
+        (gh.inverse(), tri.c3.inverse(), tri.r3, tri.c1),
+    )
+    for side, first, mid, last in sides:
+        expect = piece_lengths(spec, side.letters)
+        got = (
+            piece_lengths(spec, first.letters)
+            + piece_lengths(spec, mid.letters)
+            + piece_lengths(spec, last.letters)
+        )
+        if got != expect:
+            return False
+        if multiply_letters(
+            multiply_letters(first.letters, mid.letters), last.letters
+        ) != side.letters:
+            return False
+    return True
+
+
+def piece_values(q: QuasiMorphism, g: Word) -> list[Fraction]:
+    """lambda evaluated on each piece of g, in order."""
+    letters = g.letters
+    cuts = boundaries(piece_lengths(q.spec, letters))
+    return [
+        q.table.value(letters[cuts[i] : cuts[i + 1]]) for i in range(len(cuts) - 1)
+    ]
+
+
+def reference_value(q: QuasiMorphism, g: Word) -> Fraction:
+    """phi(g) straight from the definition, as the sum of lambda over the
+    pieces of g."""
+    return sum(piece_values(q, g), Fraction(0))

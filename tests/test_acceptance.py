@@ -24,7 +24,8 @@ from massey_workbench.cochain import (
 )
 from massey_workbench.config import load_config, massey_from_json
 from massey_workbench.decomposition import DecompositionSpec, check_axioms, measure_r_hat
-from massey_workbench.harness import run_config, run_defect
+from massey_workbench.cli import main
+from massey_workbench.harness import run_defect
 from massey_workbench.massey import MasseyInstance, verify_massey_triviality
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, tampered_lambda
 from massey_workbench.report import ExperimentPlan, strip_timing
@@ -302,8 +303,8 @@ def test_criterion_7_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    status1, _ = run_config(cfg, out=out1)
-    status2, _ = run_config(cfg, out=out2)
+    status1 = main(["massey", "--config", str(cfg), "--out", str(out1)])
+    status2 = main(["massey", "--config", str(cfg), "--out", str(out2)])
     doc1 = strip_timing(json.loads(out1.read_text(encoding="utf-8")))
     doc2 = strip_timing(json.loads(out2.read_text(encoding="utf-8")))
     same = json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)

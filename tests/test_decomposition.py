@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 from massey_workbench import decomposition
 from massey_workbench.decomposition import (
     DecompositionSpec,
+    boundaries,
     check_axioms,
     decompose,
     is_non_self_overlapping,
     measure_r_hat,
-    prefix_product,
-    suffix_product,
+    piece_lengths,
     triangle_scan,
     triangle_split,
-    verify_triangle,
 )
 from massey_workbench.errors import ConfigError, UsageError
-from massey_workbench.words import Word, enumerate_ball, parse_word, sample_word
+from massey_workbench.words import Word, _make, enumerate_ball, parse_word, sample_word
+import oracles
+from oracles import verify_triangle
 from test_letters import signed
 
 W = lambda s: parse_word(s, 2)
@@ -117,17 +118,19 @@ def test_brooks_spec_rejects_self_overlapping():
         DecompositionSpec("brooks", 2, W("1"))
 
 
+def around_piece(spec, g, j):
+    """The products of the pieces before and after the j-th piece of ``g``,
+    sliced from its cut positions as the eta sums slice them."""
+    cuts = boundaries(piece_lengths(spec, g.letters))
+    return _make(g.letters[: cuts[j - 1]], g.rank), _make(g.letters[cuts[j] :], g.rank)
+
+
 def test_prefix_suffix_products():
-    assert prefix_product(BROOKS_AB, W("aabab"), 2) == W("a")
-    assert prefix_product(BROOKS_AB, W("aabab"), 1) == W("1")
-    assert prefix_product(LETTER, W("ab"), 2) == W("a")
-    assert suffix_product(BROOKS_AB, W("aabab"), 2) == W("ab")
-    assert suffix_product(BROOKS_AB, W("aabab"), 3) == W("1")
-    assert suffix_product(ROLLI, parse_word("a^3b^-2a", 2), 1) == parse_word("b^-2a", 2)
-    with pytest.raises(UsageError):
-        prefix_product(LETTER, W("ab"), 3)
-    with pytest.raises(UsageError):
-        suffix_product(LETTER, W("ab"), 0)
+    assert around_piece(BROOKS_AB, W("aabab"), 2) == (W("a"), W("ab"))
+    assert around_piece(BROOKS_AB, W("aabab"), 1) == (W("1"), W("abab"))
+    assert around_piece(LETTER, W("ab"), 2) == (W("a"), W("1"))
+    assert around_piece(BROOKS_AB, W("aabab"), 3) == (W("aab"), W("1"))
+    assert around_piece(ROLLI, parse_word("a^3b^-2a", 2), 1) == (W("1"), parse_word("b^-2a", 2))
 
 
 @given(st.integers(0, 2**32))
@@ -137,10 +140,8 @@ def test_prefix_piece_suffix_reassembles(seed):
         g = sample_word(2, (seed % 12) + 1, seed)
         pieces = decompose(spec, g)
         for j in range(1, len(pieces) + 1):
-            assert (
-                prefix_product(spec, g, j) * pieces[j - 1] * suffix_product(spec, g, j)
-                == g
-            )
+            before, after = around_piece(spec, g, j)
+            assert before * pieces[j - 1] * after == g
 
 
 def test_triangle_letter_example():
@@ -165,14 +166,32 @@ def test_triangle_degenerate_brooks():
     assert verify_triangle(BROOKS_AB, g, h, tri)
 
 
-@given(st.integers(0, 2**32))
-@settings(max_examples=80, deadline=None)
-def test_triangle_factorizations_random(seed):
-    g = sample_word(2, seed % 14, seed)
-    h = sample_word(2, (seed // 7) % 14, seed + 1)
-    for spec in (LETTER, ROLLI, BROOKS_AB):
-        tri = triangle_split(spec, g, h)
-        assert verify_triangle(spec, g, h, tri)
+SPECS = (LETTER, ROLLI, BROOKS_AB, BROOKS_AAB, BROOKS_ABC)
+
+
+@st.composite
+def tripod_pairs(draw):
+    """A spec and a pair of words of up to 40 letters; ``h`` often starts by
+    cancelling a tail of ``g``, so that the middle corner is exercised."""
+    spec = draw(st.sampled_from(SPECS))
+    rank = spec.rank
+    g = sample_word(rank, draw(st.integers(0, 40)), draw(st.integers(0, 2**32)))
+    cancel = draw(st.integers(0, len(g)))
+    rest = sample_word(rank, draw(st.integers(0, 40 - cancel)), draw(st.integers(0, 2**32)))
+    h = _make(g.letters[len(g) - cancel :], rank).inverse() * rest
+    return spec, g, h
+
+
+@given(tripod_pairs())
+@settings(max_examples=400, deadline=None)
+def test_triangle_factorizations_random(case):
+    """The one-pair tripod core against the oracle's own corner search."""
+    spec, g, h = case
+    tri = triangle_split(spec, g, h)
+    expect = oracles.triangle_split(spec, g, h)
+    for name in ("c1", "c2", "c3", "r1", "r2", "r3", "thick_lengths"):
+        assert getattr(tri, name) == getattr(expect, name), name
+    assert verify_triangle(spec, g, h, tri)
 
 
 def test_check_axioms_letter_small():
@@ -200,7 +219,7 @@ def test_measure_r_hat_consistent_with_triangle_split():
     for spec in (LETTER, ROLLI, BROOKS_AB):
         ball = list(enumerate_ball(2, 3))
         naive = max(
-            max(triangle_split(spec, g, h).thick_lengths) for g in ball for h in ball
+            max(oracles.triangle_split(spec, g, h).thick_lengths) for g in ball for h in ball
         )
         assert measure_r_hat(spec, 3) == naive
 
@@ -224,11 +243,12 @@ def test_check_axioms_parallel_matches_serial():
 
 
 def naive_triangle_scan(spec, ball):
-    """Oracle for triangle_scan: triangle_split and verify_triangle on every pair."""
+    """Oracle for triangle_scan: the oracle's triangle_split and
+    verify_triangle on every pair."""
     counterexample, r_hat, argmax = None, -1, None
     for g in ball:
         for h in ball:
-            tri = triangle_split(spec, g, h)
+            tri = oracles.triangle_split(spec, g, h)
             if not verify_triangle(spec, g, h, tri):
                 if counterexample is None:
                     counterexample = {"g": str(g), "h": str(h)}
@@ -266,7 +286,8 @@ def test_triangle_scan_matches_naive_oracle(spec, radius):
 
 def test_triangle_scan_is_not_vacuous(monkeypatch):
     """A decomposition that breaks the triangle axiom must be caught through
-    the per-word corner tables as well as through the fresh decompositions."""
+    the per-word corner tables as well as through the fresh decompositions,
+    by the scan and by the one-pair call alike."""
     real = decomposition.piece_lengths
 
     def merge_last_two(spec, letters):
@@ -282,3 +303,5 @@ def test_triangle_scan_is_not_vacuous(monkeypatch):
     for jobs in (1, 2):
         report = check_axioms(ROLLI, 1, 3, jobs=jobs)
         assert report.checks[3].counterexample == expected
+    with pytest.raises(UsageError, match="g = a, h = bab"):
+        triangle_split(ROLLI, W("a"), W("bab"))

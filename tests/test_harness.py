@@ -18,7 +18,6 @@ from massey_workbench.harness import (
     _antisymmetry_stage,
     _tripod_identity_stage,
     run_axioms,
-    run_config,
     run_defect,
     run_massey,
 )
@@ -243,22 +242,24 @@ def test_report_times_every_stage():
         assert "timing" not in strip_timing(doc)
 
 
-def test_run_config_dispatch(tmp_path):
+def test_cli_dispatch(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(massey_doc()), encoding="utf-8")
     out = tmp_path / "report.json"
-    status, report = run_config(path, out=out)
+    status = main(["massey", "--config", str(path), "--out", str(out)])
     assert status == 0
     doc = load_report(out)
     assert doc["overall_status"] == "pass"
     assert doc["schema_version"] == 1
 
 
-def test_run_config_rejects_unknown_command(tmp_path):
+def test_cli_rejects_unknown_command(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "explode"}), encoding="utf-8")
-    with pytest.raises(ConfigError):
-        run_config(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["explode", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'explode'" in capsys.readouterr().err
 
 
 # -- determinism -------------------------------------------------------------
@@ -268,9 +269,10 @@ def test_reports_identical_modulo_timing(tmp_path):
     doc = massey_doc()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    _, first = run_config(path)
-    _, second = run_config(path)
-    a, b = strip_timing(first.to_json()), strip_timing(second.to_json())
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        main(["massey", "--config", str(path), "--out", str(out)])
+    a, b = (strip_timing(load_report(out)) for out in outs)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -505,12 +507,12 @@ AXIOMS_DOC = {
 
 def config_args(tmp_path, base, key, value) -> list[str]:
     """CLI arguments running a copy of ``base`` with ``key`` (which may be a
-    dotted path into the plan) set to ``value``."""
+    dotted path into nested objects and lists) set to ``value``."""
     doc = copy.deepcopy(base)
     *parents, last = key.split(".")
     target = doc
     for parent in parents:
-        target = target[parent]
+        target = target[int(parent)] if isinstance(target, list) else target[parent]
     target[last] = value
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
@@ -561,6 +563,44 @@ def config_args(tmp_path, base, key, value) -> list[str]:
 )
 def test_config_values_must_have_their_json_type(tmp_path, base, key, bad):
     assert main(config_args(tmp_path, base, key, bad)) == 2
+
+
+TABLE_EXPR = {"op": "table", "degree": 2, "entries": [{"tuple": ["a", "b"], "value": 1}]}
+MASSEY_K1_DOC = massey_doc(k1=1)
+
+
+@pytest.mark.parametrize(
+    "base, key, bad",
+    [
+        pytest.param(base, key, bad, id=f"{base['command']}-{key}-{bad!r}")
+        for base, key, bad in [
+            (MASSEY_DOC, "phi.decomposition.word", 5),
+            (MASSEY_DOC, "phi.lambda", 5),
+            (MASSEY_DOC, "phi.lambda.0.value", "1/0"),
+            (MASSEY_DOC, "phi.lambda", [{"piece": "ab"}]),
+            (MASSEY_DOC, "phi.lambda", [{"piece": "ab", "value": 1}, {"piece": "ab", "value": 2}]),
+            (DEFECT_DOC, "phi.lambda.0.value", "1/0"),
+            (DEFECT_DOC, "phi.lambda", [{"piece": "ab", "value": 1}, {"piece": "ab", "value": 1}]),
+            (MASSEY_DOC, "quasimorphisms", []),
+            (VERIFY_DOC, "quasimorphisms", "psi1"),
+            (MASSEY_DOC, "omega1", {"op": "const", "value": "x"}),
+            (MASSEY_DOC, "omega1", {"op": "const"}),
+            (MASSEY_DOC, "omega1", {"op": "delta"}),
+            (MASSEY_DOC, "omega1", {"op": "lincomb"}),
+            (MASSEY_DOC, "omega1", {"op": "lincomb", "terms": [{"coeff": "1/0", "child": "x"}]}),
+            (MASSEY_DOC, "omega1", dict(TABLE_EXPR, degree="x")),
+            (MASSEY_DOC, "omega1", dict(TABLE_EXPR, degree=2.9)),
+            (MASSEY_K1_DOC, "omega1", {"op": "table", "degree": True, "entries": []}),
+            (MASSEY_DOC, "omega1", dict(TABLE_EXPR, entries=[{"tuple": "ab", "value": 1}])),
+        ]
+    ],
+)
+def test_cli_rejects_malformed_config_values(tmp_path, capsys, base, key, bad):
+    """Malformed values end in a configuration error, exit 2, with no
+    traceback, whether they used to raise or to be read silently."""
+    assert main(config_args(tmp_path, base, key, bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -29,8 +29,9 @@ from massey_workbench.cochain import (
 )
 from massey_workbench.decomposition import DecompositionSpec, boundaries, piece_lengths
 from massey_workbench.massey import MasseyInstance, eta1, eta2, eta_bridge
-from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, reference_value
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, parse_word
+from oracles import reference_value
 
 RANK = 2
 W = lambda s: parse_word(s, RANK)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from massey_workbench.cochain import aligned_letters, flip_letters, random_aligned_tuples
 from massey_workbench.decomposition import DecompositionSpec, is_non_self_overlapping
-from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, reference_value
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
     Word,
     cancelled_length,
@@ -28,6 +28,7 @@ from massey_workbench.words import (
     split_product,
     words_of_length,
 )
+from oracles import reference_value
 
 
 def signed(letters: bytes) -> tuple[int, ...]:

@@ -4,8 +4,8 @@ definitions.
 ``massey._piece_runs`` decomposes each eta entry once per instance and keeps
 its unshifted cuts and the (j, lambda numerator) of the pieces whose lambda
 is nonzero. Here every lookup (first, repeated, and after the memo was
-cleared) is compared with ``piece_lengths`` / ``boundaries`` /
-``reference_value`` computed in the test, and the prefix and suffix products
+cleared) is compared with ``piece_lengths`` / ``boundaries`` and the
+oracle ``reference_value`` computed in the test, and the prefix and suffix products
 the eta nodes read from it are recorded and compared with the products the
 ``shift-z-boundary`` mutation prescribes, while the three-sum sides must
 stay unshifted.
@@ -27,8 +27,9 @@ from massey_workbench.massey import (
     eta_bridge,
     three_sum_residual,
 )
-from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, reference_value
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import _make, parse_word, reduce_letters
+from oracles import reference_value
 from test_letters import signed
 
 

@@ -74,6 +74,20 @@ TINY_MASSEY = {
 }
 
 
+# A Rolli defect job: the tripod identity, R-hat and the defect statistics.
+TINY_DEFECT = {
+    "rank": 2,
+    "phi": {
+        "decomposition": {"family": "rolli"},
+        "lambda": [{"piece": "a", "value": "1"}, {"piece": "b^2", "value": "-1/2"}],
+    },
+    "radius": 2,
+    "pair_radius": 2,
+    "random_pairs": 5,
+    "max_len": 6,
+}
+
+
 def test_tracer_installs_counts_and_uninstalls():
     tracer_module = load_tracer()
     before = library_bindings()
@@ -86,6 +100,10 @@ def test_tracer_installs_counts_and_uninstalls():
         )
         assert report.passed
         assert harness.RUNNERS["massey"](TINY_MASSEY).passed
+        # three_sum_residual and defect_from_triangle each split tripods.
+        splits = tracer.counts["decomposition.triangle_split"]
+        assert harness.RUNNERS["defect"](TINY_DEFECT).passed
+        assert tracer.counts["decomposition.triangle_split"] > splits > 0
         # Table and alternation nodes, which the standard instance does not use.
         w = parse_word("ab", 2)
         table = TableCochain(2, {(w, w): 1})
@@ -100,6 +118,17 @@ def test_tracer_installs_counts_and_uninstalls():
         assert tracer.counts[f"massey.eta.{kind}"] > 0, kind
     assert tracer.counts["quasimorphism.value_letters"] > 0
     assert tracer.counts["massey.three_sum_residual"] > 0
+    # A layer whose call no longer goes through the wrapped binding would
+    # read 0 in the per-layer table instead of failing.
+    for layer in (
+        "decomposition.triangle_split",
+        "decomposition.measure_r_hat",
+        "decomposition.check_axioms",
+        "quasimorphism.defect",
+        "quasimorphism.defect_sup",
+        "cochain.tasks",
+    ) + tuple(f"decomposition.piece_lengths.{f}" for f in tracer_module.FAMILIES):
+        assert tracer.counts[layer] > 0, layer
     after = library_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
