@@ -20,7 +20,6 @@ from .cochain import (
     TableCochain,
 )
 from .decomposition import (
-    AxiomReport,
     DecompositionSpec,
     TriangleDecomposition,
     check_axioms,

@@ -67,6 +67,15 @@ def typed(value, kind: type, name: str):
     return value
 
 
+def check_keys(obj: dict, allowed, where: str) -> None:
+    """Reject keys of a config object that its reader does not read: a typo
+    would otherwise fall back to a default (a misspelled ``"lamda"`` reads as
+    phi = 0)."""
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 def read_int(doc: dict, key: str, default: int | None) -> int | None:
     """The integer value of a config key; null is accepted only for an
     optional key, whose default is ``None``."""
@@ -89,6 +98,7 @@ def load_config(path: str | Path) -> dict:
 
 def spec_from_json(obj: dict, rank: int) -> DecompositionSpec:
     family = field(obj, "family", "decomposition spec")
+    check_keys(obj, ("family", "word") if family == "brooks" else ("family",), f"{family!r} spec")
     word = None
     if family == "brooks":
         word = parse_word(typed(field(obj, "word", "brooks spec"), str, "brooks word"), rank)
@@ -97,8 +107,10 @@ def spec_from_json(obj: dict, rank: int) -> DecompositionSpec:
 
 def qm_from_json(obj: dict, rank: int, name: str = "phi") -> QuasiMorphism:
     spec = spec_from_json(field(obj, "decomposition", f"quasimorphism {name!r}"), rank)
+    check_keys(obj, ("decomposition", "lambda"), f"quasimorphism {name!r}")
     entries: dict[Word, Fraction] = {}
     for row in typed(obj.get("lambda", []), list, f"lambda of {name!r}"):
+        check_keys(typed(row, dict, "lambda row"), ("piece", "value"), "lambda row")
         piece = parse_word(typed(field(row, "piece", "lambda row"), str, "lambda piece"), rank)
         if piece in entries:
             raise ConfigError(f"duplicate lambda rows for piece {piece} of {name!r}")
@@ -109,6 +121,19 @@ def qm_from_json(obj: dict, rank: int, name: str = "phi") -> QuasiMorphism:
 def _tuple_from_json(items, rank: int) -> tuple[Word, ...]:
     items = typed(items, list, "table tuple")
     return tuple(parse_word(typed(s, str, "table tuple entry"), rank) for s in items)
+
+
+# Expression op -> the keys its object takes besides "op".
+_OP_KEYS = {
+    "const": ("value",),
+    "qm": ("name", "quasimorphism"),
+    "table": ("degree", "entries"),
+    "delta": ("child",),
+    "cup": ("left", "right"),
+    "alt": ("child",),
+    "restrict": ("child",),
+    "lincomb": ("terms",),
+}
 
 
 def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
@@ -124,7 +149,10 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ConfigError(f"expression must be a preset string or an object with 'op': {obj!r}")
     op = obj["op"]
+    if not isinstance(op, str) or op not in _OP_KEYS:
+        raise ConfigError(f"unknown expression op {op!r}")
     where = f"{op!r} expression"
+    check_keys(obj, ("op", *_OP_KEYS[op]), where)
 
     def child(key: str = "child") -> Cochain:
         return expr_from_json(field(obj, key, where), rank, qms)
@@ -132,6 +160,8 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
     if op == "const":
         return constant(rational(field(obj, "value", where), "const value"))
     if op == "qm":
+        if "name" in obj and "quasimorphism" in obj:
+            raise ConfigError("a 'qm' expression takes 'name' or 'quasimorphism', not both")
         if "name" in obj:
             if not isinstance(obj["name"], str) or obj["name"] not in qms:
                 raise ConfigError(f"unknown quasimorphism {obj['name']!r}")
@@ -141,6 +171,7 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
         degree = integer(field(obj, "degree", where), "table degree")
         table = {}
         for row in typed(obj.get("entries", []), list, "table entries"):
+            check_keys(typed(row, dict, "table entry"), ("tuple", "value"), "table entry")
             key = _tuple_from_json(field(row, "tuple", "table entry"), rank)
             table[key] = rational(field(row, "value", "table entry"), "table value")
         return TableCochain(degree, table)
@@ -155,10 +186,10 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
     if op == "lincomb":
         terms = []
         for term in typed(field(obj, "terms", where), list, "lincomb terms"):
+            check_keys(typed(term, dict, "lincomb term"), ("coeff", "child"), "lincomb term")
             coeff = rational(field(term, "coeff", "lincomb term"), "lincomb coeff")
             terms.append((coeff, expr_from_json(field(term, "child", "lincomb term"), rank, qms)))
         return lincomb(*terms)
-    raise ConfigError(f"unknown expression op {op!r}")
 
 
 _PLAN_INTEGERS = (
@@ -179,9 +210,7 @@ def plan_from_json(obj: dict | None, rank: int, seed_override: int | None = None
     obj.setdefault("rank", rank)
     if seed_override is not None:
         obj["seed"] = seed_override
-    unknown = set(obj) - {*_PLAN_INTEGERS, "enumeration_cap", "sample_counts", "max_len_ladder"}
-    if unknown:
-        raise ConfigError(f"unknown plan keys: {sorted(unknown)}")
+    check_keys(obj, {*_PLAN_INTEGERS, "enumeration_cap", "sample_counts", "max_len_ladder"}, "plan")
     for key in _PLAN_INTEGERS:
         if key in obj:
             integer(obj[key], key)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 from ._parallel import Scan, chunked_map, scan
 from .errors import ConfigError, UsageError
-from .report import StageResult
+from .report import Report, StageResult
 from .words import (
     Letters,
     Word,
@@ -160,37 +160,6 @@ class TriangleDecomposition:
         return sum(self.thick_lengths)
 
 
-@dataclass
-class AxiomReport:
-    """Outcome of the exhaustive decomposition axiom suite."""
-
-    spec_description: str
-    radius: int
-    pair_radius: int
-    checks: list[StageResult] = field(default_factory=list)
-    r_hat: int = 0
-    r_hat_argmax: dict | None = None
-    # Max thick length over pairs of the ball of radius pair_radius - 1,
-    # found by the same scan; None when pair_radius is 0.
-    r_hat_previous_radius: int | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec_description,
-            "radius": self.radius,
-            "pair_radius": self.pair_radius,
-            "passed": self.passed,
-            "r_hat": self.r_hat,
-            "r_hat_argmax": self.r_hat_argmax,
-            "r_hat_previous_radius": self.r_hat_previous_radius,
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
 def _pieces_from_cuts(letters: Letters, cuts: tuple[int, ...]) -> tuple[Letters, ...]:
     return tuple(letters[cuts[i] : cuts[i + 1]] for i in range(len(cuts) - 1))
 
@@ -226,30 +195,50 @@ def check_axioms(
     pair_radius: int | None = None,
     cap: int | None = None,
     jobs: int = 1,
-) -> AxiomReport:
-    """Exhaustively verify the decomposition axioms on balls.
+    stabilize: bool = True,
+) -> Report:
+    """The ``axioms`` report: exhaustively verify the decomposition axioms
+    on balls.
 
     Per-word axioms over the radius ball: (i) the pieces concatenate back to
     the word with zero cancellation, (ii) inverse symmetry, (iii) every
     contiguous piece run decomposes to exactly that run. Pairwise over the
     pair-radius ball: the three triangle factorizations hold as piece
-    sequences, recording the maximal observed thick length R-hat.
+    sequences, recording the maximal observed thick length R-hat. With
+    ``stabilize`` and a pair radius of at least 1, R-hat must equal its
+    value over the ball one smaller, found by the same pair scan.
     """
     if pair_radius is None:
         pair_radius = radius
-    report = AxiomReport(spec.describe(), radius, pair_radius)
+    report = Report(command="axioms")
     ball = list(enumerate_ball(spec.rank, radius, cap))
     words = scan(_word_axioms_probe, spec, ball, jobs)
+    for name in ("pieces-concatenate", "inverse-symmetry", "piece-runs-stable"):
+        report.add(StageResult.from_scan(name, words))
     triangles = _scan_triangles(spec, pair_radius, cap, jobs)
-    report.checks = [
-        StageResult.from_scan(name, words)
-        for name in ("pieces-concatenate", "inverse-symmetry", "piece-runs-stable")
-    ]
-    report.checks.append(StageResult.from_scan("triangle-factorizations", triangles))
-    r_hat, report.r_hat_argmax = triangles.best("r_hat", -1)
-    report.r_hat = max(r_hat, 0)
-    if pair_radius >= 1:
-        report.r_hat_previous_radius = triangles.best("r_hat_inner", -1)[0]
+    report.add(StageResult.from_scan("triangle-factorizations", triangles))
+    r_hat, argmax = triangles.best("r_hat", -1)
+    r_hat = max(r_hat, 0)
+    report.notes = {
+        "spec": spec.describe(),
+        "radius": radius,
+        "pair_radius": pair_radius,
+        "r_hat": r_hat,
+        "r_hat_argmax": argmax,
+    }
+    if stabilize and pair_radius >= 1:
+        previous = triangles.best("r_hat_inner", -1)[0]
+        report.add(
+            StageResult(
+                "r-hat-stabilization",
+                previous == r_hat,
+                0,
+                None
+                if previous == r_hat
+                else {"pair_radius": pair_radius, "r_hat": r_hat, "previous": previous},
+                stats={"r_hat": r_hat, "r_hat_previous_radius": previous},
+            )
+        )
     return report
 
 

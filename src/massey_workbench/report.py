@@ -130,8 +130,9 @@ class Report:
 
     ``stage_timing`` holds, for each added stage, its wall time from the
     previous ``add`` (or from the report's creation) and its tuples per
-    second. Stages added together after one shared scan (the axiom checks,
-    three-sum and ledger) put the whole scan on the first of them.
+    second. Each command adds a stage as soon as the scan producing it ends;
+    stages added together after one shared scan (the three per-word axiom
+    checks, three-sum and ledger) put the whole scan on the first of them.
     """
 
     command: str

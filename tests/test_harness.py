@@ -1,9 +1,13 @@
 import copy
+import importlib.util
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from massey_workbench import decomposition, massey
 from massey_workbench.cli import main
 from massey_workbench.config import (
     expr_from_json,
@@ -606,6 +610,35 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, base, key, bad):
 @pytest.mark.parametrize(
     "base, key, bad",
     [
+        pytest.param(base, key, bad, id=f"{base['command']}-{key}-{bad!r}")
+        for base, key, bad in [
+            (AXIOMS_DOC, "decomposition.word", "ab"),
+            (MASSEY_DOC, "quasimorphisms.psi2.decomposition.word", "ab"),
+            (MASSEY_DOC, "phi.lamda", [{"piece": "ab", "value": "2"}]),
+            (DEFECT_DOC, "phi.name", "phi"),
+            (MASSEY_DOC, "phi.lambda", [{"piece": "ab", "value": 1, "valeu": 2}]),
+            (MASSEY_DOC, "omega1", {"op": "delta", "child": {"op": "qm", "name": "psi1"}, "sgn": -1}),
+            (MASSEY_DOC, "omega1", {"op": "restrict", "child": "delta-qm:psi1", "alt": True}),
+            (MASSEY_K1_DOC, "omega1", {"op": "qm", "name": "psi1", "quasimorphism": {}}),
+            (MASSEY_DOC, "omega1", dict(TABLE_EXPR, entries=[{"tuple": ["a", "b"], "value": 1, "x": 0}])),
+            (MASSEY_DOC, "omega1", dict(TABLE_EXPR, entries=[5])),
+            (MASSEY_DOC, "omega1", {"op": "lincomb", "terms": [{"coeff": 1, "child": "delta-qm:psi1", "c": 1}]}),
+            (DEFECT_DOC, "quasimorphism", DEFECT_DOC["phi"]),
+        ]
+    ],
+)
+def test_cli_rejects_unknown_nested_config_keys(tmp_path, capsys, base, key, bad):
+    """A key no reader reads, at any depth, is a configuration error rather
+    than a silent default (a misspelled "lambda" would read as phi = 0); the
+    defect command reads its quasi-morphism from "phi" only."""
+    assert main(config_args(tmp_path, base, key, bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "base, key, bad",
+    [
         (AXIOMS_DOC, "enumeration_cap", -1),
         (DEFECT_DOC, "enumeration_cap", 0),
         (MASSEY_DOC, "plan.enumeration_cap", 0),
@@ -701,3 +734,44 @@ def test_failing_defect_stages_match_across_jobs():
         assert anti.checked == 53  # the ball of radius 3
         assert tripod.checked == 53**2
     assert stages[1] == stages[2]
+
+
+def test_stage_timing_comes_from_the_stage_own_scan(monkeypatch):
+    """The R-hat scans of massey and defect are timed in no stage, and the
+    axioms pair scan is timed in triangle-factorizations, not in the
+    per-word stages."""
+
+    def slowed(fn):
+        def wrapper(*args, **kwargs):
+            time.sleep(0.3)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(massey, "measure_r_hat", slowed(massey.measure_r_hat))
+    monkeypatch.setattr(decomposition, "_scan_triangles", slowed(decomposition._scan_triangles))
+    timing = run_massey(massey_doc()).to_json()["timing"]
+    first = timing["stages"][0]
+    assert first["name"] == "cocycle-omega1" and first["wall_time_s"] < 0.3
+    assert timing["wall_time_s"] >= 0.3
+    stages = run_axioms(AXIOMS_DOC).to_json()["timing"]["stages"]
+    walls = {stage["name"]: stage["wall_time_s"] for stage in stages}
+    assert walls["triangle-factorizations"] >= 0.3
+    assert walls["pieces-concatenate"] < 0.3
+    timing = run_defect(DEFECT_DOC).to_json()["timing"]
+    assert all(stage["wall_time_s"] < 0.3 for stage in timing["stages"])
+    assert timing["wall_time_s"] >= 0.3
+
+
+def test_massey_stage_domains_match_the_benchmark_counts():
+    """Every stage checks exactly the tuple count the benchmark derives from
+    the plan on its own (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = massey_doc()
+    report = run_massey(doc)
+    plan = plan_from_json(doc["plan"], doc["rank"]).to_json()
+    checked = {stage.name: stage.checked for stage in report.stages}
+    assert checked == workloads.expected_massey_counts(plan)
