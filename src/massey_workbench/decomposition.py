@@ -8,7 +8,8 @@ Three concrete families are supported:
   and of ``w^-1`` are pieces; leftover letters are single-letter pieces.
 
 Every family cuts the letter sequence of the input, so the product of the
-pieces returns the word with no cancellation at any junction. One tripod
+pieces returns the word with no cancellation at any junction. One C-level
+kernel per family writes the cuts as flags (``cut_flags``). One tripod
 core over per-word tables locates the piece-aligned corners of the tripod
 spanned by ``(1, g, g*h)`` and counts the pieces of its thick remainders:
 ``triangle_scan`` runs it on every pair of a ball, ``triangle_split`` on one.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -67,6 +69,9 @@ class DecompositionSpec:
     brooks_word: Word | None = None
 
     def __post_init__(self):
+        # Letters must fit one signed byte and miss the cut-flag mark's 0x7f.
+        if not 1 <= self.rank <= 26:
+            raise ConfigError(f"rank must be in [1, 26], got {self.rank}")
         if self.family not in ("letter", "rolli", "brooks"):
             raise ConfigError(f"unknown decomposition family {self.family!r}")
         if self.family == "brooks":
@@ -83,10 +88,10 @@ class DecompositionSpec:
             raise ConfigError(f"family {self.family!r} takes no word parameter")
 
     @functools.cached_property
-    def brooks_patterns(self) -> tuple[Letters, Letters]:
-        """Letters of the Brooks word and of its inverse."""
+    def brooks_patterns(self) -> tuple[Letters, Letters, bytes]:
+        """The Brooks word, its inverse, and the mark ``cut_flags`` writes over them."""
         w = self.brooks_word.letters  # type: ignore[union-attr]
-        return w, invert_letters(w)
+        return w, invert_letters(w), b"\0" + b"\x7f" * (len(w) - 1)
 
     def describe(self) -> str:
         if self.family == "brooks":
@@ -94,37 +99,35 @@ class DecompositionSpec:
         return self.family
 
 
+# Maps the 0x7f bytes of a Brooks mark to 0 and every other byte to 1.
+_STARTS = bytes(0 if b == 0x7F else 1 for b in range(256))
+
+
+def cut_flags(spec: DecompositionSpec, letters: Letters) -> bytes:
+    """One byte per letter: 1 where a piece starts, 0 inside a piece.
+
+    Rolli starts a piece where a letter differs from the one before it.
+    Brooks writes a mark (byte 0, then 0x7f bytes, none a letter) over each
+    occurrence of ``w`` and ``w^-1``: non-self-overlap makes them pairwise
+    disjoint, so ``bytes.replace`` finds the pieces of the greedy scan.
+    """
+    family = spec.family
+    if family == "letter":
+        return b"\1" * len(letters)
+    if family == "rolli":
+        return bytes(map(operator.ne, letters, b"\0" + letters))
+    w, winv, mark = spec.brooks_patterns
+    return letters.replace(w, mark).replace(winv, mark).translate(_STARTS)
+
+
 def piece_lengths(spec: DecompositionSpec, letters: Letters) -> tuple[int, ...]:
-    """Letter length of each piece of the decomposition, in order."""
-    if spec.family == "letter":
-        return (1,) * len(letters)
-    if spec.family == "rolli":
-        return tuple(len(list(run)) for _, run in itertools.groupby(letters))
-    w, winv = spec.brooks_patterns
-    L = len(w)
-    n = len(letters)
-    out: list[int] = []
-    i = 0
-    # Disjointness of occurrences (non-self-overlap) makes the greedy scan exact.
-    while i < n:
-        chunk = letters[i : i + L]
-        if chunk == w or chunk == winv:
-            out.append(L)
-            i += L
-        else:
-            out.append(1)
-            i += 1
-    return tuple(out)
+    """Letter length of each piece, in order: a start flag and the 0s after it."""
+    return tuple([len(run) + 1 for run in cut_flags(spec, letters).split(b"\1")[1:]])
 
 
 def boundaries(lengths: tuple[int, ...]) -> tuple[int, ...]:
     """Cumulative cut positions (0, ..., total length) of a piece run."""
-    out = [0]
-    acc = 0
-    for piece_len in lengths:
-        acc += piece_len
-        out.append(acc)
-    return tuple(out)
+    return tuple(itertools.accumulate(lengths, initial=0))
 
 
 def decompose(spec: DecompositionSpec, g: Word) -> PieceSequence:
@@ -133,9 +136,7 @@ def decompose(spec: DecompositionSpec, g: Word) -> PieceSequence:
         raise UsageError(f"word rank {g.rank} differs from spec rank {spec.rank}")
     letters = g.letters
     cuts = boundaries(piece_lengths(spec, letters))
-    return tuple(
-        _make(letters[cuts[i] : cuts[i + 1]], spec.rank) for i in range(len(cuts) - 1)
-    )
+    return tuple(_make(letters[lo:hi], spec.rank) for lo, hi in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ class TriangleDecomposition:
 
     Satisfies, as concatenations of piece sequences:
     ``D(g) = D(c1^-1) D(r1) D(c2)``, ``D(h) = D(c2^-1) D(r2) D(c3)``,
-    ``D((gh)^-1) = D(c3^-1) D(r3) D(c1)``.
+    ``D((gh)^-1) = D(c3^-1) D(r3) D(c1)``. The two count triples are the
+    piece counts of ``r1, r2, r3`` and of ``c1, c2, c3``.
     """
 
     c1: Word
@@ -154,21 +156,18 @@ class TriangleDecomposition:
     r2: Word
     r3: Word
     thick_lengths: tuple[int, int, int]
+    corner_counts: tuple[int, int, int]
 
     @property
     def thick_total(self) -> int:
         return sum(self.thick_lengths)
 
 
-def _pieces_from_cuts(letters: Letters, cuts: tuple[int, ...]) -> tuple[Letters, ...]:
-    return tuple(letters[cuts[i] : cuts[i + 1]] for i in range(len(cuts) - 1))
-
-
 def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
     letters = w.letters
     lengths = piece_lengths(spec, letters)
     cuts = boundaries(lengths)
-    pieces = _pieces_from_cuts(letters, cuts)
+    pieces = [letters[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     acc: Letters = b""
     for piece in pieces:
@@ -181,10 +180,13 @@ def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
     if inv_pieces != tuple(reversed(lengths)) or not _inverse_pieces_match(letters, cuts):
         out.fail("inverse-symmetry", {"word": str(w)})
 
+    # Flags that start with 1 spell one piece run, so equal flags, equal runs.
+    flags = cut_flags(spec, letters)
     m = len(pieces)
     for i in range(m):
         for j in range(i + 1, m + 1):
-            if piece_lengths(spec, letters[cuts[i] : cuts[j]]) != lengths[i:j]:
+            ci, cj = cuts[i], cuts[j]
+            if cut_flags(spec, letters[ci:cj]) != flags[ci:cj]:
                 out.fail("piece-runs-stable", {"word": str(w), "run": (i + 1, j)})
                 return
 
@@ -256,27 +258,27 @@ def _inverse_pieces_match(letters: Letters, cuts: tuple[int, ...]) -> bool:
 
 
 class _InverseRuns(dict):
-    """Piece lengths of the inverse of the piece-aligned prefixes
-    (``from_end``) or suffixes of a word, keyed by their letter length and
-    decomposed on first read, so a scan pays only for the corners it meets."""
+    """Cut flags of the inverse of the piece-aligned prefixes (``from_end``)
+    or suffixes of a word, keyed by their letter length and decomposed on
+    first read, so a scan pays only for the corners it meets."""
 
     __slots__ = ("spec", "inverse", "from_end")
 
     def __init__(self, spec: DecompositionSpec, inverse: Letters, from_end: bool):
         self.spec, self.inverse, self.from_end = spec, inverse, from_end
 
-    def __missing__(self, k: int) -> tuple[int, ...]:
+    def __missing__(self, k: int) -> bytes:
         inv = self.inverse
         segment = inv[len(inv) - k :] if self.from_end else inv[:k]
-        lengths = self[k] = piece_lengths(self.spec, segment)
-        return lengths
+        flags = self[k] = cut_flags(self.spec, segment)
+        return flags
 
 
 class _ScanData:
     """Boundary data of one word, the per-word table of the tripod core.
 
-    Besides the cut positions it holds the inverse letters and the piece
-    lengths of the inverse of each piece-aligned prefix (``inv_prefix``, by
+    Besides the cut positions it holds the inverse letters and the cut
+    flags of the inverse of each piece-aligned prefix (``inv_prefix``, by
     lead cut) and suffix (``inv_suffix``, by trail cut): the two corner
     segments of a third side ``(gh)^-1`` are exactly such inverses.
     """
@@ -319,7 +321,9 @@ def _tripod(
 
     Only ``(gh)^-1`` and its middle segment are decomposed; the two corner
     segments are the inverses of a piece-aligned suffix of ``h`` and prefix
-    of ``g``, whose piece lengths are read from the tables. Piece runs within
+    of ``g``, whose cut flags are read from the tables. Flag strings that
+    start with 1 spell piece-length sequences one to one, so comparing
+    concatenated flags compares piece runs. Piece runs within
     ``g`` and ``h`` themselves are covered by the per-word run checks, so
     their remainders are counted from the cut indices.
     """
@@ -335,8 +339,9 @@ def _tripod(
     ghinv = inv_b[: lb - c] + inv_a[c:]
     total = la + lb - 2 * c
 
-    full = piece_lengths(spec, ghinv)
-    lead_ghinv = set(itertools.accumulate(full, initial=0))
+    full = cut_flags(spec, ghinv)
+    # ends[p] is 1 exactly when p is a cut of (gh)^-1, for 0 <= p <= total.
+    ends = full + b"\1"
 
     # c2 sits inside the cancelled part; c1 inside the shared prefix of g and
     # gh (a trailing run of (gh)^-1); c3 inside the shared suffix of h and gh
@@ -351,14 +356,14 @@ def _tripod(
                 len2 = pos
     cap1 = la - c
     for len1 in dg.lead_desc:
-        if len1 <= cap1 and total - len1 in lead_ghinv:
+        if len1 <= cap1 and ends[total - len1]:
             break
     cap3 = lb - c
     for len3 in dh.trail_desc:
-        if len3 <= cap3 and len3 in lead_ghinv:
+        if len3 <= cap3 and ends[len3]:
             break
 
-    seg_mid = piece_lengths(spec, ghinv[len3 : total - len1])
+    seg_mid = cut_flags(spec, ghinv[len3 : total - len1])
     # The letter comparisons show the end segments are the tabled words (they
     # restate gh[:len1] == g[:len1] and gh[-len3:] == h[-len3:] on the
     # inverse), so the table lookups are exact.
@@ -372,7 +377,7 @@ def _tripod(
     thick = (
         dg.index[la - len2] - dg.index[len1],
         dh.index[lb - len3] - dh.index[len2],
-        len(seg_mid),
+        seg_mid.count(1),
     )
     return len1, len2, len3, thick
 
@@ -381,20 +386,22 @@ def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecompo
     """Corner words of maximal piece length for the triangle ``(1, g, gh)``.
 
     A one-pair call of the scan core: the tables of ``g`` and ``h`` are
-    built and only the two corner entries it reads are decomposed. A pair
-    whose factorization fails, which ``triangle_scan`` would record as a
-    counterexample, raises ``UsageError``.
+    built and only the two corner entries it reads are decomposed; corner
+    piece counts are cut-index differences, like those of ``r1`` and ``r2``.
+    A pair whose factorization fails, which ``triangle_scan`` would record
+    as a counterexample, raises ``UsageError``.
     """
     if g.rank != h.rank:
         raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
     a, b = g.letters, h.letters
-    found = _tripod(spec, _ScanData(spec, a), _ScanData(spec, b))
+    dg, dh = _ScanData(spec, a), _ScanData(spec, b)
+    found = _tripod(spec, dg, dh)
     if found is None:
         raise UsageError(f"triangle factorization fails for g = {g}, h = {h}")
     len1, len2, len3, thick = found
     la, lb = len(a), len(b)
     ghinv = invert_letters(multiply_letters(a, b))
-    rank = spec.rank
+    rank, ig, ih = spec.rank, dg.index, dh.index
     return TriangleDecomposition(
         _make(invert_letters(a[:len1]), rank),
         _make(a[la - len2 :], rank),
@@ -403,6 +410,7 @@ def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecompo
         _make(b[len2 : lb - len3], rank),
         _make(ghinv[len3 : len(ghinv) - len1], rank),
         thick,
+        (ig[len1], ig[la] - ig[la - len2], ih[lb] - ih[lb - len3]),
     )
 
 

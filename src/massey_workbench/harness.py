@@ -40,9 +40,9 @@ def _setting(overrides: dict, doc: dict, key: str, default: int) -> int:
     return read_int(doc if value is None else overrides, key, default)
 
 
-def _jobs(value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"jobs must be >= 1, got {value}")
+def _at_least(value: int, key: str, least: int) -> int:
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
     return value
 
 
@@ -63,7 +63,7 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     radius = _setting(overrides, doc, "radius", 6)
     pair_radius = read_int(doc, "pair_radius", min(radius, 5))
     cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
-    jobs = _jobs(_setting(overrides, doc, "jobs", 1))
+    jobs = _at_least(_setting(overrides, doc, "jobs", 1), "jobs", 1)
     stabilize = doc.get("check_stabilization", True)
     if not isinstance(stabilize, bool):
         raise ConfigError(f"check_stabilization must be true or false, got {stabilize!r}")
@@ -119,11 +119,11 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     q = qm_from_json(field(doc, "phi", "defect config"), rank)
     radius = _setting(overrides, doc, "radius", 4)
     pair_radius = read_int(doc, "pair_radius", radius)
-    random_pairs = read_int(doc, "random_pairs", 2000)
-    max_len = read_int(doc, "max_len", 100)
+    random_pairs = _at_least(read_int(doc, "random_pairs", 2000), "random_pairs", 0)
+    max_len = _at_least(read_int(doc, "max_len", 100), "max_len", 0)
     seed = _setting(overrides, doc, "seed", 0)
     cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
-    jobs = _jobs(_setting(overrides, doc, "jobs", 1))
+    jobs = _at_least(_setting(overrides, doc, "jobs", 1), "jobs", 1)
 
     # Measured before the report starts, so no stage's time holds this scan.
     r_hat = measure_r_hat(q.spec, pair_radius, cap, jobs)
@@ -164,7 +164,7 @@ def _massey_setup(doc: dict, overrides: dict, command: str):
         )
     instance, plan = massey_from_json(doc, overrides.get("seed"))
     if overrides.get("jobs") is not None:
-        plan.jobs = _jobs(int(overrides["jobs"]))
+        plan.jobs = _at_least(int(overrides["jobs"]), "jobs", 1)
     return instance, plan
 
 

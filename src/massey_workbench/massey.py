@@ -348,7 +348,6 @@ def three_sum_residual(
     ctx = ctx if ctx is not None else EvalContext()
     g, h = letters[m.k1 - 1], letters[m.k1]
     head, tail = letters[: m.k1 - 1], letters[m.k1 + 1 :]
-    spec = m.phi.spec
 
     side1 = _bridge_terms(m, head, g, tail, ctx, after=h)
     side2 = _bridge_terms(m, head, h, tail, ctx, before=g)
@@ -357,9 +356,8 @@ def three_sum_residual(
     den = m.omega1.den * m.phi.den * m.omega2.den
     total = Fraction(sum(side1) + sum(side2) - sum(side3), den)
 
-    tri = triangle_split(spec, t[m.k1 - 1], t[m.k1])
-    n1 = len(piece_lengths(spec, tri.c1.letters))
-    n3 = len(piece_lengths(spec, tri.c3.letters))
+    tri = triangle_split(m.phi.spec, t[m.k1 - 1], t[m.k1])
+    n1, _, n3 = tri.corner_counts
 
     ledger = TriangleTermLedger(bound=tri.thick_total, thick_lengths=tri.thick_lengths)
     canceled1 = [False] * len(side1)

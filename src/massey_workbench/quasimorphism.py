@@ -134,9 +134,9 @@ def _letter_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
 def _brooks_terms(w: Letters, scaled: dict[Letters, int]) -> list[_CountGroup]:
     """Pieces are the occurrences of w and w^-1 plus the letters outside them.
 
-    Non-self-overlap makes all occurrences pairwise disjoint, so the greedy
-    scan of ``piece_lengths`` cuts exactly at them and ``bytes.count``, which
-    counts non-overlapping matches, finds every one. A single-letter piece x
+    Non-self-overlap makes all occurrences pairwise disjoint, so the pieces
+    of ``cut_flags`` are exactly them and ``bytes.count``, which counts
+    non-overlapping matches, finds every one. A single-letter piece x
     is counted as all x minus the x inside the occurrences.
     """
     if len(w) == 1:

@@ -211,13 +211,7 @@ def ball_size(rank: int, radius: int) -> int:
     """Number of reduced words of length <= radius."""
     if radius < 0:
         raise UsageError("radius must be >= 0")
-    n = 2 * rank
-    total = 1
-    count = n
-    for _ in range(radius):
-        total += count
-        count *= n - 1
-    return total
+    return sum(sphere_size(rank, length) for length in range(radius + 1))
 
 
 def sphere_size(rank: int, length: int) -> int:

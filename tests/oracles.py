@@ -1,6 +1,11 @@
 """Slow references written straight from the definitions, which the fast
 paths of the library are compared against.
 
+* ``piece_lengths`` is the decomposition written out per family: every
+  letter a piece, ``groupby`` power blocks for Rolli, and the greedy
+  left-to-right scan for Brooks; ``cut_flags`` reads the start flags off
+  it. They are the oracles of ``decomposition.cut_flags`` and of the
+  lengths derived from it, and every other oracle here decomposes with them.
 * ``triangle_split`` finds the three corners of the tripod of ``(1, g, gh)``
   with its own corner search over the cut positions of ``g``, ``h`` and
   ``(gh)^-1``, and decomposes every remainder fresh.
@@ -10,23 +15,53 @@ paths of the library are compared against.
   (``piece_values``), the oracle of the counting kernel.
 """
 
+import itertools
 from fractions import Fraction
 
 from massey_workbench.decomposition import (
     DecompositionSpec,
     TriangleDecomposition,
     boundaries,
-    piece_lengths,
 )
 from massey_workbench.errors import UsageError
 from massey_workbench.quasimorphism import QuasiMorphism
 from massey_workbench.words import (
+    Letters,
     Word,
     _make,
     invert_letters,
     multiply_letters,
     split_product,
 )
+
+
+def piece_lengths(spec: DecompositionSpec, letters: Letters) -> tuple[int, ...]:
+    """Letter length of each piece of the decomposition, in order."""
+    if spec.family == "letter":
+        return (1,) * len(letters)
+    if spec.family == "rolli":
+        return tuple(len(list(run)) for _, run in itertools.groupby(letters))
+    w = spec.brooks_word.letters
+    winv = invert_letters(w)
+    L = len(w)
+    n = len(letters)
+    out: list[int] = []
+    i = 0
+    # Disjointness of occurrences (non-self-overlap) makes the greedy scan exact.
+    while i < n:
+        chunk = letters[i : i + L]
+        if chunk == w or chunk == winv:
+            out.append(L)
+            i += L
+        else:
+            out.append(1)
+            i += 1
+    return tuple(out)
+
+
+def cut_flags(spec: DecompositionSpec, letters: Letters) -> bytes:
+    """One byte per letter: 1 where a piece of ``piece_lengths`` starts."""
+    return b"".join(b"\1" + b"\0" * (n - 1) for n in piece_lengths(spec, letters))
 
 
 def _max_aligned(candidates: tuple[int, ...], other: set[int], cap: int) -> int:
@@ -78,12 +113,9 @@ def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecompo
     r1 = _make(gl[len_c1 : len(gl) - len_c2], rank)
     r2 = _make(hl[len_c2 : len(hl) - len_c3], rank)
     r3 = _make(ghinv[len_c3 : total - len_c1], rank)
-    thick = (
-        len(piece_lengths(spec, r1.letters)),
-        len(piece_lengths(spec, r2.letters)),
-        len(piece_lengths(spec, r3.letters)),
-    )
-    return TriangleDecomposition(c1, c2, c3, r1, r2, r3, thick)
+    thick = tuple(len(piece_lengths(spec, r.letters)) for r in (r1, r2, r3))
+    corners = tuple(len(piece_lengths(spec, c.letters)) for c in (c1, c2, c3))
+    return TriangleDecomposition(c1, c2, c3, r1, r2, r3, thick, corners)
 
 
 def verify_triangle(

@@ -186,11 +186,14 @@ def tripod_pairs(draw):
 @given(tripod_pairs())
 @settings(max_examples=400, deadline=None)
 def test_triangle_factorizations_random(case):
-    """The one-pair tripod core against the oracle's own corner search."""
+    """The one-pair tripod core against the oracle's own corner search. The
+    oracle decomposes every corner and remainder fresh, so the counts read
+    from cut indices (``thick_lengths``, ``corner_counts``) are compared
+    with fresh decompositions."""
     spec, g, h = case
     tri = triangle_split(spec, g, h)
     expect = oracles.triangle_split(spec, g, h)
-    for name in ("c1", "c2", "c3", "r1", "r2", "r3", "thick_lengths"):
+    for name in ("c1", "c2", "c3", "r1", "r2", "r3", "thick_lengths", "corner_counts"):
         assert getattr(tri, name) == getattr(expect, name), name
     assert verify_triangle(spec, g, h, tri)
 
@@ -292,16 +295,19 @@ def test_triangle_scan_matches_naive_oracle(spec, radius):
 def test_triangle_scan_is_not_vacuous(monkeypatch):
     """A decomposition that breaks the triangle axiom must be caught through
     the per-word corner tables as well as through the fresh decompositions,
-    by the scan and by the one-pair call alike."""
-    real = decomposition.piece_lengths
+    by the scan and by the one-pair call alike. The one kernel is patched,
+    so every decomposition of the module (cut flags and the piece lengths
+    read off them) merges the last two pieces."""
+    real = decomposition.cut_flags
 
     def merge_last_two(spec, letters):
-        lengths = real(spec, letters)
-        if len(lengths) < 2:
-            return lengths
-        return lengths[:-2] + (lengths[-2] + lengths[-1],)
+        flags = real(spec, letters)
+        if flags.count(1) < 2:
+            return flags
+        last = flags.rindex(1)
+        return flags[:last] + b"\0" + flags[last + 1 :]
 
-    monkeypatch.setattr(decomposition, "piece_lengths", merge_last_two)
+    monkeypatch.setattr(decomposition, "cut_flags", merge_last_two)
     ball = list(enumerate_ball(2, 3))
     expected = {"g": "a", "h": "bab"}
     assert triangle_scan(ROLLI, ball, ball)[1] == expected

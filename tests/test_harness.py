@@ -585,6 +585,12 @@ MASSEY_K1_DOC = massey_doc(k1=1)
             (MASSEY_DOC, "phi.lambda", [{"piece": "ab", "value": 1}, {"piece": "ab", "value": 2}]),
             (DEFECT_DOC, "phi.lambda.0.value", "1/0"),
             (DEFECT_DOC, "phi.lambda", [{"piece": "ab", "value": 1}, {"piece": "ab", "value": 1}]),
+            (DEFECT_DOC, "random_pairs", -1),
+            (DEFECT_DOC, "max_len", -1),
+            (DEFECT_DOC, "rank", 27),
+            (AXIOMS_DOC, "rank", 0),
+            (AXIOMS_DOC, "rank", 27),
+            (AXIOMS_DOC, "rank", 127),
             (MASSEY_DOC, "quasimorphisms", []),
             (VERIFY_DOC, "quasimorphisms", "psi1"),
             (MASSEY_DOC, "omega1", {"op": "const", "value": "x"}),
