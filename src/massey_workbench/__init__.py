@@ -23,7 +23,6 @@ from .decomposition import (
     DecompositionSpec,
     TriangleDecomposition,
     check_axioms,
-    decompose,
     is_non_self_overlapping,
     measure_r_hat,
     triangle_split,
@@ -58,7 +57,6 @@ from .words import (
     format_word,
     parse_word,
     sample_word,
-    split_product,
     word,
 )
 

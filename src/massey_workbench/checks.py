@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ._parallel import Scan, scan
@@ -42,6 +43,12 @@ def stage_tasks(plan: ExperimentPlan, arity: int, stage: str) -> list[WordTuple]
             )
         )
     return tasks
+
+
+def task_lists(plan: ExperimentPlan):
+    """``stage_tasks`` for one run, keeping the last list: adjacent stages on
+    one (arity, sample key) share it."""
+    return functools.lru_cache(maxsize=1)(functools.partial(stage_tasks, plan))
 
 
 def _identity_probe(payload, t: WordTuple, out: Scan):

@@ -13,8 +13,10 @@ term by a precomputed integer. ``evaluate`` is where the ``Fraction`` is
 built; everything below it is integer arithmetic.
 
 Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s:
-cache keys are ``(node, t)`` and a coboundary face is a bare
-``multiply_letters`` result.
+cache keys are ``(node, t)`` and a coboundary face is a bare ``bytes``:
+``a + b`` when the entries concatenate, else their ``multiply_letters``
+product. On a concatenating pair the coboundary of a quasi-morphism leaf is
+its ``QuasiMorphism.junction``, read off the letters at the junction.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ def is_aligned(t: Sequence[Word]) -> bool:
 def flip_letters(t: LettersTuple) -> LettersTuple:
     """Reverse the tuple and invert each entry; preserves alignment."""
     return tuple(invert_letters(x) for x in reversed(t))
-
-
-def flip(t: WordTuple) -> WordTuple:
-    return tuple(_make(x, w.rank) for x, w in zip(flip_letters(letters_of(t)), reversed(t)))
 
 
 class EvalContext:
@@ -203,6 +201,9 @@ class Restriction(Cochain):
 class Coboundary(Cochain):
     child: Cochain
 
+    def __post_init__(self):  # the quasi-morphism of a leaf child, for its junction
+        object.__setattr__(self, "qm", self.child.qm if isinstance(self.child, QMCochain) else None)
+
     @property
     def degree(self) -> int:
         return self.child.degree + 1
@@ -212,13 +213,16 @@ class Coboundary(Cochain):
         return self.child.den
 
     def _eval(self, t, ctx):
+        if self.qm is not None and t[0] and t[1] and t[0][-1] + t[1][0] != 256:
+            return self.qm.junction(*t)
         k = self.child.degree
         child = self.child
         total = child._eval(t[1:], ctx)
         sign = 1
         for i in range(k):
             sign = -sign
-            merged = multiply_letters(t[i], t[i + 1])
+            a, b = t[i], t[i + 1]
+            merged = a + b if a and b and a[-1] + b[0] != 256 else multiply_letters(a, b)
             face_value = child._eval(t[:i] + (merged,) + t[i + 2 :], ctx)
             total = total + face_value if sign > 0 else total - face_value
         last = child._eval(t[:-1], ctx)

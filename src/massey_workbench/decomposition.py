@@ -35,8 +35,6 @@ from .words import (
     multiply_letters,
 )
 
-PieceSequence = tuple[Word, ...]
-
 
 def is_non_self_overlapping(w: Word) -> bool:
     """True iff occurrences of ``w`` and ``w^-1`` in any reduced word are
@@ -128,15 +126,6 @@ def piece_lengths(spec: DecompositionSpec, letters: Letters) -> tuple[int, ...]:
 def boundaries(lengths: tuple[int, ...]) -> tuple[int, ...]:
     """Cumulative cut positions (0, ..., total length) of a piece run."""
     return tuple(itertools.accumulate(lengths, initial=0))
-
-
-def decompose(spec: DecompositionSpec, g: Word) -> PieceSequence:
-    """Cut ``g`` into its pieces."""
-    if g.rank != spec.rank:
-        raise UsageError(f"word rank {g.rank} differs from spec rank {spec.rank}")
-    letters = g.letters
-    cuts = boundaries(piece_lengths(spec, letters))
-    return tuple(_make(letters[lo:hi], spec.rank) for lo, hi in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from ._parallel import Scan, scan
 from .checks import (
     describe_tuple,
     identity_stage,
-    stage_tasks,
     sup_scan,
+    task_lists,
     vanishing_stage,
 )
 from .cochain import (
@@ -426,13 +426,12 @@ def _exact_stages(m: MasseyInstance) -> list[tuple]:
     ]
 
 
-def _run_stages(rows: list[tuple], plan: ExperimentPlan, report: Report) -> None:
+def _run_stages(rows: list[tuple], plan: ExperimentPlan, report: Report, tasks) -> None:
     for name, arity, key, lhs, rhs in rows:
-        tasks = stage_tasks(plan, arity, key)
         if rhs is None:
-            report.add(vanishing_stage(name, lhs, tasks, plan.jobs))
+            report.add(vanishing_stage(name, lhs, tasks(arity, key), plan.jobs))
         else:
-            report.add(identity_stage(name, lhs, rhs, tasks, plan.jobs))
+            report.add(identity_stage(name, lhs, rhs, tasks(arity, key), plan.jobs))
 
 
 def verify_massey_triviality(m: MasseyInstance, plan: ExperimentPlan) -> Report:
@@ -462,20 +461,21 @@ def verify_massey_triviality(m: MasseyInstance, plan: ExperimentPlan) -> Report:
         "mutation": m.mutation,
         "convention_dependent": m.convention_dependent,
     }
-    _run_stages(_exact_stages(m), plan, report)
+    tasks = task_lists(plan)
+    _run_stages(_exact_stages(m), plan, report, tasks)
 
     primitive = bounded_primitive(m)
     r_bound = 3 * r_hat
-    tasks = stage_tasks(plan, m.k1 + m.k2, "three_sum")
-    result = scan(_three_sum_probe, (m, primitive, r_bound, EvalContext()), tasks, jobs)
+    payload = (m, primitive, r_bound, EvalContext())
+    result = scan(_three_sum_probe, payload, tasks(m.k1 + m.k2, "three_sum"), jobs)
     max_survivors = result.best("survivors", 0)[0]
     stats = {"max_survivors": max_survivors, "max_thick_bound": result.best("thick_bound", 0)[0]}
     report.add(StageResult.from_scan("three-sum-equality", result, stats=stats))
     stats = {"max_survivors": max_survivors, "three_r_hat": r_bound}
     report.add(StageResult.from_scan("ledger-bound", result, stats=stats))
 
-    norm1, _, _ = sup_scan(m.omega1, stage_tasks(plan, m.k1, "norms"), jobs)
-    norm2, _, _ = sup_scan(m.omega2, stage_tasks(plan, m.k2, "norms"), jobs)
+    norm1, _, _ = sup_scan(m.omega1, tasks(m.k1, "norms"), jobs)
+    norm2, _, _ = sup_scan(m.omega2, tasks(m.k2, "norms"), jobs)
     sup_bound = Fraction(r_bound) * norm1 * lambda_sup * norm2
     ladder_stats: list[dict] = []
     sups: list[Fraction] = []
@@ -523,5 +523,5 @@ def verify_primitives(m: MasseyInstance, plan: ExperimentPlan) -> Report:
     """Cocycle preconditions and the two beta identities only."""
     report = Report(command="verify-primitive")
     report.notes = {"k1": m.k1, "k2": m.k2, "mutation": m.mutation}
-    _run_stages(_exact_stages(m)[:4], plan, report)
+    _run_stages(_exact_stages(m)[:4], plan, report, task_lists(plan))
     return report

@@ -5,7 +5,8 @@ Values are exact rationals throughout, so every downstream identity can be
 asserted with equality rather than tolerance. A quasi-morphism is evaluated
 by an integer counting kernel (``counting_kernel``) as a numerator over the
 least common denominator of its table; the tests compare it with the plain
-sum of lambda over the pieces (``tests/oracles.py``).
+sum of lambda over the pieces (``tests/oracles.py``). The same counts give
+the defect of a concatenating pair from the letters at its junction.
 
 Words arrive as ``Letters``, the packed ``bytes`` of ``words``. The value
 cache is keyed by those bytes, whose hash is computed once per object, and
@@ -55,9 +56,6 @@ class LambdaTable:
     def value(self, letters: Letters) -> Fraction:
         return self.entries.get(letters, _ZERO)
 
-    def items(self):
-        return self.entries.items()
-
 
 _ZERO = Fraction(0)
 
@@ -66,10 +64,11 @@ class QuasiMorphism:
     """phi(g) = sum of lambda over the pieces of the decomposition of g.
 
     ``den`` is the least common denominator of lambda; ``value_letters``
-    returns the integer numerator of phi over it, ``value`` the ``Fraction``.
+    returns the integer numerator of phi over it, ``value`` the ``Fraction``,
+    and ``junction`` that of the defect of a concatenating pair.
     """
 
-    __slots__ = ("spec", "table", "name", "den", "_cache", "_kernel")
+    __slots__ = ("spec", "table", "name", "den", "junction", "_cache", "_kernel")
 
     def __init__(self, spec: DecompositionSpec, table: LambdaTable, name: str = "phi"):
         for letters in table.entries:
@@ -81,7 +80,7 @@ class QuasiMorphism:
         self.table = table
         self.name = name
         self._cache: dict[Letters, int] = {}
-        self.den, self._kernel = counting_kernel(spec, table)
+        self.den, self._kernel, self.junction = counting_kernel(spec, table)
 
     @property
     def rank(self) -> int:
@@ -111,7 +110,7 @@ class QuasiMorphism:
     def __setstate__(self, state):
         self.spec, self.table, self.name = state
         self._cache = {}
-        self.den, self._kernel = counting_kernel(self.spec, self.table)
+        self.den, self._kernel, self.junction = counting_kernel(self.spec, self.table)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +175,13 @@ def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
 
 def counting_kernel(
     spec: DecompositionSpec, table: LambdaTable
-) -> tuple[int, Callable[[Letters], int]]:
-    """(den, evaluator): the least common denominator of the table and an
-    exact evaluator of the numerator over it of the quasi-morphism (spec,
-    table) on ``Letters``.
+) -> tuple[int, Callable[[Letters], int], Callable[[Letters, Letters], int]]:
+    """(den, evaluator, junction): the least common denominator of the table,
+    an exact evaluator of the numerator over it of the quasi-morphism (spec,
+    table) on ``Letters``, and the ``junction_kernel`` of the same counts.
 
     Every table entry is read as given, so a table that is not alternating
-    (``tampered_lambda``) is evaluated exactly as the piece sum would be.
+    (the tests' ``tampered_lambda``) is evaluated as the piece sum would be.
     """
     den = math.lcm(*(v.denominator for v in table.entries.values()))
     scaled = {p: int(v * den) for p, v in table.entries.items() if v}
@@ -203,7 +202,36 @@ def counting_kernel(
                 total += coeff * t.count(pattern)
         return total
 
-    return den, kernel
+    return den, kernel, junction_kernel(groups)
+
+
+def junction_kernel(groups: list[_CountGroup]) -> Callable[[Letters, Letters], int]:
+    """Exact phi(x) + phi(y) - phi(x + y) for nonempty ``x``, ``y`` that
+    concatenate, as a numerator: the sum over patterns p, k = len(p) - 1, of
+    c_p ([0 y[:k] is p] - [p occurs in (0 x)[-k:] + y[:k]]), all strings
+    through the group's translation (README "Junction kernel"). Both terms
+    put y[0] at a position >= 1 of p, so only the groups with the
+    translation of y[0] there are visited.
+    """
+    by_first: dict[int, list] = {}
+    for translation, terms in groups:
+        tr = translation or bytes(range(256))
+        long = tuple((p, c, len(p) - 1) for p, c in terms if len(p) > 1)
+        inner = {b for p, _, _ in long for b in p[1:]}
+        for b in range(1, 256):
+            if tr[b] in inner:
+                by_first.setdefault(b, []).append((tr, max(k for *_, k in long), long))
+
+    def junction(x: Letters, y: Letters) -> int:
+        total = 0
+        for tr, k_max, terms in by_first.get(y[0], ()):
+            tail = (b"\0" + x[-k_max:])[-k_max:].translate(tr)
+            head = (b"\0" + y[:k_max]).translate(tr)
+            for p, c, k in terms:
+                total += c * (head.startswith(p) - (p in tail[-k:] + head[1 : k + 1]))
+        return total
+
+    return junction
 
 
 def _is_legal_piece(spec: DecompositionSpec, letters: Letters) -> bool:
@@ -273,16 +301,3 @@ def defect_sup(
     best, pair = result.best("defect", _ZERO)
     argmax = None if pair is None else (str(pair[0]), str(pair[1]))
     return DefectStats(best, argmax, result.checked)
-
-
-def tampered_lambda(table: LambdaTable, piece: Word, value: Fraction | int | str) -> LambdaTable:
-    """Copy of a table with one entry overwritten, skipping the alternation
-    completion. Breaks the alternating invariant on purpose; only mutation
-    tests should use this.
-    """
-    clone = LambdaTable.__new__(LambdaTable)
-    entries = dict(table.entries)
-    entries[piece.letters] = Fraction(value)
-    clone.entries = entries
-    clone.sup = max((abs(v) for v in entries.values()), default=_ZERO)
-    return clone

@@ -54,10 +54,13 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigError("rank must be >= 1")
-        # An entry radius of 0 would read as "no cap" in the tuple enumeration.
-        for key in ("exhaustive_entry_radius", "max_len", "ladder_samples", "jobs"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # An entry radius of 0 would read as "no cap" in the tuple enumeration,
+        # and a negative budget as an empty exhaustive domain.
+        least = dict.fromkeys(("exhaustive_entry_radius", "max_len", "ladder_samples", "jobs"), 1)
+        least.update(exhaustive_total_budget=0, deep_budget=0)
+        for key, low in least.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.enumeration_cap is not None:
             enumeration_cap(self.enumeration_cap)
         ladder = tuple(self.max_len_ladder)

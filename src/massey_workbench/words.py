@@ -22,6 +22,8 @@ from __future__ import annotations
 import functools
 import os
 import random
+import sys
+from array import array
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, ResourceCapError, UsageError
@@ -121,9 +123,6 @@ class Word:
     def inverse(self) -> "Word":
         return _make(invert_letters(self.letters), self.rank)
 
-    def identity(self) -> "Word":
-        return _make(b"", self.rank)
-
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, rank={self.rank})"
 
@@ -189,22 +188,6 @@ def parse_word(text: str, rank: int) -> Word:
 def format_word(w: Word) -> str:
     """Canonical text: lower-case generators, upper-case inverses, 1 for identity."""
     return w.letters.translate(_TEXT).decode("ascii") or "1"
-
-
-def split_product(g: Word, h: Word) -> tuple[Word, Word, Word]:
-    """Split ``g = p*t``, ``h = t^-1 * q`` with maximal cancelled part ``t``.
-
-    ``g*h`` equals ``p*q`` with no cancellation at the junction; in a free
-    group the maximal ``t`` is unique.
-    """
-    if g.rank != h.rank:
-        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
-    a, b = g.letters, h.letters
-    c = cancelled_length(a, b)
-    p = _make(a[: len(a) - c], g.rank)
-    t = _make(a[len(a) - c :], g.rank)
-    q = _make(b[c:], g.rank)
-    return p, t, q
 
 
 def ball_size(rank: int, radius: int) -> int:
@@ -280,13 +263,29 @@ def _sample_letters(
     rank: int, length: int, rng: random.Random, first_banned: int
 ) -> Letters:
     """Random reduced letters; the first letter avoids the inverse of the
-    letter byte ``first_banned`` if nonzero."""
+    letter byte ``first_banned`` if nonzero.
+
+    The letters and the stream are those of ``rng.choice(followers[last])``
+    per letter: past the first, each choice has n = 2 rank - 1 followers and
+    keeps the top ``n.bit_length()`` bits of one 32-bit output per try,
+    rejecting values >= n, and ``getrandbits(32 m)`` is m outputs, the first
+    lowest, so the missing letters are drawn in batches of that many tries."""
+    if not length:
+        return b""
     followers = _followers(rank)
-    out = bytearray()
-    last = first_banned
-    for _ in range(length):
-        last = rng.choice(followers[last])
-        out.append(last)
+    last = rng.choice(followers[first_banned])
+    out = bytearray((last,))
+    n = 2 * rank - 1
+    shift = 32 - n.bit_length()
+    while need := length - len(out):
+        words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for word in words:
+            r = word >> shift
+            if r < n:
+                last = followers[last][r]
+                out.append(last)
     return bytes(out)
 
 

@@ -6,6 +6,9 @@ paths of the library are compared against.
   left-to-right scan for Brooks; ``cut_flags`` reads the start flags off
   it. They are the oracles of ``decomposition.cut_flags`` and of the
   lengths derived from it, and every other oracle here decomposes with them.
+* ``decompose`` cuts a word into its pieces, ``split_product`` splits a
+  product at its cancelled part, and ``tampered_lambda`` breaks a table's
+  alternation; only tests use them.
 * ``triangle_split`` finds the three corners of the tripod of ``(1, g, gh)``
   with its own corner search over the cut positions of ``g``, ``h`` and
   ``(gh)^-1``, and decomposes every remainder fresh.
@@ -24,14 +27,14 @@ from massey_workbench.decomposition import (
     boundaries,
 )
 from massey_workbench.errors import UsageError
-from massey_workbench.quasimorphism import QuasiMorphism
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
     Letters,
     Word,
     _make,
+    cancelled_length,
     invert_letters,
     multiply_letters,
-    split_product,
 )
 
 
@@ -62,6 +65,31 @@ def piece_lengths(spec: DecompositionSpec, letters: Letters) -> tuple[int, ...]:
 def cut_flags(spec: DecompositionSpec, letters: Letters) -> bytes:
     """One byte per letter: 1 where a piece of ``piece_lengths`` starts."""
     return b"".join(b"\1" + b"\0" * (n - 1) for n in piece_lengths(spec, letters))
+
+
+def decompose(spec: DecompositionSpec, g: Word) -> tuple[Word, ...]:
+    """Cut ``g`` into its pieces."""
+    if g.rank != spec.rank:
+        raise UsageError(f"word rank {g.rank} differs from spec rank {spec.rank}")
+    letters = g.letters
+    cuts = boundaries(piece_lengths(spec, letters))
+    return tuple(_make(letters[lo:hi], spec.rank) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def split_product(g: Word, h: Word) -> tuple[Word, Word, Word]:
+    """Split ``g = p*t``, ``h = t^-1 * q`` with maximal cancelled part ``t``.
+
+    ``g*h`` equals ``p*q`` with no cancellation at the junction; in a free
+    group the maximal ``t`` is unique.
+    """
+    if g.rank != h.rank:
+        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
+    a, b = g.letters, h.letters
+    c = cancelled_length(a, b)
+    p = _make(a[: len(a) - c], g.rank)
+    t = _make(a[len(a) - c :], g.rank)
+    q = _make(b[c:], g.rank)
+    return p, t, q
 
 
 def _max_aligned(candidates: tuple[int, ...], other: set[int], cap: int) -> int:
@@ -157,3 +185,16 @@ def reference_value(q: QuasiMorphism, g: Word) -> Fraction:
     """phi(g) straight from the definition, as the sum of lambda over the
     pieces of g."""
     return sum(piece_values(q, g), Fraction(0))
+
+
+def tampered_lambda(table: LambdaTable, piece: Word, value) -> LambdaTable:
+    """Copy of a table with one entry overwritten, skipping the alternation
+    completion. Breaks the alternating invariant on purpose, for mutation
+    tests.
+    """
+    clone = LambdaTable.__new__(LambdaTable)
+    entries = dict(table.entries)
+    entries[piece.letters] = Fraction(value)
+    clone.entries = entries
+    clone.sup = max((abs(v) for v in entries.values()), default=Fraction(0))
+    return clone

@@ -27,9 +27,10 @@ from massey_workbench.decomposition import DecompositionSpec, check_axioms, meas
 from massey_workbench.cli import main
 from massey_workbench.harness import run_defect
 from massey_workbench.massey import MasseyInstance, verify_massey_triviality
-from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism, tampered_lambda
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.report import ExperimentPlan, strip_timing
 from massey_workbench.words import parse_word
+from oracles import tampered_lambda
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

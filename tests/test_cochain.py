@@ -15,8 +15,9 @@ from massey_workbench.cochain import (
     cup,
     evaluate,
     exhaustive_aligned_tuples,
-    flip,
+    flip_letters,
     is_aligned,
+    letters_of,
     lincomb,
     qm_cochain,
     random_aligned_tuple,
@@ -30,6 +31,11 @@ from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, parse_word, words_of_length
 
 W = lambda s: parse_word(s, 2)
+
+
+def flip(t):
+    """Reverse a tuple of words and invert each entry."""
+    return tuple(_make(x, 2) for x in flip_letters(letters_of(t)))
 
 
 def brooks_qm(pattern="ab"):

@@ -9,7 +9,6 @@ from massey_workbench.decomposition import (
     DecompositionSpec,
     boundaries,
     check_axioms,
-    decompose,
     is_non_self_overlapping,
     measure_r_hat,
     piece_lengths,
@@ -20,7 +19,7 @@ from massey_workbench.errors import ConfigError, UsageError
 from massey_workbench.report import strip_timing
 from massey_workbench.words import Word, _make, enumerate_ball, parse_word, sample_word
 import oracles
-from oracles import verify_triangle
+from oracles import decompose, verify_triangle
 from test_letters import signed
 
 W = lambda s: parse_word(s, 2)

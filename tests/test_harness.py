@@ -25,7 +25,7 @@ from massey_workbench.harness import (
     run_defect,
     run_massey,
 )
-from massey_workbench.quasimorphism import QuasiMorphism, tampered_lambda
+from massey_workbench.quasimorphism import QuasiMorphism
 from massey_workbench.report import (
     ExperimentPlan,
     load_report,
@@ -33,6 +33,7 @@ from massey_workbench.report import (
     strip_timing,
 )
 from massey_workbench.words import parse_word
+from oracles import tampered_lambda
 
 W = lambda s: parse_word(s, 2)
 
@@ -591,6 +592,8 @@ MASSEY_K1_DOC = massey_doc(k1=1)
             (AXIOMS_DOC, "rank", 0),
             (AXIOMS_DOC, "rank", 27),
             (AXIOMS_DOC, "rank", 127),
+            (MASSEY_DOC, "plan.exhaustive_total_budget", -3),
+            (MASSEY_DOC, "plan.deep_budget", -1),
             (MASSEY_DOC, "quasimorphisms", []),
             (VERIFY_DOC, "quasimorphisms", "psi1"),
             (MASSEY_DOC, "omega1", {"op": "const", "value": "x"}),
@@ -611,6 +614,12 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, base, key, bad):
     assert main(config_args(tmp_path, base, key, bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["plan.exhaustive_total_budget", "plan.deep_budget"])
+def test_zero_budget_is_valid(tmp_path, key):
+    """A budget of 0 leaves only the random tuples, as it always did."""
+    assert main(config_args(tmp_path, MASSEY_DOC, key, 0)) == 0
 
 
 @pytest.mark.parametrize(

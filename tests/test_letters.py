@@ -18,6 +18,7 @@ from massey_workbench.decomposition import DecompositionSpec, is_non_self_overla
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
     Word,
+    _sample_letters,
     cancelled_length,
     format_word,
     invert_letters,
@@ -25,10 +26,9 @@ from massey_workbench.words import (
     parse_word,
     reduce_letters,
     sample_word,
-    split_product,
     words_of_length,
 )
-from oracles import reference_value
+from oracles import reference_value, split_product
 
 
 def signed(letters: bytes) -> tuple[int, ...]:
@@ -280,6 +280,26 @@ def test_random_stream_matches_tuple_oracle(rank, arity, max_len, seed):
     assert signed(sample_word(rank, length, seed).letters) == sample_tuple(
         rank, length, random.Random(seed), 0
     )
+
+
+@given(
+    st.sampled_from((1, 3, 26)) | ranks,
+    st.integers(0, 400),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_sampler_keeps_the_choice_stream(rank, length, banned, seed, data):
+    """The batched sampler returns the letters of one ``choice`` per letter
+    and leaves the generator where those calls leave it; ranks 1, 3 and 26
+    (n = 1, 5, 51 followers) reject often."""
+    first = data.draw(letters_in(rank)) if banned else 0
+    mine, theirs = random.Random(seed), random.Random(seed)
+    assert signed(_sample_letters(rank, length, mine, first & 0xFF)) == sample_tuple(
+        rank, length, theirs, first
+    )
+    assert mine.random() == theirs.random()
 
 
 @st.composite

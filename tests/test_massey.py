@@ -1,7 +1,9 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
+from massey_workbench import checks, massey
 from massey_workbench.cochain import (
     EvalContext,
     TableCochain,
@@ -13,7 +15,7 @@ from massey_workbench.cochain import (
     random_aligned_tuples,
     restrict,
 )
-from massey_workbench.decomposition import DecompositionSpec, decompose, measure_r_hat
+from massey_workbench.decomposition import DecompositionSpec, measure_r_hat
 from massey_workbench.errors import UsageError
 from massey_workbench.massey import (
     MasseyInstance,
@@ -30,8 +32,9 @@ from massey_workbench.massey import (
     verify_primitives,
 )
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.report import ExperimentPlan
+from massey_workbench.report import ExperimentPlan, strip_timing
 from massey_workbench.words import parse_word
+from oracles import decompose
 
 W = lambda s: parse_word(s, 2)
 
@@ -359,3 +362,54 @@ def test_degree_one_factors_run_under_stated_conventions():
     report = verify_massey_triviality(m, plan)
     assert report.notes["convention_dependent"] is True
     assert report.passed
+
+
+def count_task_lists(monkeypatch) -> list:
+    """Record the (arity, sample key) of every ``checks.stage_tasks`` call."""
+    calls = []
+    build = checks.stage_tasks
+
+    def counted(plan, arity, stage):
+        calls.append((arity, stage))
+        return build(plan, arity, stage)
+
+    monkeypatch.setattr(checks, "stage_tasks", counted)
+    return calls
+
+
+def test_task_lists_are_built_once_per_domain(monkeypatch):
+    calls = count_task_lists(monkeypatch)
+    report = verify_massey_triviality(standard_instance(), small_plan())
+    # k1 == k2: the cocycle, primitive and norms pairs each share one list.
+    assert sorted(calls) == [
+        (2, "norms"),
+        (3, "cocycle"),
+        (4, "primitive"),
+        (4, "three_sum"),
+        (5, "delta_p"),
+        (5, "mu_simplification"),
+        (6, "mu_cocycle"),
+    ]
+    checked = {s.name: s.checked for s in report.stages}
+    assert checked["cocycle-omega1"] == checked["cocycle-omega2"]
+    assert checked["primitive-beta1"] == checked["primitive-beta2"]
+
+
+def test_shared_task_lists_match_one_list_per_stage(monkeypatch):
+    """With k1 != k2 no two stages share a domain; the report is the one
+    built with a fresh list for every stage."""
+    m = standard_instance()
+    omega1 = TableCochain(1, {(W("a"),): 1, (W("ab"),): Fraction(1, 2)})
+    m = MasseyInstance(m.phi, omega1, m.omega2, 1, 2)
+    plan = small_plan(
+        exhaustive_total_budget=4,
+        deep_budget=4,
+        sample_counts=dict.fromkeys(ExperimentPlan.DEFAULT_SAMPLES, 20),
+    )
+    calls = count_task_lists(monkeypatch)
+    shared = strip_timing(verify_massey_triviality(m, plan).to_json())
+    assert len(calls) == len(set(calls)) == 10
+    monkeypatch.setattr(massey, "task_lists", lambda p: functools.partial(checks.stage_tasks, p))
+    fresh = strip_timing(verify_massey_triviality(m, plan).to_json())
+    assert len(calls) == 10 + 10
+    assert shared == fresh

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massey_workbench.decomposition import (
-    DecompositionSpec,
-    decompose,
-    is_non_self_overlapping,
-)
+from massey_workbench.decomposition import DecompositionSpec, is_non_self_overlapping
 from massey_workbench.errors import ConfigError
 from massey_workbench.quasimorphism import (
     DefectStats,
@@ -19,10 +15,9 @@ from massey_workbench.quasimorphism import (
     defect,
     defect_from_triangle,
     defect_sup,
-    tampered_lambda,
 )
 from massey_workbench.words import Word, enumerate_ball, parse_word, sample_word
-from oracles import reference_value
+from oracles import decompose, reference_value, tampered_lambda
 from test_letters import signed
 
 W = lambda s: parse_word(s, 2)

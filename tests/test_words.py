@@ -13,9 +13,9 @@ from massey_workbench.words import (
     parse_word,
     reduce_letters,
     sample_word,
-    split_product,
     words_of_length,
 )
+from oracles import split_product
 from test_letters import signed
 
 W = lambda s: parse_word(s, 2)
