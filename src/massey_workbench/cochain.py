@@ -6,11 +6,14 @@ cup product, alternation, restriction to the aligned domain, and linear
 combination. Aligned-only leaves extend by zero off the aligned tuples
 (entries nontrivial, adjacent products concatenating without cancellation).
 
-Every node has a fixed positive integer ``den``, and its ``_eval`` returns
-the integer numerator of its value over that ``den``: a cup multiplies the
-factors' denominators, a linear combination takes their lcm and scales each
-term by a precomputed integer. ``evaluate`` is where the ``Fraction`` is
-built; everything below it is integer arithmetic.
+Every node has one shape: a ``__slots__`` class that computes its
+``degree`` and a fixed positive integer ``den`` in ``__init__``, and whose
+``_eval`` returns the integer numerator of its value over that ``den``: a
+cup multiplies the factors' denominators, a linear combination takes their
+lcm and scales each term by a precomputed integer. ``Cochain.__setattr__``
+lets a name be bound once, so no node changes under a cached value.
+``evaluate`` is where the ``Fraction`` is built; everything below it is
+integer arithmetic.
 
 Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s:
 cache keys are ``(node, t)`` and a coboundary face is a bare ``bytes``:
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -80,11 +82,11 @@ class EvalContext:
     exhaustive scans at bounded memory.
     """
 
-    __slots__ = ("node_values", "limit")
+    __slots__ = ("node_values",)
+    limit = 1_500_000
 
-    def __init__(self, limit: int = 1_500_000):
+    def __init__(self):
         self.node_values: dict[tuple, int] = {}
-        self.limit = limit
 
     def store(self, key: tuple, value: int) -> int:
         if len(self.node_values) >= self.limit:
@@ -96,14 +98,24 @@ class EvalContext:
 class Cochain:
     """Base expression node; subclasses set ``degree``, ``den`` and ``_eval``.
 
-    ``_eval`` returns the integer numerator of the value over ``den``, which
-    is fixed when the node is built. Nodes compare and hash by identity
-    (``eq=False`` on the dataclass nodes), which keeps cache keys cheap to
-    hash.
+    A node computes ``degree`` and ``den`` in ``__init__``, and every name is
+    bound once: rebinding or deleting one raises ``AttributeError``, so no
+    value cached under a node can go stale. ``_eval`` returns the integer
+    numerator of the value over ``den``. Nodes compare and hash by identity,
+    which keeps cache keys cheap to hash.
     """
 
+    __slots__ = ()
     degree: int
     den: int
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is set once")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is set once")
 
     def _eval(self, t: LettersTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
@@ -118,14 +130,13 @@ def evaluate(expr: Cochain, t: Sequence[Word], ctx: EvalContext | None = None) -
     return Fraction(value, expr.den)
 
 
-@dataclass(frozen=True, eq=False)
 class ConstantCochain(Cochain):
-    value: Fraction
-    degree: int = 0
+    __slots__ = ("degree", "den", "value")
 
-    @property
-    def den(self) -> int:
-        return self.value.denominator
+    def __init__(self, value: Fraction | int | str):
+        self.degree = 0
+        self.value = Fraction(value)
+        self.den = self.value.denominator
 
     def _eval(self, t, ctx):
         return self.value.numerator
@@ -159,34 +170,29 @@ class TableCochain(Cochain):
         return self.table.get(t, 0)
 
 
-@dataclass(frozen=True, eq=False)
 class QMCochain(Cochain):
     """Degree-1 leaf evaluating a quasi-morphism (vanishes at the identity)."""
 
-    qm: QuasiMorphism
-    degree: int = 1
+    __slots__ = ("degree", "den", "qm")
 
-    @property
-    def den(self) -> int:
-        return self.qm.den
+    def __init__(self, qm: QuasiMorphism):
+        self.degree = 1
+        self.den = qm.den
+        self.qm = qm
 
     def _eval(self, t, ctx):
         return self.qm.value_letters(t[0])
 
 
-@dataclass(frozen=True, eq=False)
 class Restriction(Cochain):
     """Extension by zero off the aligned domain."""
 
-    child: Cochain
+    __slots__ = ("degree", "den", "child")
 
-    @property
-    def degree(self) -> int:
-        return self.child.degree
-
-    @property
-    def den(self) -> int:
-        return self.child.den
+    def __init__(self, child: Cochain):
+        self.degree = child.degree
+        self.den = child.den
+        self.child = child
 
     def _eval(self, t, ctx):
         key = (self, t)
@@ -197,26 +203,22 @@ class Restriction(Cochain):
         return ctx.store(key, value)
 
 
-@dataclass(frozen=True, eq=False)
 class Coboundary(Cochain):
-    child: Cochain
+    """``qm`` is the quasi-morphism of a leaf child, for its junction, else None."""
 
-    def __post_init__(self):  # the quasi-morphism of a leaf child, for its junction
-        object.__setattr__(self, "qm", self.child.qm if isinstance(self.child, QMCochain) else None)
+    __slots__ = ("degree", "den", "child", "qm")
 
-    @property
-    def degree(self) -> int:
-        return self.child.degree + 1
-
-    @property
-    def den(self) -> int:
-        return self.child.den
+    def __init__(self, child: Cochain):
+        self.degree = child.degree + 1
+        self.den = child.den
+        self.child = child
+        self.qm = child.qm if isinstance(child, QMCochain) else None
 
     def _eval(self, t, ctx):
         if self.qm is not None and t[0] and t[1] and t[0][-1] + t[1][0] != 256:
             return self.qm.junction(*t)
-        k = self.child.degree
         child = self.child
+        k = child.degree
         total = child._eval(t[1:], ctx)
         sign = 1
         for i in range(k):
@@ -229,20 +231,16 @@ class Coboundary(Cochain):
         return total + last if (k + 1) % 2 == 0 else total - last
 
 
-@dataclass(frozen=True, eq=False)
 class CupProduct(Cochain):
     """Front block into the left factor, back block into the right factor."""
 
-    left: Cochain
-    right: Cochain
+    __slots__ = ("degree", "den", "left", "right")
 
-    @property
-    def degree(self) -> int:
-        return self.left.degree + self.right.degree
-
-    @property
-    def den(self) -> int:
-        return self.left.den * self.right.den
+    def __init__(self, left: Cochain, right: Cochain):
+        self.degree = left.degree + right.degree
+        self.den = left.den * right.den
+        self.left = left
+        self.right = right
 
     def _eval(self, t, ctx):
         p = self.left.degree
@@ -252,25 +250,21 @@ class CupProduct(Cochain):
         return a * self.right._eval(t[p:], ctx)
 
 
-@dataclass(frozen=True, eq=False)
 class Alternation(Cochain):
     """alt(f)(t) = (f(t) + (-1)^ceil(k/2) f(flip t)) / 2; identity in degree 0.
 
     The halving is carried by ``den``, twice the child's.
     """
 
-    child: Cochain
+    __slots__ = ("degree", "den", "child")
 
-    @property
-    def degree(self) -> int:
-        return self.child.degree
-
-    @property
-    def den(self) -> int:
-        return 2 * self.child.den
+    def __init__(self, child: Cochain):
+        self.degree = child.degree
+        self.den = 2 * child.den
+        self.child = child
 
     def _eval(self, t, ctx):
-        k = self.child.degree
+        k = self.degree
         straight = self.child._eval(t, ctx)
         flipped = self.child._eval(flip_letters(t), ctx)
         if ((k + 1) // 2) % 2 == 0:
@@ -309,28 +303,13 @@ class LinearCombination(Cochain):
         return total
 
 
-def constant(value: Fraction | int | str) -> ConstantCochain:
-    return ConstantCochain(Fraction(value))
-
-
-def qm_cochain(q: QuasiMorphism) -> QMCochain:
-    return QMCochain(q)
-
-
-def coboundary(e: Cochain) -> Coboundary:
-    return Coboundary(e)
-
-
-def cup(e1: Cochain, e2: Cochain) -> CupProduct:
-    return CupProduct(e1, e2)
-
-
-def alternate(e: Cochain) -> Alternation:
-    return Alternation(e)
-
-
-def restrict(e: Cochain) -> Restriction:
-    return Restriction(e)
+# The builders are the node classes themselves.
+constant = ConstantCochain
+qm_cochain = QMCochain
+coboundary = Coboundary
+cup = CupProduct
+alternate = Alternation
+restrict = Restriction
 
 
 def lincomb(*terms: tuple[Fraction | int | str, Cochain]) -> LinearCombination:

@@ -133,25 +133,16 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
 
     bound = Fraction(3 * r_hat) * q.table.sup
     stats = defect_sup(q, radius, random_pairs, max_len, seed, cap, jobs)
-    bound_stage = StageResult(
-        "defect-bound",
-        stats.max_abs <= bound,
-        stats.checked,
-        None
-        if stats.max_abs <= bound
-        else {"max_abs_defect": str(stats.max_abs), "bound": str(bound), "argmax": stats.argmax},
-        stats={"r_hat": r_hat, "bound": str(bound)},
-    )
-    report.add(bound_stage)
+    over = {"max_abs_defect": str(stats.max_abs), "bound": str(bound), "argmax": stats.argmax}
     report.add(
         StageResult(
-            "defect-sup",
-            True,
+            "defect-bound",
             stats.checked,
-            None,
-            stats=stats.to_json(),
+            None if stats.max_abs <= bound else over,
+            stats={"r_hat": r_hat, "bound": str(bound)},
         )
     )
+    report.add(StageResult("defect-sup", stats.checked, stats=stats.to_json()))
     report.notes = {"spec": q.spec.describe(), "r_hat": r_hat, "lambda_sup": str(q.table.sup)}
     return _finish(report, started, started_at, doc)
 

@@ -63,12 +63,14 @@ _ZERO = Fraction(0)
 class QuasiMorphism:
     """phi(g) = sum of lambda over the pieces of the decomposition of g.
 
-    ``den`` is the least common denominator of lambda; ``value_letters``
-    returns the integer numerator of phi over it, ``value`` the ``Fraction``,
-    and ``junction`` that of the defect of a concatenating pair.
+    ``den`` is the least common denominator of lambda, and ``numerators``
+    maps each piece with nonzero lambda to its numerator over ``den``.
+    ``value_letters`` returns the integer numerator of phi over ``den``,
+    ``value`` the ``Fraction``, and ``junction`` that of the defect of a
+    concatenating pair.
     """
 
-    __slots__ = ("spec", "table", "name", "den", "junction", "_cache", "_kernel")
+    __slots__ = ("spec", "table", "name", "den", "numerators", "junction", "_cache", "_kernel")
 
     def __init__(self, spec: DecompositionSpec, table: LambdaTable, name: str = "phi"):
         for letters in table.entries:
@@ -80,7 +82,7 @@ class QuasiMorphism:
         self.table = table
         self.name = name
         self._cache: dict[Letters, int] = {}
-        self.den, self._kernel, self.junction = counting_kernel(spec, table)
+        self.den, self.numerators, self._kernel, self.junction = counting_kernel(spec, table)
 
     @property
     def rank(self) -> int:
@@ -108,9 +110,7 @@ class QuasiMorphism:
         return (self.spec, self.table, self.name)
 
     def __setstate__(self, state):
-        self.spec, self.table, self.name = state
-        self._cache = {}
-        self.den, self._kernel, self.junction = counting_kernel(self.spec, self.table)
+        self.__init__(*state)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +175,11 @@ def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
 
 def counting_kernel(
     spec: DecompositionSpec, table: LambdaTable
-) -> tuple[int, Callable[[Letters], int], Callable[[Letters, Letters], int]]:
-    """(den, evaluator, junction): the least common denominator of the table,
-    an exact evaluator of the numerator over it of the quasi-morphism (spec,
-    table) on ``Letters``, and the ``junction_kernel`` of the same counts.
+) -> tuple[int, dict[Letters, int], Callable[[Letters], int], Callable[[Letters, Letters], int]]:
+    """(den, scaled, evaluator, junction): the least common denominator of
+    the table, the nonzero entries as numerators over it, an exact evaluator
+    of the numerator over it of the quasi-morphism (spec, table) on
+    ``Letters``, and the ``junction_kernel`` of the same counts.
 
     Every table entry is read as given, so a table that is not alternating
     (the tests' ``tampered_lambda``) is evaluated as the piece sum would be.
@@ -202,7 +203,7 @@ def counting_kernel(
                 total += coeff * t.count(pattern)
         return total
 
-    return den, kernel, junction_kernel(groups)
+    return den, scaled, kernel, junction_kernel(groups)
 
 
 def junction_kernel(groups: list[_CountGroup]) -> Callable[[Letters, Letters], int]:

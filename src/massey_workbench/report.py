@@ -103,19 +103,22 @@ class ExperimentPlan:
 
 @dataclass
 class StageResult:
-    """One verification stage: a named check with an optional counterexample."""
+    """One verification stage: a named check that fails exactly when it
+    carries a counterexample."""
 
     name: str
-    passed: bool
     checked: int = 0
     counterexample: dict | None = None
     stats: dict | None = None
 
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
     @classmethod
     def from_scan(cls, name: str, result: Scan, stats: dict | None = None) -> StageResult:
         """The stage whose check a scan recorded under the stage's name."""
-        counterexample = result.failures.get(name)
-        return cls(name, counterexample is None, result.checked, counterexample, stats)
+        return cls(name, result.checked, result.failures.get(name), stats)
 
     def to_json(self) -> dict:
         return {

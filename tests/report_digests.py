@@ -1,0 +1,64 @@
+"""Timing-stripped report digests of every shipped and benchmarked case.
+
+Usage, from the repository root:
+
+    python3 tests/report_digests.py > digests.json
+
+Prints one JSON object that maps each case to the sha256 of its reports,
+rendered by ``report.render_json`` with the ``timing`` key dropped. The
+cases are every ``configs/*.json`` at ``--jobs`` 1 and 2, the three
+``perfbench/workloads.py`` workloads at seeds 1-3, and the three mutations
+on the mutation-sentinel plan at seeds 1-3. A refactor that must keep
+every report byte-identical runs this on both trees and compares the two
+objects. It is not a pytest module: the configs take minutes to run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+# The workload definitions are read, never written, bytecode included.
+sys.dont_write_bytecode = True
+
+import workloads  # noqa: E402
+
+from massey_workbench.config import load_config  # noqa: E402
+from massey_workbench.harness import RUNNERS  # noqa: E402
+from massey_workbench.report import render_json, strip_timing  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def cases():
+    """(case name, [(command, config dict, overrides), ...]) in a fixed order."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        for jobs in (1, 2):
+            doc = load_config(path)
+            yield f"{path.name} --jobs {jobs}", [(doc["command"], doc, {"jobs": jobs})]
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            yield f"{workload} seed {seed}", workloads.job_calls(workload, seed)
+    for mutation in workloads.SENTINEL_EXPECT:
+        for seed in SEEDS:
+            doc = workloads.massey_doc(workloads.SENTINEL_PLAN, seed, mutation)
+            yield f"sentinel {mutation} seed {seed}", [("massey", doc, {})]
+
+
+def digest(calls) -> str:
+    reports = [RUNNERS[command](doc, overrides) for command, doc, overrides in calls]
+    text = "".join(render_json(strip_timing(r.to_json())) for r in reports)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    print(json.dumps({name: digest(calls) for name, calls in cases()}, indent=2))
+
+
+if __name__ == "__main__":
+    main()

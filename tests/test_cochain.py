@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massey_workbench import cochain, massey
 from massey_workbench.cochain import (
+    Cochain,
     EvalContext,
     TableCochain,
     alternate,
@@ -323,3 +325,47 @@ def test_context_never_returns_a_freed_nodes_value():
             stale += 1
         del node
     assert stale == 0
+
+
+def library_node_classes(cls=Cochain):
+    """Every public node class of the library below ``cls``."""
+    out = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__ in (cochain.__name__, massey.__name__):
+            if not sub.__name__.startswith("_"):
+                out.add(sub)
+            out |= library_node_classes(sub)
+    return out
+
+
+def test_every_node_is_set_once():
+    """Each node class computes its names once, in ``__init__``: rebinding
+    or deleting any of them raises, and no node carries a ``__dict__`` where
+    another name could go."""
+    leaf = qm_cochain(brooks_qm())
+    m = massey.MasseyInstance(brooks_qm("aB"), coboundary(leaf), coboundary(leaf), 2, 2)
+    nodes = [
+        constant("1/3"),
+        table_two(),
+        leaf,
+        restrict(leaf),
+        coboundary(leaf),
+        cup(leaf, leaf),
+        alternate(leaf),
+        lincomb((1, leaf), (2, leaf)),
+        massey.eta1(m),
+        massey.eta2(m),
+        massey.eta_bridge(m),
+    ]
+    assert {type(node) for node in nodes} == library_node_classes()
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), type(node).__name__
+        names = [n for c in type(node).__mro__ for n in getattr(c, "__slots__", ())]
+        assert {"degree", "den"} <= set(names)
+        for name in names:
+            value = getattr(node, name)
+            with pytest.raises(AttributeError, match="set once"):
+                setattr(node, name, value)
+            with pytest.raises(AttributeError, match="set once"):
+                delattr(node, name)
+            assert getattr(node, name) is value

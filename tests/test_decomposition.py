@@ -9,6 +9,7 @@ from massey_workbench.decomposition import (
     DecompositionSpec,
     boundaries,
     check_axioms,
+    cut_flags,
     is_non_self_overlapping,
     measure_r_hat,
     piece_lengths,
@@ -315,3 +316,44 @@ def test_triangle_scan_is_not_vacuous(monkeypatch):
         assert report.stages[3].counterexample == expected
     with pytest.raises(UsageError, match="g = a, h = bab"):
         triangle_split(ROLLI, W("a"), W("bab"))
+
+
+def _marks(*patterns, count=-1):
+    """A Brooks(ab) kernel that marks only ``patterns``, each at most
+    ``count`` times (all occurrences by default)."""
+
+    def kernel(spec, letters):
+        _, _, mark = spec.brooks_patterns
+        for pattern in patterns:
+            letters = letters.replace(pattern, mark, count)
+        return letters.translate(decomposition._STARTS)
+
+    return kernel
+
+
+def _first_flag_zero(spec, letters):
+    flags = cut_flags(spec, letters)
+    return b"\0" + flags[1:] if flags else flags
+
+
+@pytest.mark.parametrize(
+    "kernel,stage,counterexample",
+    [
+        (_marks(W("ab").letters), "inverse-symmetry", {"word": "ab"}),
+        (_first_flag_zero, "pieces-concatenate", {"word": "a"}),
+        (
+            _marks(W("ab").letters, W("BA").letters, count=1),
+            "piece-runs-stable",
+            {"word": "abab", "run": (2, 3)},
+        ),
+    ],
+    ids=["marks-only-w", "first-flag-zero", "first-occurrence-only"],
+)
+def test_word_axiom_stages_are_not_vacuous(monkeypatch, kernel, stage, counterexample):
+    """Each per-word axiom stage fails, with its counterexample, for a
+    broken cut-flags kernel. Pair radius 0 keeps the triangle scan to the
+    identity, away from the broken pieces."""
+    monkeypatch.setattr(decomposition, "cut_flags", kernel)
+    report = check_axioms(BROOKS_AB, 4, 0, stabilize=False)
+    failed = {s.name: s.counterexample for s in report.stages if not s.passed}
+    assert failed[stage] == counterexample

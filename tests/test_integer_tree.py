@@ -9,11 +9,14 @@ non-aligned tuples and must agree exactly. The eta nodes are checked the
 same way against the sums in the ``massey`` module docstring.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massey_workbench.checks import identity_stage
 from massey_workbench.cochain import (
     EvalContext,
     TableCochain,
@@ -22,13 +25,21 @@ from massey_workbench.cochain import (
     constant,
     cup,
     evaluate,
+    letters_of,
     lincomb,
     qm_cochain,
     random_aligned_tuples,
     restrict,
 )
 from massey_workbench.decomposition import DecompositionSpec, boundaries, piece_lengths
-from massey_workbench.massey import MasseyInstance, eta1, eta2, eta_bridge
+from massey_workbench.massey import (
+    MasseyInstance,
+    bounded_primitive,
+    eta1,
+    eta2,
+    eta_bridge,
+    massey_representative,
+)
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, parse_word
 from oracles import reference_value
@@ -221,3 +232,58 @@ def test_eta_nodes_match_their_sums(data):
     check_node(eta1(m), ref_eta1, data.draw(tuples_of(k1)))
     check_node(eta2(m), ref_eta2, data.draw(tuples_of(k2)))
     check_node(eta_bridge(m), ref_bridge, data.draw(tuples_of(k1 + k2 - 1)))
+
+
+@contextmanager
+def small_context_limit(limit):
+    """Every ``EvalContext`` clears at ``limit`` entries; each store checks
+    that the cache never holds more, and the yielded list counts clears."""
+    clears = [0]
+    store = EvalContext.store
+
+    def checked_store(ctx, key, value):
+        clears[0] += len(ctx.node_values) >= ctx.limit
+        out = store(ctx, key, value)
+        assert len(ctx.node_values) <= ctx.limit
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EvalContext, "limit", limit)
+        mp.setattr(EvalContext, "store", checked_store)
+        yield clears
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_context_limit_keeps_tree_values(data):
+    """A wholesale clear forgets values, never changes them."""
+    degree = data.draw(st.integers(0, 3))
+    node, _ = data.draw(trees(degree, 3))
+    tasks = [letters_of(t) for t in random_aligned_tuples(RANK, degree, 30, 4, 0)]
+    tasks += [letters_of(t) for t in data.draw(tuples_of(degree))]
+    expected = [node._eval(t, EvalContext()) for t in tasks]
+    shared = EvalContext()
+    assert [node._eval(t, shared) for t in tasks] == expected
+    with small_context_limit(data.draw(st.integers(1, 5))):
+        ctx = EvalContext()
+        assert [node._eval(t, ctx) for t in tasks] == expected
+
+
+def test_context_limit_keeps_identity_stage():
+    """delta P = mu on the standard instance, with the cache cleared every
+    few stores, gives the stage result of the unbounded cache."""
+    psi1 = QuasiMorphism(DecompositionSpec("brooks", RANK, W("aB")), LambdaTable({W("aB"): 1}))
+    omega1 = restrict(coboundary(qm_cochain(psi1)))
+    omega2 = restrict(coboundary(qm_cochain(QMS[0])))
+    m = MasseyInstance(QMS[2], omega1, omega2, 2, 2)
+    tasks = random_aligned_tuples(RANK, 5, 60, 6, 1)
+
+    def stage():
+        lhs = coboundary(bounded_primitive(m))
+        return identity_stage("delta-p-equals-mu", lhs, massey_representative(m), tasks)
+
+    expected = stage()
+    assert expected.passed and expected.checked == len(tasks)
+    with small_context_limit(7) as clears:
+        assert stage() == expected
+    assert clears[0] > 0
