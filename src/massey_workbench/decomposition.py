@@ -10,9 +10,10 @@ Three concrete families are supported:
 Every family cuts the letter sequence of the input, so the product of the
 pieces returns the word with no cancellation at any junction. One C-level
 kernel per family writes the cuts as flags (``cut_flags``). One tripod
-core over per-word tables locates the piece-aligned corners of the tripod
-spanned by ``(1, g, g*h)`` and counts the pieces of its thick remainders:
-``triangle_scan`` runs it on every pair of a ball, ``triangle_split`` on one.
+core over per-word tables locates the piece-aligned corners of the tripods
+spanned by ``(1, g, g*h)`` for one ``g`` and a row of ``h`` and counts the
+pieces of their thick remainders: ``triangle_scan`` runs it on every row of
+a ball, ``triangle_split`` on a one-column row.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .words import (
     Letters,
     Word,
     _make,
+    cancelled_length,
     enumerate_ball,
     invert_letters,
     multiply_letters,
@@ -282,84 +284,116 @@ class _ScanData:
         self.inv_suffix = _InverseRuns(spec, inv, False)
 
 
-def _tripod(
-    spec: DecompositionSpec, dg: _ScanData, dh: _ScanData
-) -> tuple[int, int, int, tuple[int, int, int]] | None:
-    """Corners and thick piece counts of the tripod of ``(1, g, gh)``.
+# Separates the words of a row in one cut_flags call. It is no letter byte
+# (1..26, 230..255) and no Brooks mark byte (0, 0x7f), so every kernel
+# starts afresh after it: a Brooks pattern holds only letters, and a Rolli
+# letter always differs from it.
+_SEP = b"\x40"
 
-    Returns ``(len1, len2, len3, thick)``: the letter lengths of the corners
-    (``c1^-1`` is a prefix of ``g``, ``c2`` a suffix of ``g`` and ``c3`` a
-    suffix of ``h``, each the longest one ending on a piece boundary of both
-    adjacent sides) and the piece counts of the three remainders; ``None``
-    when the factorization of ``(gh)^-1`` fails.
 
-    Only ``(gh)^-1`` and its middle segment are decomposed; the two corner
+def _tripod_row(
+    spec: DecompositionSpec,
+    dg: _ScanData,
+    cols: list[_ScanData],
+    cancels: list[int],
+    products: list[Letters],
+) -> list[tuple[int, int, int, tuple[int, int, int]] | None]:
+    """Corners and thick piece counts of the tripods of ``(1, g, gh)`` for
+    one ``g`` and every column ``h``, given the cancelled length of each
+    product ``g h`` and the product's inverse ``(gh)^-1``.
+
+    For each column, ``(len1, len2, len3, thick)``: the letter lengths of
+    the corners (``c1^-1`` is a prefix of ``g``, ``c2`` a suffix of ``g``
+    and ``c3`` a suffix of ``h``, each the longest one ending on a piece
+    boundary of both adjacent sides) and the piece counts of the three
+    remainders; ``None`` when the factorization of ``(gh)^-1`` fails.
+
+    The products of the row are decomposed by one ``cut_flags`` call on
+    their ``_SEP``-joined bytes, each read at its offset, and their
+    nonempty middle segments by a second such call. The two corner
     segments are the inverses of a piece-aligned suffix of ``h`` and prefix
     of ``g``, whose cut flags are read from the tables. Flag strings that
     start with 1 spell piece-length sequences one to one, so comparing
-    concatenated flags compares piece runs. Piece runs within
-    ``g`` and ``h`` themselves are covered by the per-word run checks, so
-    their remainders are counted from the cut indices.
+    flags compares piece runs. Piece runs within ``g`` and ``h`` themselves
+    are covered by the per-word run checks, so their remainders are counted
+    from the cut indices.
     """
-    a, b = dg.letters, dh.letters
-    la, lb = len(a), len(b)
-    inv_a, inv_b = dg.inverse, dh.inverse
-
-    # words.cancelled_length, inlined for the per-pair loop.
-    c = 0
-    m = la if la < lb else lb
-    while c < m and a[la - 1 - c] + b[c] == 256:
-        c += 1
-    ghinv = inv_b[: lb - c] + inv_a[c:]
-    total = la + lb - 2 * c
-
-    full = cut_flags(spec, ghinv)
-    # ends[p] is 1 exactly when p is a cut of (gh)^-1, for 0 <= p <= total.
-    ends = full + b"\1"
-
-    # c2 sits inside the cancelled part; c1 inside the shared prefix of g and
-    # gh (a trailing run of (gh)^-1); c3 inside the shared suffix of h and gh
-    # (inverted, a leading run of (gh)^-1). c1 and c3 are searched longest
-    # first; both descending cut lists end at 0, the empty corner.
-    len2 = 0
-    if c:
-        for pos in dg.trail_list:
-            if pos > c:
+    kernel = cut_flags
+    a, inv_a = dg.letters, dg.inverse
+    la = len(a)
+    lead_desc, trail_list = dg.lead_desc, dg.trail_list
+    index_g, inv_prefix = dg.index, dg.inv_prefix
+    # The 1 after the last product keeps its empty-corner read in range.
+    flags = kernel(spec, _SEP.join(products)) + b"\1"
+    out = []
+    mids, mid_flags, mid_cols = [], [], []
+    start = 0
+    for dh, c, ghinv in zip(cols, cancels, products):
+        inv_b, index_h = dh.inverse, dh.index
+        lb, total = len(inv_b), len(ghinv)
+        end = start + total
+        # c2 sits inside the cancelled part; c1 inside the shared prefix of
+        # g and gh (a trailing run of (gh)^-1); c3 inside the shared suffix
+        # of h and gh (inverted, a leading run of (gh)^-1). c1 and c3 are
+        # searched longest first through the product's flags. Both
+        # descending cut lists end at 0, the empty corner, which the loop
+        # takes whether or not it breaks, so the byte it reads there (a
+        # separator's flag or the final 1) does not matter.
+        len2 = 0
+        if c:
+            for pos in trail_list:
+                if pos > c:
+                    break
+                if pos in index_h:
+                    len2 = pos
+        cap1 = la - c
+        for len1 in lead_desc:
+            if len1 <= cap1 and flags[end - len1]:
                 break
-            if pos in dh.index:
-                len2 = pos
-    cap1 = la - c
-    for len1 in dg.lead_desc:
-        if len1 <= cap1 and ends[total - len1]:
-            break
-    cap3 = lb - c
-    for len3 in dh.trail_desc:
-        if len3 <= cap3 and ends[len3]:
-            break
-
-    seg_mid = cut_flags(spec, ghinv[len3 : total - len1])
-    # The letter comparisons show the end segments are the tabled words (they
-    # restate gh[:len1] == g[:len1] and gh[-len3:] == h[-len3:] on the
-    # inverse), so the table lookups are exact.
-    if not (
-        dh.inv_suffix[len3] + seg_mid + dg.inv_prefix[len1] == full
-        and ghinv[total - len1 :] == inv_a[la - len1 :]
-        and ghinv[:len3] == inv_b[:len3]
-        and a[la - len2 :] == inv_b[lb - len2 :]
-    ):
-        return None
-    thick = (
-        dg.index[la - len2] - dg.index[len1],
-        dh.index[lb - len3] - dh.index[len2],
-        seg_mid.count(1),
-    )
-    return len1, len2, len3, thick
+        cap3 = lb - c
+        for len3 in dh.trail_desc:
+            if len3 <= cap3 and flags[start + len3]:
+                break
+        lo, hi = start + len3, end - len1
+        mid = flags[lo:hi]
+        # The letter comparisons show the end segments are the tabled words
+        # (they restate gh[:len1] == g[:len1] and gh[-len3:] == h[-len3:] on
+        # the inverse), so the table lookups are exact. The one for c2
+        # compares two empty words when len2 is 0, so it is skipped then.
+        if (
+            dh.inv_suffix[len3] == flags[start:lo]
+            and inv_prefix[len1] == flags[hi:end]
+            and ghinv[total - len1 :] == inv_a[la - len1 :]
+            and ghinv[:len3] == inv_b[:len3]
+            and (not len2 or a[la - len2 :] == inv_b[lb - len2 :])
+        ):
+            if lo != hi:
+                mid_cols.append(len(out))
+                mids.append(ghinv[len3 : total - len1])
+                mid_flags.append(mid)
+            thick = (
+                index_g[la - len2] - index_g[len1],
+                index_h[lb - len3] - index_h[len2],
+                mid.count(1),
+            )
+            out.append((len1, len2, len3, thick))
+        else:
+            out.append(None)
+        start = end + 1
+    # Each middle's own flags must equal the product's flags on it. The
+    # joined middles are all nonempty, so a kernel that restarts at _SEP
+    # writes a 1 there; a difference anywhere is located middle by middle.
+    if mids and kernel(spec, _SEP.join(mids)) != b"\1".join(mid_flags):
+        for j, mid, expect in zip(mid_cols, mids, mid_flags):
+            if kernel(spec, mid) != expect:
+                out[j] = None
+    return out
 
 
 def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecomposition:
     """Corner words of maximal piece length for the triangle ``(1, g, gh)``.
 
-    A one-pair call of the scan core: the tables of ``g`` and ``h`` are
+    A one-column row of the tripod core: the tables of ``g`` and ``h`` are
     built and only the two corner entries it reads are decomposed; corner
     piece counts are cut-index differences, like those of ``r1`` and ``r2``.
     A pair whose factorization fails, which ``triangle_scan`` would record
@@ -368,13 +402,14 @@ def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecompo
     if g.rank != h.rank:
         raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
     a, b = g.letters, h.letters
+    la, lb = len(a), len(b)
     dg, dh = _ScanData(spec, a), _ScanData(spec, b)
-    found = _tripod(spec, dg, dh)
+    c = cancelled_length(a, b)
+    ghinv = dh.inverse[: lb - c] + dg.inverse[c:]
+    found = _tripod_row(spec, dg, [dh], [c], [ghinv])[0]
     if found is None:
         raise UsageError(f"triangle factorization fails for g = {g}, h = {h}")
     len1, len2, len3, thick = found
-    la, lb = len(a), len(b)
-    ghinv = invert_letters(multiply_letters(a, b))
     rank, ig, ih = spec.rank, dg.index, dh.index
     return TriangleDecomposition(
         _make(invert_letters(a[:len1]), rank),
@@ -393,28 +428,54 @@ def triangle_scan(
 ) -> tuple[int, dict | None, int, dict | None, int]:
     """Check triangle factorizations for all pairs; track max thick length.
 
-    Each pair is one call of the tripod core on the per-word tables, which
-    are built once per word of ``left`` and ``right``.
+    Each ``g`` of ``left`` is one row of the tripod core over ``right``, on
+    per-word tables built once per word. The cancelled length of every
+    column is read from a table that maps each prefix of a ``right`` word
+    to the columns that start with it: the columns listed under the
+    length-k prefix of ``g^-1`` cancel at least k letters. It holds every
+    prefix, quadratic in word length, so it suits balls of short words;
+    ``triangle_split`` on long entries builds none.
 
     Returns (checked, first counterexample or None, r_hat, argmax info,
-    r_hat over the pairs with ``|g|, |h| <= inner_radius`` or -1 if none).
+    r_hat over the pairs with ``|g|, |h| <= inner_radius`` or -1 if none),
+    the counterexample and argmax being the first such pair in row-major
+    order.
     """
     data: dict[Letters, _ScanData] = {}
     for w in (*right, *left):
         if w.letters not in data:
             data[w.letters] = _ScanData(spec, w.letters)
-    rows = [(h, data[h.letters]) for h in right]
+    cols = [data[h.letters] for h in right]
+    inv_cols = [dh.inverse for dh in cols]
+    by_prefix: dict[Letters, list[int]] = {}
+    for j, h in enumerate(right):
+        b = h.letters
+        for k in range(1, len(b) + 1):
+            by_prefix.setdefault(b[:k], []).append(j)
 
     counterexample = argmax = None
     r_hat = r_inner = -1
     for g in left:
         dg = data[g.letters]
+        inv_a = dg.inverse
+        cancels = [0] * len(right)
+        for k in range(1, len(inv_a) + 1):
+            hits = by_prefix.get(inv_a[:k])
+            if hits is None:
+                break
+            for j in hits:
+                cancels[j] = k
+        # (gh)^-1 is h^-1 g^-1 with the cancelled letters dropped: built in
+        # one C-level pass, then redone for the columns that cancel.
+        products = list(map(operator.add, inv_cols, itertools.repeat(inv_a)))
+        for j in by_prefix.get(inv_a[:1], ()):
+            c, inv_b = cancels[j], inv_cols[j]
+            products[j] = inv_b[: len(inv_b) - c] + inv_a[c:]
         g_inner = len(g) <= inner_radius
-        for h, dh in rows:
-            found = _tripod(spec, dg, dh)
+        for j, found in enumerate(_tripod_row(spec, dg, cols, cancels, products)):
             if found is None:
                 if counterexample is None:
-                    counterexample = {"g": str(g), "h": str(h)}
+                    counterexample = {"g": str(g), "h": str(right[j])}
                 continue
             n1, n2, worst = thick = found[3]
             if n1 > worst:
@@ -423,8 +484,8 @@ def triangle_scan(
                 worst = n2
             if worst > r_hat:
                 r_hat = worst
-                argmax = {"g": str(g), "h": str(h), "thick_lengths": thick}
-            if worst > r_inner and g_inner and len(h) <= inner_radius:
+                argmax = {"g": str(g), "h": str(right[j]), "thick_lengths": thick}
+            if worst > r_inner and g_inner and len(right[j]) <= inner_radius:
                 r_inner = worst
     return len(left) * len(right), counterexample, max(r_hat, 0), argmax, r_inner
 

@@ -61,7 +61,7 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     rank = read_int(doc, "rank", 2)
     spec = spec_from_json(doc.get("decomposition", {"family": "letter"}), rank)
     radius = _setting(overrides, doc, "radius", 6)
-    pair_radius = read_int(doc, "pair_radius", min(radius, 5))
+    pair_radius = _at_least(read_int(doc, "pair_radius", min(radius, 5)), "pair_radius", 0)
     cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
     jobs = _at_least(_setting(overrides, doc, "jobs", 1), "jobs", 1)
     stabilize = doc.get("check_stabilization", True)
@@ -118,7 +118,7 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     rank = read_int(doc, "rank", 2)
     q = qm_from_json(field(doc, "phi", "defect config"), rank)
     radius = _setting(overrides, doc, "radius", 4)
-    pair_radius = read_int(doc, "pair_radius", radius)
+    pair_radius = _at_least(read_int(doc, "pair_radius", radius), "pair_radius", 0)
     random_pairs = _at_least(read_int(doc, "random_pairs", 2000), "random_pairs", 0)
     max_len = _at_least(read_int(doc, "max_len", 100), "max_len", 0)
     seed = _setting(overrides, doc, "seed", 0)

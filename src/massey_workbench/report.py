@@ -57,7 +57,7 @@ class ExperimentPlan:
         # An entry radius of 0 would read as "no cap" in the tuple enumeration,
         # and a negative budget as an empty exhaustive domain.
         least = dict.fromkeys(("exhaustive_entry_radius", "max_len", "ladder_samples", "jobs"), 1)
-        least.update(exhaustive_total_budget=0, deep_budget=0)
+        least.update(exhaustive_total_budget=0, deep_budget=0, pair_radius=0)
         for key, low in least.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")

@@ -10,7 +10,7 @@ of a word are reduced (no adjacent cancelling pair) and hold no zero byte;
 
 Two letter bytes are inverse exactly when they sum to 256; that is the one
 inverse test, used by reduction, by ``cancelled_length`` (the junction of a
-product, inlined in the triangle scan) and by alignment. ``INVERSE`` maps every letter byte to its
+product) and by alignment. ``INVERSE`` maps every letter byte to its
 inverse's, so a word is inverted by one ``translate`` of its reversal.
 Bytes rather than tuples of ints because ``bytes`` hashes in C and caches
 its hash, so a word that keys several caches is hashed once, and a slice or

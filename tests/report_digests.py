@@ -3,14 +3,19 @@
 Usage, from the repository root:
 
     python3 tests/report_digests.py > digests.json
+    python3 tests/report_digests.py axioms > axioms.json
 
 Prints one JSON object that maps each case to the sha256 of its reports,
 rendered by ``report.render_json`` with the ``timing`` key dropped. The
 cases are every ``configs/*.json`` at ``--jobs`` 1 and 2, the three
 ``perfbench/workloads.py`` workloads at seeds 1-3, and the three mutations
-on the mutation-sentinel plan at seeds 1-3. A refactor that must keep
-every report byte-identical runs this on both trees and compares the two
-objects. It is not a pytest module: the configs take minutes to run.
+on the mutation-sentinel plan at seeds 1-3. Arguments, if any, are
+case-name prefixes, and only the cases whose name starts with one of them
+run: ``axioms`` selects the three ``axioms-*.json`` configs and the
+``axioms-defect`` workload, a check of a change to the triangle scan in
+under a minute. A refactor that must keep every report byte-identical runs
+this on both trees and compares the two objects. It is not a pytest
+module: all cases together take minutes to run.
 """
 
 from __future__ import annotations
@@ -56,9 +61,14 @@ def digest(calls) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main() -> None:
-    print(json.dumps({name: digest(calls) for name, calls in cases()}, indent=2))
+def main(prefixes: list[str]) -> None:
+    digests = {
+        name: digest(calls)
+        for name, calls in cases()
+        if not prefixes or name.startswith(tuple(prefixes))
+    }
+    print(json.dumps(digests, indent=2))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

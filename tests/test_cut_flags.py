@@ -66,6 +66,31 @@ def test_cut_flags_match_oracle(case):
     ) == (oracles.cut_flags(spec, letters), oracles.piece_lengths(spec, letters))
 
 
+@given(entries(), st.lists(st.integers(0, MAX_LETTERS)))
+@settings(max_examples=300, deadline=None)
+def test_cut_flags_are_local_to_separator_segments(case, cuts):
+    """Cut at random points (repeated points give empty words), an entry
+    becomes a list of reduced words, with pieces of the family split
+    across the cuts. The flags of the ``_SEP``-joined list, sliced at the
+    separators, are the flags of each word on its own."""
+    spec, letters = case
+    bounds = [0, *sorted(min(c, len(letters)) for c in cuts), len(letters)]
+    parts = [letters[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    joined = decomposition.cut_flags(spec, decomposition._SEP.join(parts))
+    start = 0
+    for part in parts:
+        assert joined[start : start + len(part)] == decomposition.cut_flags(spec, part)
+        start += len(part) + 1
+
+
+def test_separator_is_no_letter_or_mark_byte():
+    sep = decomposition._SEP
+    letter_bytes = set(b"".join(Word((x,), 26).letters for i in range(1, 27) for x in (i, -i)))
+    mark = DecompositionSpec("brooks", 2, parse_word("ab", 2)).brooks_patterns[2]
+    assert len(sep) == 1 and set(mark) == {0, 0x7F}
+    assert sep[0] not in letter_bytes | set(mark)
+
+
 def test_cut_flags_examples():
     brooks = DecompositionSpec("brooks", 2, parse_word("ab", 2))
     rolli = DecompositionSpec("rolli", 2)

@@ -18,7 +18,14 @@ from massey_workbench.decomposition import (
 )
 from massey_workbench.errors import ConfigError, UsageError
 from massey_workbench.report import strip_timing
-from massey_workbench.words import Word, _make, enumerate_ball, parse_word, sample_word
+from massey_workbench.words import (
+    Word,
+    _make,
+    cancelled_length,
+    enumerate_ball,
+    parse_word,
+    sample_word,
+)
 import oracles
 from oracles import decompose, verify_triangle
 from test_letters import signed
@@ -249,12 +256,12 @@ def test_check_axioms_parallel_matches_serial():
         assert strip_timing(serial.to_json()) == strip_timing(parallel.to_json())
 
 
-def naive_triangle_scan(spec, ball):
+def naive_triangle_scan(spec, left, right, inner_radius=-1):
     """Oracle for triangle_scan: the oracle's triangle_split and
-    verify_triangle on every pair."""
-    counterexample, r_hat, argmax = None, -1, None
-    for g in ball:
-        for h in ball:
+    verify_triangle on every pair, in row-major order."""
+    counterexample, r_hat, argmax, r_inner = None, -1, None, -1
+    for g in left:
+        for h in right:
             tri = oracles.triangle_split(spec, g, h)
             if not verify_triangle(spec, g, h, tri):
                 if counterexample is None:
@@ -264,7 +271,9 @@ def naive_triangle_scan(spec, ball):
             if worst > r_hat:
                 r_hat = worst
                 argmax = {"g": str(g), "h": str(h), "thick_lengths": tri.thick_lengths}
-    return len(ball) ** 2, counterexample, max(r_hat, 0), argmax
+            if len(g) <= inner_radius and len(h) <= inner_radius:
+                r_inner = max(r_inner, worst)
+    return len(left) * len(right), counterexample, max(r_hat, 0), argmax, r_inner
 
 
 @pytest.mark.parametrize(
@@ -274,13 +283,13 @@ def naive_triangle_scan(spec, ball):
 )
 def test_triangle_scan_matches_naive_oracle(spec, radius):
     ball = list(enumerate_ball(spec.rank, radius))
-    naive = naive_triangle_scan(spec, ball)
-    assert triangle_scan(spec, ball, ball)[:4] == naive
+    naive = naive_triangle_scan(spec, ball, ball)
+    assert triangle_scan(spec, ball, ball) == naive
     for jobs in (1, 2):
         report = check_axioms(spec, 1, radius, jobs=jobs)
         triangles = report.stages[3]
         assert (triangles.checked, triangles.counterexample) == naive[:2]
-        assert (report.notes["r_hat"], report.notes["r_hat_argmax"]) == naive[2:]
+        assert (report.notes["r_hat"], report.notes["r_hat_argmax"]) == naive[2:4]
     # R-hat of Brooks(aab) grows 0, 0, 2, 3, 3 over radii 0..4, so every
     # inner radius below the ball's is compared, not only radius - 1.
     for inner in range(radius):
@@ -292,22 +301,98 @@ def test_triangle_scan_matches_naive_oracle(spec, radius):
     assert strip_timing(check_axioms(spec, 2, radius - 1, jobs=2).to_json()) == serial
 
 
+def merge_last_two(flags):
+    """Clear the last start flag of a word with two pieces or more."""
+    if flags.count(1) < 2:
+        return flags
+    last = flags.rindex(1)
+    return flags[:last] + b"\0" + flags[last + 1 :]
+
+
+def merge_first_two(flags):
+    """Clear the second start flag of a word with two pieces or more."""
+    if flags.count(1) < 2:
+        return flags
+    second = flags.index(1, 1)
+    return flags[:second] + b"\0" + flags[second + 1 :]
+
+
+def per_segment_kernel(mutate, longer_than=-1):
+    """A ``cut_flags`` that applies ``mutate`` to the flags of every
+    ``_SEP``-separated word longer than ``longer_than`` letters, as if each
+    word had been decomposed by its own call."""
+    real = decomposition.cut_flags
+
+    def kernel(spec, letters):
+        flags = bytearray(real(spec, letters))
+        start = 0
+        for part in letters.split(decomposition._SEP):
+            end = start + len(part)
+            if len(part) > longer_than:
+                flags[start:end] = mutate(bytes(flags[start:end]))
+            start = end + 1
+        return bytes(flags)
+
+    return kernel
+
+
+# Every family at ranks 1, 2, 3 and 26, each Brooks word from the
+# least rank that holds it.
+SCAN_SPECS = [
+    DecompositionSpec(family, rank)
+    for family in ("letter", "rolli")
+    for rank in (1, 2, 3, 26)
+] + [
+    DecompositionSpec("brooks", rank, parse_word(text, rank))
+    for text, least in (("a", 1), ("ab", 2), ("aab", 2), ("abC", 3))
+    for rank in (1, 2, 3, 26)
+    if rank >= least
+]
+
+
+@st.composite
+def scan_lists(draw):
+    """A spec, two independently drawn lists and an inner radius. The lists
+    draw from a pool of words of up to 8 letters, their inverses and the
+    empty word, so they hold duplicates and pairs with ``h = g^-1``; in
+    about half the cases a row ``g`` is added whose every column cancels
+    against it."""
+    spec = draw(st.sampled_from(SCAN_SPECS))
+    rank = spec.rank
+    draws = st.tuples(st.integers(0, 8), st.integers(0, 2**32))
+    pool = [sample_word(rank, n, seed) for n, seed in draw(st.lists(draws, min_size=1, max_size=5))]
+    pool += [w.inverse() for w in pool] + [Word((), rank)]
+    left = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    right = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    g = pool[0]
+    tails = [g.inverse() * sample_word(rank, n, seed) for n, seed in draw(st.lists(draws))]
+    cancelling = [h for h in [g.inverse(), *tails] if cancelled_length(g.letters, h.letters)]
+    if cancelling and draw(st.booleans()):
+        left.insert(draw(st.integers(0, len(left))), g)
+        right = draw(st.lists(st.sampled_from(cancelling), min_size=1, max_size=6))
+    return spec, left, right, draw(st.integers(-1, 9))
+
+
+@given(scan_lists())
+@settings(max_examples=300, deadline=None)
+def test_triangle_scan_matches_naive_oracle_on_lists(case):
+    """The whole scan result, row batching included, against the oracle on
+    non-square lists: checked count, first counterexample, R-hat, its
+    argmax and the inner R-hat."""
+    spec, left, right, inner = case
+    assert triangle_scan(spec, left, right, inner) == naive_triangle_scan(
+        spec, left, right, inner
+    )
+
+
 def test_triangle_scan_is_not_vacuous(monkeypatch):
     """A decomposition that breaks the triangle axiom must be caught through
     the per-word corner tables as well as through the fresh decompositions,
     by the scan and by the one-pair call alike. The one kernel is patched,
-    so every decomposition of the module (cut flags and the piece lengths
-    read off them) merges the last two pieces."""
-    real = decomposition.cut_flags
-
-    def merge_last_two(spec, letters):
-        flags = real(spec, letters)
-        if flags.count(1) < 2:
-            return flags
-        last = flags.rindex(1)
-        return flags[:last] + b"\0" + flags[last + 1 :]
-
-    monkeypatch.setattr(decomposition, "cut_flags", merge_last_two)
+    so every decomposition of the module (cut flags, the piece lengths read
+    off them, and each word of a row's joined products) merges the last two
+    pieces."""
+    monkeypatch.setattr(decomposition, "cut_flags", per_segment_kernel(merge_last_two))
     ball = list(enumerate_ball(2, 3))
     expected = {"g": "a", "h": "bab"}
     assert triangle_scan(ROLLI, ball, ball)[1] == expected
@@ -316,6 +401,37 @@ def test_triangle_scan_is_not_vacuous(monkeypatch):
         assert report.stages[3].counterexample == expected
     with pytest.raises(UsageError, match="g = a, h = bab"):
         triangle_split(ROLLI, W("a"), W("bab"))
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [(LETTER, {"g": "aa", "h": "aa"}), (ROLLI, {"g": "ab", "h": "ab"})],
+    ids=["letter", "rolli"],
+)
+def test_triangle_scan_reads_corner_tables(monkeypatch, spec, expected):
+    """Merging the first two pieces of every word leaves the first corner
+    segment of each product right but breaks the inverse-prefix table
+    entries of ``g``, so this failure is caught by the comparison of the
+    ``c1`` segment's tabled flags with the product's."""
+    monkeypatch.setattr(decomposition, "cut_flags", per_segment_kernel(merge_first_two))
+    ball = list(enumerate_ball(2, 3))
+    assert triangle_scan(spec, ball, ball)[1] == expected
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [(LETTER, "aaa"), (ROLLI, "aba"), (BROOKS_AB, "aaa")],
+    ids=["letter", "rolli", "brooks(ab)"],
+)
+def test_triangle_scan_reads_product_flags(monkeypatch, spec, expected):
+    """Only words longer than the ball radius are decomposed wrongly, so
+    every per-word table (ball words and their corner segments) is right
+    and only products and long middles are wrong: the scan must still
+    fail, so the flags it checks come from the products themselves."""
+    ball = list(enumerate_ball(2, 3))
+    assert triangle_scan(spec, ball, ball)[1] is None
+    monkeypatch.setattr(decomposition, "cut_flags", per_segment_kernel(merge_last_two, 3))
+    assert triangle_scan(spec, ball, ball)[1] == {"g": "a", "h": expected}
 
 
 def _marks(*patterns, count=-1):

@@ -570,6 +570,11 @@ def test_config_values_must_have_their_json_type(tmp_path, base, key, bad):
     assert main(config_args(tmp_path, base, key, bad)) == 2
 
 
+NEGATIVE_PAIR_RADIUS = [
+    (AXIOMS_DOC, "pair_radius", -1),
+    (DEFECT_DOC, "pair_radius", -1),
+    (MASSEY_DOC, "plan.pair_radius", -1),
+]
 TABLE_EXPR = {"op": "table", "degree": 2, "entries": [{"tuple": ["a", "b"], "value": 1}]}
 MASSEY_K1_DOC = massey_doc(k1=1)
 
@@ -605,6 +610,7 @@ MASSEY_K1_DOC = massey_doc(k1=1)
             (MASSEY_DOC, "omega1", dict(TABLE_EXPR, degree=2.9)),
             (MASSEY_K1_DOC, "omega1", {"op": "table", "degree": True, "entries": []}),
             (MASSEY_DOC, "omega1", dict(TABLE_EXPR, entries=[{"tuple": "ab", "value": 1}])),
+            *NEGATIVE_PAIR_RADIUS,
         ]
     ],
 )
@@ -614,6 +620,13 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, base, key, bad):
     assert main(config_args(tmp_path, base, key, bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("base, key, bad", NEGATIVE_PAIR_RADIUS)
+def test_negative_pair_radius_names_its_key(tmp_path, capsys, base, key, bad):
+    """The error names ``pair_radius``, not the ball enumeration's radius."""
+    assert main(config_args(tmp_path, base, key, bad)) == 2
+    assert "pair_radius must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["plan.exhaustive_total_budget", "plan.deep_budget"])
