@@ -3,13 +3,15 @@
 Subcommands: ``axioms``, ``defect``, ``verify-primitive``, ``massey`` run a
 verification flow from a JSON config; ``report`` renders a stored JSON
 report as a table. Exit status is 0 iff every stage passed; configuration
-problems exit with status 2.
+problems, and an ``--out`` path that cannot take the report, exit with
+status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ResourceCapError, WorkbenchError
 from .harness import RUNNERS
@@ -43,6 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_problem(path: str) -> str | None:
+    """Why a report cannot be written to ``path``, or None. Checked before
+    any stage runs, so a long run never ends in an unwritable path."""
+    target = Path(path)
+    if target.is_dir():
+        return f"--out {path} is a directory"
+    if not target.parent.is_dir():
+        return f"--out {path}: directory {target.parent} does not exist"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -61,6 +74,10 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in (("seed", args.seed), ("radius", args.radius), ("jobs", args.jobs))
         if value is not None
     }
+    problem = args.out and _out_problem(args.out)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         doc = load_config(args.config)
         report = RUNNERS[args.command](doc, overrides)
@@ -70,9 +87,13 @@ def main(argv: list[str] | None = None) -> int:
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        report.save(args.out)
     print(render_table(report.to_json()))
+    if args.out:
+        try:
+            report.save(args.out)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -19,7 +19,8 @@ Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s:
 cache keys are ``(node, t)`` and a coboundary face is a bare ``bytes``:
 ``a + b`` when the entries concatenate, else their ``multiply_letters``
 product. On a concatenating pair the coboundary of a quasi-morphism leaf is
-its ``QuasiMorphism.junction``, read off the letters at the junction.
+its ``QuasiMorphism.junction``, read off the letters at the junction, so
+its restriction keys its memo on those letters alone (``Restriction.window``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ResourceCapError, UsageError
-from .quasimorphism import QuasiMorphism
+from .quasimorphism import QuasiMorphism, SetOnce
 from .words import (
     Letters,
     Word,
@@ -95,27 +96,18 @@ class EvalContext:
         return value
 
 
-class Cochain:
+class Cochain(SetOnce):
     """Base expression node; subclasses set ``degree``, ``den`` and ``_eval``.
 
     A node computes ``degree`` and ``den`` in ``__init__``, and every name is
-    bound once: rebinding or deleting one raises ``AttributeError``, so no
-    value cached under a node can go stale. ``_eval`` returns the integer
-    numerator of the value over ``den``. Nodes compare and hash by identity,
-    which keeps cache keys cheap to hash.
+    bound once (``SetOnce``), so no value cached under a node can go stale.
+    ``_eval`` returns the integer numerator of the value over ``den``. Nodes
+    compare and hash by identity, which keeps cache keys cheap to hash.
     """
 
     __slots__ = ()
     degree: int
     den: int
-
-    def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__}.{name} is set once")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__}.{name} is set once")
 
     def _eval(self, t: LettersTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
@@ -185,16 +177,27 @@ class QMCochain(Cochain):
 
 
 class Restriction(Cochain):
-    """Extension by zero off the aligned domain."""
+    """Extension by zero off the aligned domain.
 
-    __slots__ = ("degree", "den", "child")
+    Over the coboundary of a quasi-morphism leaf, ``window`` is the leaf's
+    ``QuasiMorphism.window`` K, else 0. A nonzero window cuts a pair to
+    ``(x[-K:], y[:K])`` before the memo and the child see it: the alignment
+    test and the junction read nothing else (README "Junction window").
+    """
+
+    __slots__ = ("degree", "den", "child", "window")
 
     def __init__(self, child: Cochain):
         self.degree = child.degree
         self.den = child.den
         self.child = child
+        qm = child.qm if isinstance(child, Coboundary) else None
+        self.window = qm.window if qm is not None else 0
 
     def _eval(self, t, ctx):
+        k = self.window
+        if k:
+            t = (t[0][-k:], t[1][:k])
         key = (self, t)
         cached = ctx.node_values.get(key)
         if cached is not None:

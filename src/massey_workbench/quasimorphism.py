@@ -60,17 +60,35 @@ class LambdaTable:
 _ZERO = Fraction(0)
 
 
-class QuasiMorphism:
+class SetOnce:
+    """Slots that are bound once: rebinding or deleting one raises
+    ``AttributeError``, so no value cached under the object can go stale."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is set once")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is set once")
+
+
+class QuasiMorphism(SetOnce):
     """phi(g) = sum of lambda over the pieces of the decomposition of g.
 
     ``den`` is the least common denominator of lambda, and ``numerators``
     maps each piece with nonzero lambda to its numerator over ``den``.
     ``value_letters`` returns the integer numerator of phi over ``den``,
     ``value`` the ``Fraction``, and ``junction`` that of the defect of a
-    concatenating pair.
+    concatenating pair, which reads at most ``window`` letters on each
+    side of the junction.
     """
 
-    __slots__ = ("spec", "table", "name", "den", "numerators", "junction", "_cache", "_kernel")
+    __slots__ = (
+        "spec", "table", "name", "den", "numerators", "junction", "window", "_cache", "_kernel"
+    )
 
     def __init__(self, spec: DecompositionSpec, table: LambdaTable, name: str = "phi"):
         for letters in table.entries:
@@ -82,7 +100,9 @@ class QuasiMorphism:
         self.table = table
         self.name = name
         self._cache: dict[Letters, int] = {}
-        self.den, self.numerators, self._kernel, self.junction = counting_kernel(spec, table)
+        self.den, self.numerators, self._kernel, self.junction, self.window = counting_kernel(
+            spec, table
+        )
 
     @property
     def rank(self) -> int:
@@ -123,6 +143,7 @@ class QuasiMorphism:
 
 # (translation table or None, ((pattern, integer coefficient), ...))
 _CountGroup = tuple[bytes | None, tuple[tuple[bytes, int], ...]]
+_Junction = Callable[[Letters, Letters], int]
 
 
 def _letter_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
@@ -175,11 +196,12 @@ def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
 
 def counting_kernel(
     spec: DecompositionSpec, table: LambdaTable
-) -> tuple[int, dict[Letters, int], Callable[[Letters], int], Callable[[Letters, Letters], int]]:
-    """(den, scaled, evaluator, junction): the least common denominator of
-    the table, the nonzero entries as numerators over it, an exact evaluator
-    of the numerator over it of the quasi-morphism (spec, table) on
-    ``Letters``, and the ``junction_kernel`` of the same counts.
+) -> tuple[int, dict[Letters, int], Callable[[Letters], int], _Junction, int]:
+    """(den, scaled, evaluator, junction, window): the least common
+    denominator of the table, the nonzero entries as numerators over it, an
+    exact evaluator of the numerator over it of the quasi-morphism
+    (spec, table) on ``Letters``, and the ``junction_kernel`` of the same
+    counts.
 
     Every table entry is read as given, so a table that is not alternating
     (the tests' ``tampered_lambda``) is evaluated as the piece sum would be.
@@ -203,17 +225,21 @@ def counting_kernel(
                 total += coeff * t.count(pattern)
         return total
 
-    return den, scaled, kernel, junction_kernel(groups)
+    return den, scaled, kernel, *junction_kernel(groups)
 
 
-def junction_kernel(groups: list[_CountGroup]) -> Callable[[Letters, Letters], int]:
-    """Exact phi(x) + phi(y) - phi(x + y) for nonempty ``x``, ``y`` that
-    concatenate, as a numerator: the sum over patterns p, k = len(p) - 1, of
-    c_p ([0 y[:k] is p] - [p occurs in (0 x)[-k:] + y[:k]]), all strings
-    through the group's translation (README "Junction kernel"). Both terms
-    put y[0] at a position >= 1 of p, so only the groups with the
-    translation of y[0] there are visited.
+def junction_kernel(groups: list[_CountGroup]) -> tuple[_Junction, int]:
+    """(junction, window). ``junction`` is the exact phi(x) + phi(y) -
+    phi(x + y) for nonempty ``x``, ``y`` that concatenate, as a numerator:
+    the sum over patterns p, k = len(p) - 1, of c_p ([0 y[:k] is p] -
+    [p occurs in (0 x)[-k:] + y[:k]]), all strings through the group's
+    translation (README "Junction kernel"). Both terms put y[0] at a
+    position >= 1 of p, so only the groups with the translation of y[0]
+    there are visited. ``window`` is the largest k over the patterns, at
+    least 1: the junction reads only ``x[-window:]`` and ``y[:window]``
+    (README "Junction window").
     """
+    window = max([1, *(len(p) - 1 for _, terms in groups for p, _ in terms)])
     by_first: dict[int, list] = {}
     for translation, terms in groups:
         tr = translation or bytes(range(256))
@@ -232,7 +258,7 @@ def junction_kernel(groups: list[_CountGroup]) -> Callable[[Letters, Letters], i
                 total += c * (head.startswith(p) - (p in tail[-k:] + head[1 : k + 1]))
         return total
 
-    return junction
+    return junction, window
 
 
 def _is_legal_piece(spec: DecompositionSpec, letters: Letters) -> bool:

@@ -4,6 +4,7 @@ Usage, from the repository root:
 
     python3 tests/report_digests.py > digests.json
     python3 tests/report_digests.py axioms > axioms.json
+    python3 tests/report_digests.py --against digests.json [prefix ...]
 
 Prints one JSON object that maps each case to the sha256 of its reports,
 rendered by ``report.render_json`` with the ``timing`` key dropped. The
@@ -13,13 +14,16 @@ on the mutation-sentinel plan at seeds 1-3. Arguments, if any, are
 case-name prefixes, and only the cases whose name starts with one of them
 run: ``axioms`` selects the three ``axioms-*.json`` configs and the
 ``axioms-defect`` workload, a check of a change to the triangle scan in
-under a minute. A refactor that must keep every report byte-identical runs
-this on both trees and compares the two objects. It is not a pytest
-module: all cases together take minutes to run.
+under a minute. A refactor that must keep every report byte-identical
+saves the object on the old tree and runs ``--against`` it on the new one:
+each selected case whose digest differs from the saved one, or that only
+one side has, is printed, and the exit status is 1 on any such case. It is
+not a pytest module: all cases together take minutes to run.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -61,14 +65,37 @@ def digest(calls) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main(prefixes: list[str]) -> None:
-    digests = {
-        name: digest(calls)
-        for name, calls in cases()
-        if not prefixes or name.startswith(tuple(prefixes))
-    }
-    print(json.dumps(digests, indent=2))
+def compare(saved: dict, digests: dict, prefixes: tuple[str, ...]) -> list[str]:
+    """One line per selected case that differs or that one side lacks."""
+    lines = [
+        f"missing here: {name}"
+        for name in saved
+        if name not in digests and name.startswith(prefixes)
+    ]
+    for name, value in digests.items():
+        if name not in saved:
+            lines.append(f"missing in the saved digests: {name}")
+        elif saved[name] != value:
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Timing-stripped report digests.")
+    parser.add_argument("prefixes", nargs="*", help="run only cases starting with one of these")
+    parser.add_argument("--against", metavar="FILE", help="compare with a saved digest object")
+    args = parser.parse_args(argv)
+    prefixes = tuple(args.prefixes) or ("",)
+    digests = {name: digest(calls) for name, calls in cases() if name.startswith(prefixes)}
+    if args.against is None:
+        print(json.dumps(digests, indent=2))
+        return 0
+    saved = json.loads(Path(args.against).read_text(encoding="utf-8"))
+    lines = compare(saved, digests, prefixes)
+    equal = sum(saved.get(name) == value for name, value in digests.items())
+    print("\n".join(lines + [f"{equal} of {len(digests)} cases equal"]))
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

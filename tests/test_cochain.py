@@ -349,6 +349,7 @@ def test_every_node_is_set_once():
         table_two(),
         leaf,
         restrict(leaf),
+        restrict(coboundary(leaf)),
         coboundary(leaf),
         cup(leaf, leaf),
         alternate(leaf),
@@ -362,6 +363,8 @@ def test_every_node_is_set_once():
         assert not hasattr(node, "__dict__"), type(node).__name__
         names = [n for c in type(node).__mro__ for n in getattr(c, "__slots__", ())]
         assert {"degree", "den"} <= set(names)
+        if isinstance(node, cochain.Restriction):
+            assert "window" in names
         for name in names:
             value = getattr(node, name)
             with pytest.raises(AttributeError, match="set once"):

@@ -5,9 +5,13 @@ Each file under ``tests/golden/`` is a report rendered by
 ``report.render_json`` with its ``timing`` key dropped. A change that alters
 a report on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and says so in
-CHANGES.md; any other difference is a regression.
+CHANGES.md; any other difference is a regression. The digest tool that
+compares every benchmarked case across two trees, ``report_digests.py``,
+is checked here too.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +49,36 @@ def test_report_matches_golden(command, mutation, jobs):
     expected = golden_path(command, mutation).read_text(encoding="utf-8")
     assert render(command, mutation, jobs) == expected
 
+
+def test_report_digests_against(tmp_path):
+    """``report_digests.py --against`` prints each selected case that
+    differs or that one side lacks, and exits 1 on any."""
+    script = Path(__file__).resolve().parent / "report_digests.py"
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(script), *args], capture_output=True, text=True, check=False
+        )
+
+    case = "defect-brooks-ab.json --jobs 1"
+    done = run(case)
+    assert done.returncode == 0
+    saved = json.loads(done.stdout)
+    assert list(saved) == [case]
+    path = tmp_path / "saved.json"
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    done = run("--against", str(path), case)
+    assert (done.returncode, done.stdout) == (0, "1 of 1 cases equal\n")
+
+    saved = {case: "0" * 64, "defect-brooks-ab.json --jobs 10": "", "axioms-letter.json": ""}
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    done = run("--against", str(path), case)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "missing here: defect-brooks-ab.json --jobs 10",
+        f"differs: {case}",
+        "0 of 1 cases equal",
+    ]
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)

@@ -19,6 +19,7 @@ from massey_workbench.config import (
 )
 from massey_workbench.errors import ConfigError
 from massey_workbench.harness import (
+    RUNNERS,
     _antisymmetry_stage,
     _tripod_identity_stage,
     run_axioms,
@@ -28,6 +29,7 @@ from massey_workbench.harness import (
 from massey_workbench.quasimorphism import QuasiMorphism
 from massey_workbench.report import (
     ExperimentPlan,
+    Report,
     load_report,
     render_table,
     strip_timing,
@@ -265,6 +267,40 @@ def test_cli_rejects_unknown_command(tmp_path, capsys):
         main(["explode", "--config", str(path)])
     assert exc.value.code == 2
     assert "invalid choice: 'explode'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-parent", "directory"])
+def test_cli_checks_out_before_running(tmp_path, capsys, monkeypatch, target):
+    """An --out path that cannot take the report is exit 2 before any
+    runner is called, not a traceback after the whole run."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(massey_doc()), encoding="utf-8")
+    calls = []
+    monkeypatch.setitem(RUNNERS, "massey", lambda *args: calls.append(args))
+    out = str(tmp_path / target)
+    assert main(["massey", "--config", str(path), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --out {out}")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert calls == []
+
+
+def test_cli_save_failure_is_exit_2(tmp_path, capsys, monkeypatch):
+    """A write that fails after the run (here the path became a directory
+    meanwhile) is exit 2 with the table still printed."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(massey_doc()), encoding="utf-8")
+    out = tmp_path / "report.json"
+
+    def runner(doc, overrides):
+        out.mkdir()
+        return Report(command="massey")
+
+    monkeypatch.setitem(RUNNERS, "massey", runner)
+    assert main(["massey", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write report to {out}")
+    assert "Traceback" not in captured.err and "massey" in captured.out
 
 
 # -- determinism -------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_junction_examples():
 def broken_kernel(short=0, start=True, translate=True):
     """The junction formula term by term, with one part broken: a window
     ``short`` letters too short on each side, no start term, or no
-    translation."""
+    translation. It is returned with the true window, the largest k."""
 
     def factory(groups):
         def junction(x, y):
@@ -138,7 +138,7 @@ def broken_kernel(short=0, start=True, translate=True):
                     total += c * ((start and head == p) - crossing)
             return total
 
-        return junction
+        return junction, max([1, *(len(p) - 1 for _, terms in groups for p, _ in terms)])
 
     return factory
 
