@@ -18,7 +18,7 @@ from .cochain import (
     qm_cochain,
     restrict,
 )
-from .decomposition import DecompositionSpec
+from .decomposition import FAMILIES, DecompositionSpec
 from .errors import ConfigError
 from .massey import MasseyInstance
 from .quasimorphism import LambdaTable, QuasiMorphism
@@ -98,6 +98,8 @@ def load_config(path: str | Path) -> dict:
 
 def spec_from_json(obj: dict, rank: int) -> DecompositionSpec:
     family = field(obj, "family", "decomposition spec")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown decomposition family {family!r}")
     check_keys(obj, ("family", "word") if family == "brooks" else ("family",), f"{family!r} spec")
     word = None
     if family == "brooks":

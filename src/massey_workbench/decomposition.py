@@ -60,9 +60,12 @@ def is_non_self_overlapping(w: Word) -> bool:
     return True
 
 
+FAMILIES = ("letter", "rolli", "brooks")
+
+
 @dataclass(frozen=True)
 class DecompositionSpec:
-    """One of the three piece families, pinned to a rank."""
+    """One of the three piece families (``FAMILIES``), pinned to a rank."""
 
     family: Literal["letter", "rolli", "brooks"]
     rank: int
@@ -72,7 +75,7 @@ class DecompositionSpec:
         # Letters must fit one signed byte and miss the cut-flag mark's 0x7f.
         if not 1 <= self.rank <= 26:
             raise ConfigError(f"rank must be in [1, 26], got {self.rank}")
-        if self.family not in ("letter", "rolli", "brooks"):
+        if self.family not in FAMILIES:
             raise ConfigError(f"unknown decomposition family {self.family!r}")
         if self.family == "brooks":
             w = self.brooks_word

@@ -30,8 +30,15 @@ CONFIG_KEYS = {
 
 
 def check_config_keys(doc: dict, command: str) -> None:
-    """Reject top-level keys the command does not read."""
+    """Reject top-level keys the command does not read, a ``schema_version``
+    other than the integer 1, and a ``command`` naming another command (a
+    ``verify-primitive`` run also reads a ``massey`` config)."""
     check_keys(doc, CONFIG_KEYS[command], f"{command} config")
+    if read_int(doc, "schema_version", 1) != 1:
+        raise ConfigError(f"schema_version must be 1, got {doc['schema_version']!r}")
+    names = (command, "massey") if command == "verify-primitive" else (command,)
+    if "command" in doc and doc["command"] not in names:
+        raise ConfigError(f"a {command} run cannot read a config for command {doc['command']!r}")
 
 
 def _setting(overrides: dict, doc: dict, key: str, default: int) -> int:

@@ -20,9 +20,13 @@ Here z<_j / z>_j are the products of the pieces before / after the j-th one.
 
 The eta nodes follow the integer convention of ``cochain``: each returns the
 numerator of its sum over ``den``, the product of its factors' denominators.
-The three eta sums and the three-sum sides run one term loop
-(``_bridge_terms``). Each entry is decomposed once per instance
-(``_piece_runs``), with lambda read from the table.
+When every factor of an eta node is a windowed restriction, the factors are
+the same two values ``A``, ``B`` on every piece away from the ends of the
+entry, so the node sums the few edge pieces and adds ``A B`` times the rest
+of phi(e) (README "Eta bulk collapse"). Otherwise the eta sums, and always
+the three-sum sides, run the term loop ``_bridge_terms``, which decomposes
+each entry once per instance (``_piece_runs``), with lambda read from the
+table.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .cochain import (
     Cochain,
     EvalContext,
     LettersTuple,
+    Restriction,
     WordTuple,
     aligned_letters,
     coboundary,
@@ -51,7 +56,7 @@ from .cochain import (
     qm_cochain,
     random_aligned_tuples,
 )
-from .decomposition import boundaries, measure_r_hat, piece_lengths, triangle_split
+from .decomposition import boundaries, cut_flags, measure_r_hat, piece_lengths, triangle_split
 from .errors import UsageError
 from .quasimorphism import QuasiMorphism
 from .report import ExperimentPlan, Report, StageResult
@@ -127,22 +132,32 @@ def _piece_runs(m: MasseyInstance, letters: Letters):
 
 
 class _EtaBase(Cochain):
-    """The eta family of leaves: a cached bridge sum, ``_bridge_terms``.
+    """The eta family of leaves: a cached bridge sum over the pieces of one
+    entry, with factors ``left`` and ``right`` (None when absent, reading 1):
+    ``Eta1`` has no right factor and ``Eta2`` no left one. Degree and ``den``
+    follow from the factors.
 
-    Each kind sets its degree and ``den`` and names the factors it has:
-    ``Eta1`` has no right factor and ``Eta2`` no left one. The
-    ``shift-z-boundary`` mutation is applied as the memo is read: the
-    prefix of piece j ends at ``cuts[j - 1 + shift]`` and its suffix starts
-    at ``cuts[j - shift]``, so both cut points move one piece outward.
+    ``windows`` is ``(K_L, K_R)`` when every factor present is a windowed
+    restriction (``Restriction.window``, 0 for an absent factor), else None.
+    Then ``_sum`` collapses the bulk of the pieces (README "Eta bulk
+    collapse"); otherwise it runs the term loop, ``_bridge_terms``.
+
+    The ``shift-z-boundary`` mutation moves both cut points of a piece one
+    piece outward: the prefix of piece j ends at ``cuts[j - 1 + shift]`` and
+    its suffix starts at ``cuts[j - shift]``, in both paths.
     """
 
-    __slots__ = ("m", "degree", "den", "shift")
+    __slots__ = ("m", "left", "right", "degree", "den", "shift", "windows")
 
-    def __init__(self, m: MasseyInstance, degree: int, den: int):
+    def __init__(self, m: MasseyInstance, left: Cochain | None, right: Cochain | None):
         self.m = m
-        self.degree = degree
-        self.den = den
+        self.left = left
+        self.right = right
+        self.degree = (left.degree if left else 1) + (right.degree if right else 1) - 1
+        self.den = (left.den if left else 1) * m.phi.den * (right.den if right else 1)
         self.shift = 1 if m.mutation == "shift-z-boundary" else 0
+        kl, kr = _window(left), _window(right)
+        self.windows = None if kl is None or kr is None else (kl, kr)
 
     def _eval(self, t, ctx):
         key = (self, t)
@@ -154,6 +169,62 @@ class _EtaBase(Cochain):
     def _compute(self, t: LettersTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
 
+    def _sum(self, head: LettersTuple, e: Letters, tail: LettersTuple, ctx: EvalContext) -> int:
+        """sum_j left(head, z<_j) lambda_j right(z>_j, tail) over the pieces of ``e``.
+
+        With windows, every piece outside the edges (those starting before
+        K_L, up to cut ``lo``, and those ending after n - K_R, from cut
+        ``hi``) has the factors ``A = left(head, e[:K_L])`` and ``B =
+        right(e[n - K_R:], tail)``: the sum is the edge terms plus A B times
+        phi(e) less the edge lambdas. Overlapping edges take the term loop.
+        """
+        m, left, right, shift = self.m, self.left, self.right, self.shift
+        if self.windows is None:
+            return sum(_bridge_terms(m, left, right, head, e, tail, ctx, shift))
+        kl, kr = self.windows
+        n = len(e)
+        flags = cut_flags(m.phi.spec, e)
+        # A piece starts at every 1 of flags, so cut 0 is flags[0].
+        lo = flags.find(1, kl)
+        if lo < 0:
+            lo = n
+        hi = flags.rfind(1, 0, max(n - kr + 1, 1)) if kr else n
+        if lo > hi:
+            return sum(_bridge_terms(m, left, right, head, e, tail, ctx, shift))
+        lam = m.phi.numerators.get
+        total = 0
+        bulk = m.phi.value_letters(e)
+        for a, end in ((0, lo), (hi, n)):
+            while a < end:
+                b = flags.find(1, a + 1, end)
+                if b < 0:
+                    b = end
+                lam_j = lam(e[a:b])
+                if lam_j:
+                    bulk -= lam_j
+                    pre, suf = (b, a) if shift else (a, b)
+                    term = lam_j
+                    if left is not None:
+                        term *= left._eval(head + (e[: min(pre, kl)],), ctx)
+                    if term and right is not None:
+                        term *= right._eval((e[max(suf, n - kr) :],) + tail, ctx)
+                    total += term
+                a = b
+        if bulk and left is not None:
+            bulk *= left._eval(head + (e[:kl],), ctx)
+        if bulk and right is not None:
+            bulk *= right._eval((e[n - kr :],) + tail, ctx)
+        return total + bulk
+
+
+def _window(factor: Cochain | None) -> int | None:
+    """K of a windowed factor, 0 for an absent one, None for any other."""
+    if factor is None:
+        return 0
+    if isinstance(factor, Restriction) and factor.window:
+        return factor.window
+    return None
+
 
 class Eta1(_EtaBase):
     """Correction term whose coboundary makes beta1 bounded."""
@@ -161,11 +232,10 @@ class Eta1(_EtaBase):
     __slots__ = ()
 
     def __init__(self, m: MasseyInstance):
-        super().__init__(m, m.k1, m.omega1.den * m.phi.den)
+        super().__init__(m, m.omega1, None)
 
     def _compute(self, t, ctx):
-        m = self.m
-        return sum(_bridge_terms(m, m.omega1, None, t[:-1], t[-1], (), ctx, self.shift))
+        return self._sum(t[:-1], t[-1], (), ctx)
 
 
 class Eta2(_EtaBase):
@@ -174,11 +244,10 @@ class Eta2(_EtaBase):
     __slots__ = ()
 
     def __init__(self, m: MasseyInstance):
-        super().__init__(m, m.k2, m.phi.den * m.omega2.den)
+        super().__init__(m, None, m.omega2)
 
     def _compute(self, t, ctx):
-        m = self.m
-        return sum(_bridge_terms(m, None, m.omega2, (), t[0], t[1:], ctx, self.shift))
+        return self._sum((), t[0], t[1:], ctx)
 
 
 class EtaBridge(_EtaBase):
@@ -187,13 +256,11 @@ class EtaBridge(_EtaBase):
     __slots__ = ()
 
     def __init__(self, m: MasseyInstance):
-        super().__init__(m, m.k1 + m.k2 - 1, m.omega1.den * m.phi.den * m.omega2.den)
+        super().__init__(m, m.omega1, m.omega2)
 
     def _compute(self, t, ctx):
-        m, mid = self.m, self.m.k1 - 1
-        return sum(
-            _bridge_terms(m, m.omega1, m.omega2, t[:mid], t[mid], t[mid + 1 :], ctx, self.shift)
-        )
+        mid = self.m.k1 - 1
+        return self._sum(t[:mid], t[mid], t[mid + 1 :], ctx)
 
 
 def _bridge_terms(

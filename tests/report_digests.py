@@ -9,8 +9,10 @@ Usage, from the repository root:
 Prints one JSON object that maps each case to the sha256 of its reports,
 rendered by ``report.render_json`` with the ``timing`` key dropped. The
 cases are every ``configs/*.json`` at ``--jobs`` 1 and 2, the three
-``perfbench/workloads.py`` workloads at seeds 1-3, and the three mutations
-on the mutation-sentinel plan at seeds 1-3. Arguments, if any, are
+``perfbench/workloads.py`` workloads at seeds 1-3, the three mutations
+on the mutation-sentinel plan at seeds 1-3, and the three mutations on the
+``massey-long`` plan at seeds 1-2, whose entries of up to 200 letters reach
+the collapsed eta sums (the sentinel's reach 12). Arguments, if any, are
 case-name prefixes, and only the cases whose name starts with one of them
 run: ``axioms`` selects the three ``axioms-*.json`` configs and the
 ``axioms-defect`` workload, a check of a change to the triangle scan in
@@ -42,6 +44,7 @@ from massey_workbench.harness import RUNNERS  # noqa: E402
 from massey_workbench.report import render_json, strip_timing  # noqa: E402
 
 SEEDS = (1, 2, 3)
+LONG_MUTATION_SEEDS = (1, 2)
 
 
 def cases():
@@ -57,6 +60,10 @@ def cases():
         for seed in SEEDS:
             doc = workloads.massey_doc(workloads.SENTINEL_PLAN, seed, mutation)
             yield f"sentinel {mutation} seed {seed}", [("massey", doc, {})]
+    for mutation in workloads.SENTINEL_EXPECT:
+        for seed in LONG_MUTATION_SEEDS:
+            doc = workloads.massey_doc(workloads.LONG_PLAN, seed, mutation)
+            yield f"long {mutation} seed {seed}", [("massey", doc, {})]
 
 
 def digest(calls) -> str:

@@ -107,6 +107,32 @@ def test_spec_and_qm_parsing():
     assert q(W("a")) == Fraction(2, 3)
 
 
+def test_spec_family_is_checked_before_its_keys():
+    """An unknown family is named as such, not as an unknown key of it."""
+    with pytest.raises(ConfigError, match="unknown decomposition family 'Brooks'"):
+        spec_from_json({"family": "Brooks", "word": "ab"}, 2)
+    with pytest.raises(ConfigError, match="unknown decomposition family 5"):
+        spec_from_json({"family": 5}, 2)
+    with pytest.raises(ConfigError, match="unknown 'rolli' spec keys: \\['word'\\]"):
+        spec_from_json({"family": "rolli", "word": "ab"}, 2)
+
+
+def test_config_header_names_the_command():
+    """``schema_version`` and ``command`` are optional; when present they must
+    be 1 and the running command (a ``verify-primitive`` run also reads a
+    ``massey`` config)."""
+    from massey_workbench.harness import check_config_keys
+
+    headerless = {k: v for k, v in MASSEY_DOC.items() if k != "command"}
+    check_config_keys(headerless, "massey")
+    check_config_keys(dict(MASSEY_DOC, schema_version=1), "verify-primitive")
+    check_config_keys(VERIFY_DOC, "verify-primitive")
+    with pytest.raises(ConfigError, match="cannot read a config for command 'verify-primitive'"):
+        check_config_keys(VERIFY_DOC, "massey")
+    with pytest.raises(ConfigError, match="schema_version must be 1, got 2"):
+        check_config_keys(dict(AXIOMS_DOC, schema_version=2), "axioms")
+
+
 def test_spec_parsing_errors():
     with pytest.raises(ConfigError):
         spec_from_json({}, 2)
@@ -548,7 +574,8 @@ AXIOMS_DOC = {
 
 def config_args(tmp_path, base, key, value) -> list[str]:
     """CLI arguments running a copy of ``base`` with ``key`` (which may be a
-    dotted path into nested objects and lists) set to ``value``."""
+    dotted path into nested objects and lists) set to ``value``, under the
+    command of ``base``."""
     doc = copy.deepcopy(base)
     *parents, last = key.split(".")
     target = doc
@@ -557,7 +584,7 @@ def config_args(tmp_path, base, key, value) -> list[str]:
     target[last] = value
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
-    return [doc["command"], "--config", str(cfg)]
+    return [base["command"], "--config", str(cfg)]
 
 
 @pytest.mark.parametrize(
@@ -646,6 +673,18 @@ MASSEY_K1_DOC = massey_doc(k1=1)
             (MASSEY_DOC, "omega1", dict(TABLE_EXPR, degree=2.9)),
             (MASSEY_K1_DOC, "omega1", {"op": "table", "degree": True, "entries": []}),
             (MASSEY_DOC, "omega1", dict(TABLE_EXPR, entries=[{"tuple": "ab", "value": 1}])),
+            (MASSEY_DOC, "schema_version", 2),
+            (MASSEY_DOC, "schema_version", "x"),
+            (MASSEY_DOC, "schema_version", True),
+            (MASSEY_DOC, "schema_version", 1.0),
+            (AXIOMS_DOC, "schema_version", 0),
+            (DEFECT_DOC, "schema_version", None),
+            (MASSEY_DOC, "command", "axioms"),
+            (MASSEY_DOC, "command", "verify-primitive"),
+            (MASSEY_DOC, "command", 5),
+            (VERIFY_DOC, "command", "defect"),
+            (AXIOMS_DOC, "command", "massey"),
+            (DEFECT_DOC, "command", ["defect"]),
             *NEGATIVE_PAIR_RADIUS,
         ]
     ],
