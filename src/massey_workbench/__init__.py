@@ -15,7 +15,6 @@ from .cochain import (
     is_aligned,
     lincomb,
     qm_cochain,
-    random_aligned_tuple,
     restrict,
     TableCochain,
 )

@@ -9,53 +9,53 @@ from ._parallel import Scan, scan
 from .cochain import (
     Cochain,
     EvalContext,
-    WordTuple,
+    LettersTuple,
     exhaustive_aligned_tuples,
-    letters_of,
     random_aligned_tuples,
 )
 from .report import ExperimentPlan, StageResult
+from .words import format_letters
 
 
-def describe_tuple(t: WordTuple) -> list[str]:
-    return [str(w) for w in t]
+def describe_tuple(t: LettersTuple) -> list[str]:
+    return [format_letters(x) for x in t]
 
 
-def stage_tasks(plan: ExperimentPlan, arity: int, stage: str) -> list[WordTuple]:
-    """Exhaustive budgeted tuples plus seeded random tuples for one stage."""
-    tasks: list[WordTuple] = []
-    budget = plan.budget(arity)
-    if budget >= arity:
-        tasks.extend(
+def stage_tasks(
+    plan: ExperimentPlan, arity: int, stage: str, exhaustive: dict | None = None
+) -> list[LettersTuple]:
+    """Exhaustive budgeted tuples plus seeded random tuples for one stage.
+    ``exhaustive``, if given, keeps the exhaustive part of each arity across
+    calls."""
+    exhaustive = {} if exhaustive is None else exhaustive
+    if arity not in exhaustive:
+        exhaustive[arity] = list(
             exhaustive_aligned_tuples(
                 plan.rank,
                 arity,
-                budget,
+                plan.budget(arity),
                 plan.exhaustive_entry_radius,
                 plan.enumeration_cap,
             )
         )
-    count = plan.samples(stage)
-    if count > 0:
-        tasks.extend(
-            random_aligned_tuples(
-                plan.rank, arity, count, plan.max_len, f"{plan.seed}:{stage}"
-            )
-        )
-    return tasks
+    seed = f"{plan.seed}:{stage}"
+    return exhaustive[arity] + random_aligned_tuples(
+        plan.rank, arity, plan.samples(stage), plan.max_len, seed
+    )
 
 
 def task_lists(plan: ExperimentPlan):
-    """``stage_tasks`` for one run, keeping the last list: adjacent stages on
-    one (arity, sample key) share it."""
-    return functools.lru_cache(maxsize=1)(functools.partial(stage_tasks, plan))
+    """``stage_tasks`` for one run: the exhaustive part of each arity is
+    built once, and the last list is kept, so adjacent stages on one
+    (arity, sample key) share it."""
+    parts = functools.partial(stage_tasks, plan, exhaustive={})
+    return functools.lru_cache(maxsize=1)(parts)
 
 
-def _identity_probe(payload, t: WordTuple, out: Scan):
+def _identity_probe(payload, t: LettersTuple, out: Scan):
     name, lhs, rhs, ctx = payload
-    letters = letters_of(t)
-    left = lhs._eval(letters, ctx)
-    right = rhs._eval(letters, ctx)
+    left = lhs._eval(t, ctx)
+    right = rhs._eval(t, ctx)
     if left * rhs.den != right * lhs.den:
         out.fail(
             name,
@@ -72,7 +72,7 @@ def identity_stage(
     name: str,
     lhs: Cochain,
     rhs: Cochain,
-    tasks: list[WordTuple],
+    tasks: list[LettersTuple],
     jobs: int = 1,
     stats: dict | None = None,
 ) -> StageResult:
@@ -81,27 +81,27 @@ def identity_stage(
     return StageResult.from_scan(name, result, stats)
 
 
-def _zero_probe(payload, t: WordTuple, out: Scan):
+def _zero_probe(payload, t: LettersTuple, out: Scan):
     name, expr, ctx = payload
-    value = expr._eval(letters_of(t), ctx)
+    value = expr._eval(t, ctx)
     if value:
         out.fail(name, {"tuple": describe_tuple(t), "value": str(Fraction(value, expr.den))})
         return True
 
 
 def vanishing_stage(
-    name: str, expr: Cochain, tasks: list[WordTuple], jobs: int = 1
+    name: str, expr: Cochain, tasks: list[LettersTuple], jobs: int = 1
 ) -> StageResult:
     return StageResult.from_scan(name, scan(_zero_probe, (name, expr, EvalContext()), tasks, jobs))
 
 
-def _abs_probe(payload, t: WordTuple, out: Scan) -> None:
+def _abs_probe(payload, t: LettersTuple, out: Scan) -> None:
     expr, ctx = payload
-    out.offer("abs", abs(expr._eval(letters_of(t), ctx)), t)
+    out.offer("abs", abs(expr._eval(t, ctx)), t)
 
 
 def sup_scan(
-    expr: Cochain, tasks: list[WordTuple], jobs: int = 1
+    expr: Cochain, tasks: list[LettersTuple], jobs: int = 1
 ) -> tuple[Fraction, list[str] | None, int]:
     """(max |value|, the first tuple reaching it or None if all vanish, tuples
     checked), independent of job count.

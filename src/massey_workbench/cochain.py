@@ -25,7 +25,9 @@ its restriction keys its memo on those letters alone (``Restriction.window``).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -33,10 +35,10 @@ from typing import Iterator, Mapping, Sequence
 from .errors import ResourceCapError, UsageError
 from .quasimorphism import QuasiMorphism, SetOnce
 from .words import (
+    LENGTH_LIMIT,
     Letters,
     Word,
-    _make,
-    _sample_letters,
+    _sample_aligned,
     enumeration_cap,
     invert_letters,
     multiply_letters,
@@ -46,10 +48,6 @@ from .words import (
 
 WordTuple = tuple[Word, ...]
 LettersTuple = tuple[Letters, ...]
-
-
-def letters_of(t: Sequence[Word]) -> LettersTuple:
-    return tuple(w.letters for w in t)
 
 
 def aligned_letters(t: Sequence[Letters]) -> bool:
@@ -66,7 +64,7 @@ def aligned_letters(t: Sequence[Letters]) -> bool:
 
 
 def is_aligned(t: Sequence[Word]) -> bool:
-    return aligned_letters(letters_of(t))
+    return aligned_letters(tuple(w.letters for w in t))
 
 
 def flip_letters(t: LettersTuple) -> LettersTuple:
@@ -118,7 +116,7 @@ def evaluate(expr: Cochain, t: Sequence[Word], ctx: EvalContext | None = None) -
     t = tuple(t)
     if len(t) != expr.degree:
         raise UsageError(f"arity {len(t)} does not match degree {expr.degree}")
-    value = expr._eval(letters_of(t), ctx if ctx is not None else EvalContext())
+    value = expr._eval(tuple(w.letters for w in t), ctx if ctx is not None else EvalContext())
     return Fraction(value, expr.den)
 
 
@@ -152,7 +150,7 @@ class TableCochain(Cochain):
                 raise UsageError(f"table key arity {len(key)} != degree {degree}")
             if not is_aligned(key):
                 raise UsageError(f"table key {tuple(map(str, key))} is not aligned")
-            values[letters_of(key)] = Fraction(raw)
+            values[tuple(w.letters for w in key)] = Fraction(raw)
         self.den = math.lcm(*(v.denominator for v in values.values()))
         self.table = {
             k: v.numerator * (self.den // v.denominator) for k, v in values.items()
@@ -355,12 +353,13 @@ def exhaustive_aligned_tuples(
     total_budget: int,
     entry_cap: int | None = None,
     cap: int | None = None,
-) -> Iterator[WordTuple]:
+) -> Iterator[LettersTuple]:
     """All aligned tuples whose entries concatenate to a reduced word of
     length <= total_budget, each entry of length <= entry_cap.
 
     Aligned tuples are exactly the cut decompositions of reduced words, so
-    the domain is enumerated as (word, cut positions) pairs.
+    the domain is enumerated as (word, cut positions) pairs: each word in
+    ``words_of_length`` order, cut by each composition in turn.
     """
     count = count_exhaustive_aligned_tuples(rank, arity, total_budget, entry_cap)
     limit = enumeration_cap(cap)
@@ -372,36 +371,33 @@ def exhaustive_aligned_tuples(
         yield ()
         return
     entry_cap = entry_cap or total_budget
+    # Tuples share one bytes object per distinct entry (at most the ball of
+    # radius entry_cap), which also hashes once.
+    intern = {}.setdefault
     for length in range(arity, total_budget + 1):
-        comps = list(_compositions(length, arity, entry_cap))
-        if not comps:
+        cutters = [_cutter(comp) for comp in _compositions(length, arity, entry_cap)]
+        if not cutters:
             continue
         for letters in words_of_length(rank, length):
-            for comp in comps:
-                out = []
-                pos = 0
-                for c in comp:
-                    out.append(_make(letters[pos : pos + c], rank))
-                    pos += c
-                yield tuple(out)
+            for cut in cutters:
+                entries = cut(letters)
+                yield tuple(map(intern, entries, entries))
 
 
-def random_aligned_tuple(
-    rng: random.Random, rank: int, arity: int, max_len: int
-) -> WordTuple:
-    """Aligned tuple with entry lengths uniform in [1, max_len]."""
-    out: list[Word] = []
-    last = 0
-    for _ in range(arity):
-        length = rng.randint(1, max_len)
-        letters = _sample_letters(rank, length, rng, first_banned=last)
-        out.append(_make(letters, rank))
-        last = letters[-1]
-    return tuple(out)
+def _cutter(comp: tuple[int, ...]):
+    """The function cutting a word into entries of the lengths ``comp``."""
+    if len(comp) == 1:
+        return lambda letters: (letters,)
+    ends = list(itertools.accumulate(comp))
+    return operator.itemgetter(*map(slice, [0, *ends[:-1]], ends))
 
 
 def random_aligned_tuples(
     rank: int, arity: int, count: int, max_len: int, seed: int | str
-) -> list[WordTuple]:
+) -> list[LettersTuple]:
+    """``count`` seeded aligned tuples, entry lengths uniform in [1, max_len]
+    (``words._sample_aligned`` on a generator of its own)."""
+    if not 1 <= max_len <= LENGTH_LIMIT:
+        raise UsageError(f"max_len must be in [1, {LENGTH_LIMIT}], got {max_len}")
     rng = random.Random(f"{seed}:aligned:{arity}:{max_len}")
-    return [random_aligned_tuple(rng, rank, arity, max_len) for _ in range(count)]
+    return _sample_aligned(rank, arity, count, max_len, rng)

@@ -12,7 +12,7 @@ from .errors import ConfigError
 from .massey import verify_massey_triviality, verify_primitives
 from .quasimorphism import QuasiMorphism, defect, defect_from_triangle, defect_sup
 from .report import Report, StageResult, now_iso
-from .words import Word, enumerate_ball, enumeration_cap
+from .words import Word, check_length, enumerate_ball, enumeration_cap
 
 
 # Top-level keys each command reads; any other key is a typo that would
@@ -130,6 +130,7 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     max_len = _at_least(read_int(doc, "max_len", 100), "max_len", 0)
     seed = _setting(overrides, doc, "seed", 0)
     cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
+    check_length(max_len, "max_len", cap)
     jobs = _at_least(_setting(overrides, doc, "jobs", 1), "jobs", 1)
 
     # Measured before the report starts, so no stage's time holds this scan.

@@ -51,7 +51,6 @@ from .cochain import (
     aligned_letters,
     coboundary,
     cup,
-    letters_of,
     lincomb,
     qm_cochain,
     random_aligned_tuples,
@@ -60,7 +59,7 @@ from .decomposition import boundaries, cut_flags, measure_r_hat, piece_lengths, 
 from .errors import UsageError
 from .quasimorphism import QuasiMorphism
 from .report import ExperimentPlan, Report, StageResult
-from .words import Letters, multiply_letters
+from .words import Letters, _make, multiply_letters
 
 MUTATIONS = ("flip-eta-sign", "shift-z-boundary", "flip-beta1-cup-sign")
 # The piece-run memo of an instance is cleared wholesale at this many entries.
@@ -404,7 +403,7 @@ def three_sum_residual(
     """
     if len(t) != m.k1 + m.k2:
         raise UsageError(f"expected arity {m.k1 + m.k2}, got {len(t)}")
-    letters = letters_of(t)
+    letters = tuple(w.letters for w in t)
     if not aligned_letters(letters):
         raise UsageError("three-sum residual is defined on aligned tuples")
     ctx = ctx if ctx is not None else EvalContext()
@@ -447,10 +446,10 @@ def three_sum_residual(
     return total, ledger
 
 
-def _three_sum_probe(payload, t: WordTuple, out: Scan) -> None:
+def _three_sum_probe(payload, t: LettersTuple, out: Scan) -> None:
     m, primitive, r_bound, ctx = payload
-    total, ledger = three_sum_residual(m, t, ctx)
-    direct = Fraction(primitive._eval(letters_of(t), ctx), primitive.den)
+    total, ledger = three_sum_residual(m, tuple(_make(x, m.rank) for x in t), ctx)
+    direct = Fraction(primitive._eval(t, ctx), primitive.den)
     if total != direct:
         out.fail(
             "three-sum-equality",
@@ -491,10 +490,11 @@ def _exact_stages(m: MasseyInstance) -> list[tuple]:
 
 def _run_stages(rows: list[tuple], plan: ExperimentPlan, report: Report, tasks) -> None:
     for name, arity, key, lhs, rhs in rows:
+        domain = report.build_tasks(tasks, arity, key)
         if rhs is None:
-            report.add(vanishing_stage(name, lhs, tasks(arity, key), plan.jobs))
+            report.add(vanishing_stage(name, lhs, domain, plan.jobs))
         else:
-            report.add(identity_stage(name, lhs, rhs, tasks(arity, key), plan.jobs))
+            report.add(identity_stage(name, lhs, rhs, domain, plan.jobs))
 
 
 def verify_massey_triviality(m: MasseyInstance, plan: ExperimentPlan) -> Report:
@@ -530,20 +530,22 @@ def verify_massey_triviality(m: MasseyInstance, plan: ExperimentPlan) -> Report:
     primitive = bounded_primitive(m)
     r_bound = 3 * r_hat
     payload = (m, primitive, r_bound, EvalContext())
-    result = scan(_three_sum_probe, payload, tasks(m.k1 + m.k2, "three_sum"), jobs)
+    domain = report.build_tasks(tasks, m.k1 + m.k2, "three_sum")
+    result = scan(_three_sum_probe, payload, domain, jobs)
     max_survivors = result.best("survivors", 0)[0]
     stats = {"max_survivors": max_survivors, "max_thick_bound": result.best("thick_bound", 0)[0]}
     report.add(StageResult.from_scan("three-sum-equality", result, stats=stats))
     stats = {"max_survivors": max_survivors, "three_r_hat": r_bound}
     report.add(StageResult.from_scan("ledger-bound", result, stats=stats))
 
-    norm1, _, _ = sup_scan(m.omega1, tasks(m.k1, "norms"), jobs)
-    norm2, _, _ = sup_scan(m.omega2, tasks(m.k2, "norms"), jobs)
+    norm1, _, _ = sup_scan(m.omega1, report.build_tasks(tasks, m.k1, "norms"), jobs)
+    norm2, _, _ = sup_scan(m.omega2, report.build_tasks(tasks, m.k2, "norms"), jobs)
     sup_bound = Fraction(r_bound) * norm1 * lambda_sup * norm2
     ladder_stats: list[dict] = []
     sups: list[Fraction] = []
     for max_len in plan.max_len_ladder:
-        rung_tasks = random_aligned_tuples(
+        rung_tasks = report.build_tasks(
+            random_aligned_tuples,
             plan.rank,
             m.k1 + m.k2,
             plan.ladder_samples,

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from .words import enumeration_cap
+from .words import check_length
 
 if TYPE_CHECKING:
     from ._parallel import Scan
@@ -61,8 +61,6 @@ class ExperimentPlan:
         for key, low in least.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if self.enumeration_cap is not None:
-            enumeration_cap(self.enumeration_cap)
         ladder = tuple(self.max_len_ladder)
         # With no rung the sup bound would pass unchecked.
         if not ladder:
@@ -71,6 +69,9 @@ class ExperimentPlan:
             raise ConfigError(f"max_len_ladder rungs must be >= 1, got {list(ladder)}")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("max_len_ladder must be strictly increasing")
+        # Also checks the cap itself.
+        check_length(self.max_len, "max_len", self.enumeration_cap)
+        check_length(ladder[-1], "max_len_ladder rung", self.enumeration_cap)
         self.max_len_ladder = ladder
         for stage, count in self.sample_counts.items():
             if count < 0:
@@ -135,10 +136,12 @@ class Report:
     """Aggregated outcome of one workbench command.
 
     ``stage_timing`` holds, for each added stage, its wall time from the
-    previous ``add`` (or from the report's creation) and its tuples per
-    second. Each command adds a stage as soon as the scan producing it ends;
-    stages added together after one shared scan (the three per-word axiom
-    checks, three-sum and ledger) put the whole scan on the first of them.
+    previous ``add`` (or from the report's creation), less the time spent in
+    ``build_tasks``, and its tuples per second. Each command adds a stage as
+    soon as the scan producing it ends; stages added together after one
+    shared scan (the three per-word axiom checks, three-sum and ledger) put
+    the whole scan on the first of them. ``tasks_s`` is the time spent in
+    ``build_tasks``.
     """
 
     command: str
@@ -148,6 +151,7 @@ class Report:
     wall_time_s: float = 0.0
     started_at: str = ""
     stage_timing: list[dict] = field(default_factory=list, init=False)
+    tasks_s: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         self._last_mark = time.perf_counter()
@@ -155,6 +159,16 @@ class Report:
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.stages)
+
+    def build_tasks(self, build, *args):
+        """``build(*args)``, a task list, timed into ``tasks_s`` instead of
+        the next stage's wall time."""
+        start = time.perf_counter()
+        tasks = build(*args)
+        spent = time.perf_counter() - start
+        self.tasks_s += spent
+        self._last_mark += spent
+        return tasks
 
     def add(self, stage: StageResult) -> StageResult:
         now = time.perf_counter()
@@ -184,6 +198,7 @@ class Report:
             TIMING_KEY: {
                 "started_at": self.started_at,
                 "wall_time_s": self.wall_time_s,
+                "tasks_s": round(self.tasks_s, 3),
                 "stages": self.stage_timing,
             },
         }

@@ -30,6 +30,11 @@ from .errors import ConfigError, ResourceCapError, UsageError
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 ENUMERATION_CAP_ENV = "MASSEY_WORKBENCH_ENUM_CAP"
+# Sampled lengths stay under the enumeration cap and this limit: a length
+# draw is then one 32-bit output, whatever the cap is raised to.
+LENGTH_LIMIT = 2**31 - 1
+# Most 32-bit outputs a sampler draws at a time, unless one entry needs more.
+_BLOCK = 1 << 12
 
 Letters = bytes
 
@@ -187,7 +192,11 @@ def parse_word(text: str, rank: int) -> Word:
 
 def format_word(w: Word) -> str:
     """Canonical text: lower-case generators, upper-case inverses, 1 for identity."""
-    return w.letters.translate(_TEXT).decode("ascii") or "1"
+    return format_letters(w.letters)
+
+
+def format_letters(letters: Letters) -> str:
+    return letters.translate(_TEXT).decode("ascii") or "1"
 
 
 def ball_size(rank: int, radius: int) -> int:
@@ -251,6 +260,17 @@ def enumerate_ball(rank: int, radius: int, cap: int | None = None) -> Iterator[W
             yield _make(letters, rank)
 
 
+def check_length(value: int, key: str, cap: int | None = None) -> None:
+    """A ``ResourceCapError`` naming ``key`` if ``value`` exceeds the
+    enumeration cap or ``LENGTH_LIMIT``."""
+    limit = min(enumeration_cap(cap), LENGTH_LIMIT)
+    if value > limit:
+        raise ResourceCapError(
+            f"{key} {value} exceeds the length cap {limit} "
+            f"(the enumeration cap, at most {LENGTH_LIMIT})"
+        )
+
+
 def sample_word(rank: int, length: int, seed: int | random.Random) -> Word:
     """Uniform reduced word of exact length via a non-backtracking walk."""
     if length < 0:
@@ -266,37 +286,148 @@ def _sample_letters(
     letter byte ``first_banned`` if nonzero.
 
     The letters and the stream are those of ``rng.choice(followers[last])``
-    per letter: past the first, each choice has n = 2 rank - 1 followers and
-    keeps the top ``n.bit_length()`` bits of one 32-bit output per try,
-    rejecting values >= n, and ``getrandbits(32 m)`` is m outputs, the first
-    lowest, so the missing letters are drawn in batches of that many tries."""
+    per letter. Every choice among the n = 2 rank - 1 followers of a letter
+    is one try per 32-bit output, decoded from the output's top byte by
+    ``_choice_codes``; ``getrandbits(32 m)`` is m outputs, the first lowest,
+    so the missing choices are drawn in batches of at most as many tries as
+    are missing, and the accepted ones are walked by ``_walk``."""
     if not length:
         return b""
+    head, last, need = b"", first_banned, length
+    if not first_banned:
+        last = rng.choice(_followers(rank)[0])
+        head, need = bytes((last,)), length - 1
+    codes, rejected = _choice_codes(rank)
+    parts, got = [], 0
+    while got < need:
+        m = min(need - got, _BLOCK)
+        tops = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        parts.append(tops.translate(codes, rejected))
+        got += len(parts[-1])
+    return head + _walk(rank, last, b"".join(parts))
+
+
+def _sample_aligned(
+    rank: int, arity: int, count: int, max_len: int, rng: random.Random
+) -> list[tuple[Letters, ...]]:
+    """``count`` aligned tuples: per entry ``rng.randint(1, max_len)``, then
+    ``_sample_letters`` of that length banning the inverse of the previous
+    entry's last letter, as the letters and lengths of those calls.
+
+    The outputs are drawn ahead in blocks and decoded here: ``randint`` and
+    ``choice`` keep the top ``n.bit_length()`` bits of one output per try and
+    reject values >= n (a length fits one output by ``check_length``), and a
+    letter choice is the ``_choice_codes`` mark of the output's top byte. The
+    generator ends past the outputs decoded, so ``rng`` must be private to
+    the call."""
+    if not arity:
+        return [()] * count
+    alphabet = _followers(rank)[0]
+    codes, _ = _choice_codes(rank)
+    n_first, n = len(alphabet), 2 * rank - 1
+    len_shift = 32 - max_len.bit_length()
+    first_shift = 32 - n_first.bit_length()
+    # Twice the expected tries of an entry of max_len letters: the outputs
+    # ahead of an entry are topped up to this many, which nearly always
+    # covers it, so the buffer holds O(_BLOCK + room) outputs.
+    room = 2 * (max_len + 2) * 2 ** n.bit_length() // n + 64
+    block = max(room, _BLOCK)
+    words, marks = array("I"), b""
+    out = []
+    p = 0
+    for _ in range(count):
+        # The choices of the tuple's letters past its first are one walk from
+        # that letter: each later entry's first letter follows the last one.
+        lengths, spans = [], []
+        for _ in range(arity):
+            if len(words) - p < room:
+                words, marks = _more(rng, codes, words, marks, p, block)
+                p = 0
+            while True:
+                if p == len(words):
+                    words, marks = _more(rng, codes, words, marks, 0, room)
+                length = (words[p] >> len_shift) + 1
+                p += 1
+                if length <= max_len:
+                    break
+            lengths.append(length)
+            need = length
+            if not spans:
+                while True:
+                    if p == len(words):
+                        words, marks = _more(rng, codes, words, marks, 0, room)
+                    r = words[p] >> first_shift
+                    p += 1
+                    if r < n_first:
+                        break
+                first = alphabet[r]
+                need -= 1
+            # Widen [p, end) by its rejected tries until it holds need choices.
+            end = p + need
+            short = need
+            while short:
+                if end > len(marks):
+                    words, marks = _more(rng, codes, words, marks, 0, end - len(marks) + room)
+                short = marks.count(255, end - short, end)
+                end += short
+            spans.append(marks[p:end])
+            p = end
+        letters = bytes((first,)) + _walk(rank, first, b"".join(spans).translate(None, b"\xff"))
+        t = []
+        a = 0
+        for length in lengths:
+            t.append(letters[a : a + length])
+            a += length
+        out.append(tuple(t))
+    return out
+
+
+def _more(
+    rng: random.Random, codes: bytes, words: array, marks: bytes, keep: int, m: int
+) -> tuple[array, bytes]:
+    """``words`` and ``marks`` from index ``keep`` on, then ``m`` more
+    outputs of ``rng`` and their ``codes`` marks."""
+    raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+    more = array("I", raw)
+    if sys.byteorder == "big":
+        more.byteswap()
+    return words[keep:] + more, marks[keep:] + raw[3::4].translate(codes)
+
+
+def _walk(rank: int, last: int, choices: bytes) -> Letters:
+    """The letters that follower choices pick one after another from the
+    letter byte ``last`` on."""
     followers = _followers(rank)
-    last = rng.choice(followers[first_banned])
-    out = bytearray((last,))
-    n = 2 * rank - 1
-    shift = 32 - n.bit_length()
-    while need := length - len(out):
-        words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        for word in words:
-            r = word >> shift
-            if r < n:
-                last = followers[last][r]
-                out.append(last)
+    out = bytearray()
+    for c in choices:
+        last = followers[last][c]
+        out.append(last)
     return bytes(out)
 
 
 @functools.cache
-def _followers(rank: int) -> dict[int, bytes]:
+def _choice_codes(rank: int) -> tuple[bytes, bytes]:
+    """(codes, rejected) of a follower choice from the top byte of a 32-bit
+    output: with n = 2 rank - 1 <= 51 followers the choice is the top
+    ``n.bit_length()`` <= 6 bits of the output, so ``codes`` maps a top byte
+    to that choice, or to 255 for a rejected try, and ``rejected`` lists the
+    top bytes of rejected tries."""
+    n = 2 * rank - 1
+    shift = 8 - n.bit_length()
+    codes = bytes(b >> shift if b >> shift < n else 255 for b in range(256))
+    return codes, bytes(b for b in range(256) if codes[b] == 255)
+
+
+@functools.cache
+def _followers(rank: int) -> list[bytes]:
     """Letter byte (0 for none) -> the letter bytes that may follow it, in
     alphabet order ``1, -1, 2, -2, ...`` (not byte order), the order of
-    every enumeration and of the sampler's choices. Read-only: the dict is
-    shared by every caller."""
+    every enumeration and of the sampler's choices; ``b""`` for a byte that
+    is no letter of the rank. A list, since the sampler's walk indexes it
+    once per letter. Read-only: it is shared by every caller."""
     alphabet = bytes(x & 0xFF for i in range(1, rank + 1) for x in (i, -i))
-    followers = {0: alphabet}
+    followers = [b""] * 256
+    followers[0] = alphabet
     for last in alphabet:
         followers[last] = bytes(x for x in alphabet if x + last != 256)
     return followers

@@ -16,9 +16,16 @@ paths of the library are compared against.
   decompositions of a tripod and compares them with the three sides.
 * ``reference_value`` is phi as the plain sum of lambda over the pieces
   (``piece_values``), the oracle of the counting kernel.
+* ``random_aligned_tuple`` draws one aligned tuple with one ``randint`` per
+  entry and one ``choice`` per letter, and ``random_aligned_tuples`` lists
+  them on the seeded generator of ``cochain.random_aligned_tuples``: the
+  reference of its block decoder.
+* ``letters_of`` and ``words_of`` convert a tuple between ``Word`` entries
+  and their ``Letters``.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from massey_workbench.decomposition import (
@@ -198,3 +205,44 @@ def tampered_lambda(table: LambdaTable, piece: Word, value) -> LambdaTable:
     clone.entries = entries
     clone.sup = max((abs(v) for v in entries.values()), default=Fraction(0))
     return clone
+
+
+def _followers(rank: int) -> dict[int, list[int]]:
+    """Letter byte (0 for none) -> the letter bytes that may follow it, in
+    the alphabet order 1, -1, 2, -2, ..."""
+    alphabet = [x & 0xFF for i in range(1, rank + 1) for x in (i, -i)]
+    out = {0: alphabet}
+    for last in alphabet:
+        out[last] = [x for x in alphabet if (x + last) & 0xFF]
+    return out
+
+
+def random_aligned_tuple(
+    rng: random.Random, rank: int, arity: int, max_len: int
+) -> tuple[Letters, ...]:
+    """Aligned tuple with entry lengths uniform in [1, max_len]: per entry
+    one ``randint``, then one ``choice`` among the followers of the last
+    letter per letter."""
+    followers = _followers(rank)
+    out = []
+    last = 0
+    for _ in range(arity):
+        entry = bytearray()
+        for _ in range(rng.randint(1, max_len)):
+            last = rng.choice(followers[last])
+            entry.append(last)
+        out.append(bytes(entry))
+    return tuple(out)
+
+
+def random_aligned_tuples(rank: int, arity: int, count: int, max_len: int, seed):
+    rng = random.Random(f"{seed}:aligned:{arity}:{max_len}")
+    return [random_aligned_tuple(rng, rank, arity, max_len) for _ in range(count)]
+
+
+def letters_of(t) -> tuple[Letters, ...]:
+    return tuple(w.letters for w in t)
+
+
+def words_of(t, rank: int = 2) -> tuple[Word, ...]:
+    return tuple(_make(x, rank) for x in t)

@@ -12,7 +12,9 @@ cases are every ``configs/*.json`` at ``--jobs`` 1 and 2, the three
 ``perfbench/workloads.py`` workloads at seeds 1-3, the three mutations
 on the mutation-sentinel plan at seeds 1-3, and the three mutations on the
 ``massey-long`` plan at seeds 1-2, whose entries of up to 200 letters reach
-the collapsed eta sums (the sentinel's reach 12). Arguments, if any, are
+the collapsed eta sums (the sentinel's reach 12), and ``WIDE_PLAN`` at
+seeds 1-2, whose entries and top ladder rung of 300 letters need more than
+the top byte of a 32-bit output for a length draw. Arguments, if any, are
 case-name prefixes, and only the cases whose name starts with one of them
 run: ``axioms`` selects the three ``axioms-*.json`` configs and the
 ``axioms-defect`` workload, a check of a change to the triangle scan in
@@ -45,6 +47,14 @@ from massey_workbench.report import render_json, strip_timing  # noqa: E402
 
 SEEDS = (1, 2, 3)
 LONG_MUTATION_SEEDS = (1, 2)
+# The massey-long plan with random entries and a ladder rung of up to 300
+# letters: max_len 300 has 9 bits, the workloads' largest (200) has 8.
+WIDE_PLAN = {
+    **workloads.LONG_PLAN,
+    "max_len": 300,
+    "max_len_ladder": [25, 300],
+    "ladder_samples": 30,
+}
 
 
 def cases():
@@ -64,6 +74,8 @@ def cases():
         for seed in LONG_MUTATION_SEEDS:
             doc = workloads.massey_doc(workloads.LONG_PLAN, seed, mutation)
             yield f"long {mutation} seed {seed}", [("massey", doc, {})]
+    for seed in LONG_MUTATION_SEEDS:
+        yield f"wide seed {seed}", [("massey", workloads.massey_doc(WIDE_PLAN, seed), {})]
 
 
 def digest(calls) -> str:

@@ -17,12 +17,11 @@ from massey_workbench.cochain import (
     cup,
     evaluate,
     exhaustive_aligned_tuples,
+    aligned_letters,
     flip_letters,
     is_aligned,
-    letters_of,
     lincomb,
     qm_cochain,
-    random_aligned_tuple,
     random_aligned_tuples,
     restrict,
 )
@@ -31,6 +30,7 @@ from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.errors import UsageError
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, parse_word, words_of_length
+from oracles import letters_of, words_of
 
 W = lambda s: parse_word(s, 2)
 
@@ -69,7 +69,7 @@ def delta_oracle(fn, t):
 
 
 def rand_tuples(arity, count, max_len=8, seed=0):
-    return random_aligned_tuples(2, arity, count, max_len, seed)
+    return [words_of(t) for t in random_aligned_tuples(2, arity, count, max_len, seed)]
 
 
 def test_is_aligned_examples():
@@ -235,10 +235,7 @@ def test_exhaustive_aligned_tuples_against_brute_force():
         for v in words
         if len(u) + len(v) <= budget and is_aligned((u, v))
     }
-    mine = {
-        tuple(w.letters for w in t)
-        for t in exhaustive_aligned_tuples(2, 2, budget)
-    }
+    mine = set(exhaustive_aligned_tuples(2, 2, budget))
     assert mine == brute
     assert count_exhaustive_aligned_tuples(2, 2, budget) == len(brute)
 
@@ -246,19 +243,16 @@ def test_exhaustive_aligned_tuples_against_brute_force():
 def test_exhaustive_aligned_tuples_no_duplicates_and_aligned():
     seen = set()
     for t in exhaustive_aligned_tuples(2, 3, 5, entry_cap=2):
-        assert is_aligned(t)
-        assert all(len(w) <= 2 for w in t)
-        key = tuple(w.letters for w in t)
-        assert key not in seen
-        seen.add(key)
+        assert aligned_letters(t)
+        assert all(len(x) <= 2 for x in t)
+        assert t not in seen
+        seen.add(t)
 
 
 def test_random_aligned_tuple_properties():
-    rng = random.Random(9)
-    for _ in range(50):
-        t = random_aligned_tuple(rng, 2, 4, 6)
-        assert is_aligned(t)
-        assert all(1 <= len(w) <= 6 for w in t)
+    for t in random_aligned_tuples(2, 4, 50, 6, 9):
+        assert aligned_letters(t)
+        assert all(1 <= len(x) <= 6 for x in t)
     assert rand_tuples(3, 5, seed=10) == rand_tuples(3, 5, seed=10)
 
 
@@ -284,9 +278,9 @@ def old_random_aligned_tuples(rank, arity, count, max_len, seed):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_random_aligned_tuples_keep_their_random_stream(rank):
     for arity, max_len, seed in [(1, 30, 0), (2, 12, "7:delta_p"), (4, 50, 3)]:
-        assert random_aligned_tuples(rank, arity, 40, max_len, seed) == (
-            old_random_aligned_tuples(rank, arity, 40, max_len, seed)
-        )
+        assert random_aligned_tuples(rank, arity, 40, max_len, seed) == [
+            letters_of(t) for t in old_random_aligned_tuples(rank, arity, 40, max_len, seed)
+        ]
 
 
 def small_pairs(seed):
@@ -307,9 +301,9 @@ def test_sup_scan():
     # argmax is the first tuple that reaches it
     expr = restrict(coboundary(qm_cochain(brooks_qm())))
     tasks = small_pairs(4)
-    first = next(t for t in tasks if abs(evaluate(expr, t)) == 1)
+    first = next(t for t in tasks if abs(evaluate(expr, words_of(t))) == 1)
     for jobs in (1, 2):
-        assert sup_scan(expr, tasks, jobs) == (1, [str(w) for w in first], len(tasks))
+        assert sup_scan(expr, tasks, jobs) == (1, [str(w) for w in words_of(first)], len(tasks))
 
 
 def test_context_never_returns_a_freed_nodes_value():

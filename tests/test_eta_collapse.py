@@ -29,7 +29,6 @@ from massey_workbench.cochain import (
     coboundary,
     cup,
     evaluate,
-    letters_of,
     lincomb,
     qm_cochain,
     restrict,
@@ -39,7 +38,7 @@ from massey_workbench.decomposition import DecompositionSpec, boundaries
 from massey_workbench.massey import MasseyInstance, _bridge_terms, eta1, eta2, eta_bridge
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, _sample_letters, parse_word, sample_word
-from oracles import piece_lengths, reference_value, tampered_lambda
+from oracles import letters_of, piece_lengths, reference_value, tampered_lambda
 
 RANK = 3
 # (family, Brooks word) of phi and of the windowed factors.

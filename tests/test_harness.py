@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from massey_workbench import decomposition, massey
+from massey_workbench import checks, decomposition, harness, massey, report
 from massey_workbench.cli import main
 from massey_workbench.config import (
     expr_from_json,
@@ -269,9 +269,12 @@ def test_report_times_every_stage():
                 assert t["tuples_per_s"] == round(stage["checked_count"] / t["wall_time_s"], 1)
             else:
                 assert t["tuples_per_s"] is None
-        # Stage intervals are disjoint and lie inside the run.
-        total = sum(t["wall_time_s"] for t in timing)
-        assert total <= doc["timing"]["wall_time_s"] + 0.001 * len(timing)
+        # Stage intervals and task building are disjoint and lie inside the run.
+        tasks_s = doc["timing"]["tasks_s"]
+        assert isinstance(tasks_s, float) and tasks_s >= 0
+        assert (tasks_s > 0) == (doc["command"] == "massey")
+        total = sum(t["wall_time_s"] for t in timing) + tasks_s
+        assert total <= doc["timing"]["wall_time_s"] + 0.001 * (len(timing) + 1)
         assert "timing" not in strip_timing(doc)
 
 
@@ -764,6 +767,57 @@ def test_cli_rejects_invalid_enumeration_cap_env(monkeypatch, capsys, value):
     assert "MASSEY_WORKBENCH_ENUM_CAP must be an integer >= 1" in capsys.readouterr().err
 
 
+# Lengths past the enumeration cap, or past 2**31 - 1 whatever the cap, once
+# ended in an OverflowError traceback from getrandbits.
+OVERSIZED_LENGTHS = [
+    (MASSEY_DOC, "plan.max_len", 5_000_000_000),
+    (VERIFY_DOC, "plan.max_len", 2**31),
+    (MASSEY_DOC, "plan.max_len_ladder", [10, 5_000_000_000]),
+    (DEFECT_DOC, "max_len", 5_000_000_000),
+]
+
+
+@pytest.mark.parametrize("env_cap", [None, str(2**40)])
+@pytest.mark.parametrize("base, key, bad", OVERSIZED_LENGTHS)
+def test_cli_rejects_oversized_lengths(tmp_path, monkeypatch, capsys, base, key, bad, env_cap):
+    """An oversized max_len, ladder rung or defect max_len is a one-line
+    resource-cap error, exit 3, before R-hat or any stage runs, also with
+    the enumeration cap raised past 2**31."""
+    if env_cap is not None:
+        monkeypatch.setenv("MASSEY_WORKBENCH_ENUM_CAP", env_cap)
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    for module in (massey, harness):
+        monkeypatch.setattr(module, "measure_r_hat", ran)
+    monkeypatch.setattr(report.Report, "add", ran)
+    assert main(config_args(tmp_path, base, key, bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "exceeds the length cap" in err
+
+
+@pytest.mark.parametrize(
+    "base, key",
+    [(MASSEY_DOC, "plan.max_len"), (MASSEY_DOC, "plan.max_len_ladder"), (DEFECT_DOC, "max_len")],
+)
+def test_lengths_are_bounded_by_the_enumeration_cap(tmp_path, monkeypatch, capsys, base, key):
+    """The cap in force bounds every sampled length: 20 passes a cap of 20,
+    21 does not."""
+    monkeypatch.setenv("MASSEY_WORKBENCH_ENUM_CAP", "20")
+    ladder = key.endswith("ladder")
+    base = copy.deepcopy(base)
+    if base["command"] == "defect":
+        base.update(radius=0, pair_radius=0)
+    else:
+        base["plan"].update(exhaustive_total_budget=2, deep_budget=2, pair_radius=1)
+    assert main(config_args(tmp_path, base, key, [10, 20] if ladder else 20)) in (0, 1)
+    capsys.readouterr()
+    assert main(config_args(tmp_path, base, key, [10, 21] if ladder else 21)) == 3
+    assert "length cap 20" in capsys.readouterr().err
+
+
 def stage_doc(**fields):
     stage = {"name": "x", "status": "pass", "checked_count": 1, "counterexample": None, "stats": None}
     return json.dumps({"stages": [dict(stage, **fields)]})
@@ -840,23 +894,28 @@ def test_failing_defect_stages_match_across_jobs():
 
 
 def test_stage_timing_comes_from_the_stage_own_scan(monkeypatch):
-    """The R-hat scans of massey and defect are timed in no stage, and the
-    axioms pair scan is timed in triangle-factorizations, not in the
-    per-word stages."""
+    """The R-hat scans of massey and defect are timed in no stage, massey's
+    task building is timed under ``tasks_s``, and the axioms pair scan is
+    timed in triangle-factorizations, not in the per-word stages."""
 
-    def slowed(fn):
+    def slowed(fn, only=lambda *args: True):
         def wrapper(*args, **kwargs):
-            time.sleep(0.3)
+            if only(*args):
+                time.sleep(0.3)
             return fn(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(massey, "measure_r_hat", slowed(massey.measure_r_hat))
     monkeypatch.setattr(decomposition, "_scan_triangles", slowed(decomposition._scan_triangles))
+    # The tasks of the first stage, cocycle-omega1, are slowed.
+    only_cocycle = lambda plan, arity, stage: stage == "cocycle"  # noqa: E731
+    monkeypatch.setattr(checks, "stage_tasks", slowed(checks.stage_tasks, only_cocycle))
     timing = run_massey(massey_doc()).to_json()["timing"]
     first = timing["stages"][0]
     assert first["name"] == "cocycle-omega1" and first["wall_time_s"] < 0.3
-    assert timing["wall_time_s"] >= 0.3
+    assert timing["tasks_s"] >= 0.3
+    assert timing["wall_time_s"] >= 0.6
     stages = run_axioms(AXIOMS_DOC).to_json()["timing"]["stages"]
     walls = {stage["name"]: stage["wall_time_s"] for stage in stages}
     assert walls["triangle-factorizations"] >= 0.3

@@ -25,7 +25,6 @@ from massey_workbench.cochain import (
     constant,
     cup,
     evaluate,
-    letters_of,
     lincomb,
     qm_cochain,
     random_aligned_tuples,
@@ -42,7 +41,7 @@ from massey_workbench.massey import (
 )
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, parse_word
-from oracles import reference_value
+from oracles import letters_of, reference_value, words_of
 
 RANK = 2
 W = lambda s: parse_word(s, RANK)
@@ -81,7 +80,7 @@ def ref_flip(t):
 def aligned_tuples(draw, degree):
     """An aligned tuple: the cut decomposition of a reduced word."""
     seed = draw(st.integers(0, 2**16))
-    return random_aligned_tuples(RANK, degree, 1, 4, seed)[0]
+    return words_of(random_aligned_tuples(RANK, degree, 1, 4, seed)[0], RANK)
 
 
 @st.composite
@@ -259,7 +258,7 @@ def test_context_limit_keeps_tree_values(data):
     """A wholesale clear forgets values, never changes them."""
     degree = data.draw(st.integers(0, 3))
     node, _ = data.draw(trees(degree, 3))
-    tasks = [letters_of(t) for t in random_aligned_tuples(RANK, degree, 30, 4, 0)]
+    tasks = random_aligned_tuples(RANK, degree, 30, 4, 0)
     tasks += [letters_of(t) for t in data.draw(tuples_of(degree))]
     expected = [node._eval(t, EvalContext()) for t in tasks]
     shared = EvalContext()

@@ -28,7 +28,6 @@ from massey_workbench.cochain import (
     coboundary,
     cup,
     evaluate,
-    letters_of,
     qm_cochain,
     restrict,
 )
@@ -37,7 +36,7 @@ from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.massey import bounded_primitive
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, _sample_letters, parse_word, sample_word
-from oracles import reference_value, tampered_lambda
+from oracles import letters_of, reference_value, tampered_lambda
 
 # Brooks words with the smallest rank that holds them.
 BROOKS_WORDS = (("a", 1), ("ab", 2), ("aab", 2), ("abC", 3), ("aabab", 2))

@@ -28,6 +28,7 @@ from massey_workbench.words import (
     sample_word,
     words_of_length,
 )
+from oracles import random_aligned_tuples as per_letter_tuples
 from oracles import reference_value, split_product
 
 
@@ -275,11 +276,28 @@ def test_words_of_length_keep_alphabet_order(case):
 def test_random_stream_matches_tuple_oracle(rank, arity, max_len, seed):
     mine = random_aligned_tuples(rank, arity, 5, max_len, seed)
     expect = random_aligned_tuples_tuple(rank, arity, 5, max_len, seed)
-    assert [tuple(signed(w.letters) for w in t) for t in mine] == expect
+    assert [tuple(signed(x) for x in t) for t in mine] == expect
     length = seed % 80
     assert signed(sample_word(rank, length, seed).letters) == sample_tuple(
         rank, length, random.Random(seed), 0
     )
+
+
+@given(
+    st.sampled_from((1, 2, 3, 26)),
+    st.sampled_from((1, 2, 255, 256, 1000)),
+    st.integers(0, 6),
+    st.integers(0, 50),
+    st.integers(0, 2**32) | st.text(max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_decoder_matches_the_per_letter_oracle(rank, max_len, arity, count, seed):
+    """The block-decoded tuples are those of one ``randint`` per entry and
+    one ``choice`` per letter. Lengths up to 255 are read off the top byte
+    of an output, 256 and 1000 need more of it; ranks 1 and 26 decode
+    through chunk tables of 8 and 1 choices."""
+    mine = random_aligned_tuples(rank, arity, count, max_len, seed)
+    assert mine == per_letter_tuples(rank, arity, count, max_len, seed)
 
 
 @given(

@@ -34,7 +34,7 @@ from massey_workbench.massey import (
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.report import ExperimentPlan, strip_timing
 from massey_workbench.words import parse_word
-from oracles import decompose
+from oracles import decompose, words_of
 
 W = lambda s: parse_word(s, 2)
 
@@ -89,7 +89,7 @@ def domain(arity, budget=6, samples=0, max_len=20, seed=0):
     tuples = list(exhaustive_aligned_tuples(2, arity, budget))
     if samples:
         tuples += random_aligned_tuples(2, arity, samples, max_len, seed)
-    return tuples
+    return [words_of(t) for t in tuples]
 
 
 # -- eta leaves --------------------------------------------------------------
@@ -369,9 +369,9 @@ def count_task_lists(monkeypatch) -> list:
     calls = []
     build = checks.stage_tasks
 
-    def counted(plan, arity, stage):
+    def counted(plan, arity, stage, **kw):
         calls.append((arity, stage))
-        return build(plan, arity, stage)
+        return build(plan, arity, stage, **kw)
 
     monkeypatch.setattr(checks, "stage_tasks", counted)
     return calls
