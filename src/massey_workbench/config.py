@@ -38,11 +38,13 @@ def integer(value, name: str, optional: bool = False) -> int | None:
 
 def rational(value, name: str) -> Fraction:
     """``value`` as an exact rational: a JSON number or a string such as
-    ``"1/3"``; a bool, any other type or a zero denominator is a
-    ``ConfigError``."""
+    ``"1/3"``; a bool, any other type, a zero denominator or a value too
+    long to print in a report (``"1e999999"``) is a ``ConfigError``."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return Fraction(value)
+            exact = Fraction(value)
+            str(exact)
+            return exact
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
     raise ConfigError(f"{name} must be a rational number, got {value!r}")
@@ -195,7 +197,6 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
 
 
 _PLAN_INTEGERS = (
-    "rank",
     "seed",
     "exhaustive_entry_radius",
     "exhaustive_total_budget",
@@ -207,9 +208,9 @@ _PLAN_INTEGERS = (
 )
 
 
-def plan_from_json(obj: dict | None, rank: int, seed_override: int | None = None) -> ExperimentPlan:
-    obj = dict(obj or {})
-    obj.setdefault("rank", rank)
+def plan_from_json(obj: dict, rank: int, seed_override: int | None = None) -> ExperimentPlan:
+    """The plan of a ``massey`` config; its rank is always the config's."""
+    obj = dict(obj)
     if seed_override is not None:
         obj["seed"] = seed_override
     check_keys(obj, {*_PLAN_INTEGERS, "enumeration_cap", "sample_counts", "max_len_ladder"}, "plan")
@@ -229,7 +230,7 @@ def plan_from_json(obj: dict | None, rank: int, seed_override: int | None = None
     if "max_len_ladder" in obj:
         ladder = typed(obj["max_len_ladder"], list, "max_len_ladder")
         obj["max_len_ladder"] = tuple(integer(rung, "max_len_ladder rung") for rung in ladder)
-    return ExperimentPlan(**obj)
+    return ExperimentPlan(rank=rank, **obj)
 
 
 def massey_from_json(doc: dict, seed_override: int | None = None) -> tuple[MasseyInstance, ExperimentPlan]:
@@ -249,5 +250,5 @@ def massey_from_json(doc: dict, seed_override: int | None = None) -> tuple[Masse
         k2=k2,
         mutation=doc.get("mutation"),
     )
-    plan = plan_from_json(doc.get("plan"), rank, seed_override)
+    plan = plan_from_json(typed(doc.get("plan", {}), dict, "plan"), rank, seed_override)
     return instance, plan

@@ -20,17 +20,18 @@ Here z<_j / z>_j are the products of the pieces before / after the j-th one.
 
 The eta nodes follow the integer convention of ``cochain``: each returns the
 numerator of its sum over ``den``, the product of its factors' denominators.
-When every factor of an eta node is a windowed restriction, the factors are
-the same two values ``A``, ``B`` on every piece away from the ends of the
-entry, so the node sums the few edge pieces and adds ``A B`` times the rest
-of phi(e) (README "Eta bulk collapse"). Otherwise the eta sums, and always
-the three-sum sides, run the term loop ``_bridge_terms``, which decomposes
-each entry once per instance (``_piece_runs``), with lambda read from the
-table.
+A windowed restriction factor reads only ``K`` letters of the entry, so it is
+the same value ``A`` or ``B`` on every piece away from the ends of the entry:
+the node sums the few edge pieces and adds ``A B`` times the rest of phi(e)
+(README "Eta bulk collapse"). Any other factor reads the whole entry, so its
+edge spans every piece. The three-sum sides, the oracle the primitive is
+compared with, run their own unshifted term loop ``_bridge_terms``; both
+read lambda from the table.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,15 +56,13 @@ from .cochain import (
     qm_cochain,
     random_aligned_tuples,
 )
-from .decomposition import boundaries, cut_flags, measure_r_hat, piece_lengths, triangle_split
+from .decomposition import cut_flags, measure_r_hat, triangle_split
 from .errors import UsageError
 from .quasimorphism import QuasiMorphism
 from .report import ExperimentPlan, Report, StageResult
 from .words import Letters, _make, multiply_letters
 
 MUTATIONS = ("flip-eta-sign", "shift-z-boundary", "flip-beta1-cup-sign")
-# The piece-run memo of an instance is cleared wholesale at this many entries.
-PIECE_RUN_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ class MasseyInstance:
     k1: int
     k2: int
     mutation: str | None = None
-    piece_runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:
@@ -108,42 +106,19 @@ class MasseyInstance:
         return min(self.k1, self.k2) == 1
 
 
-def _piece_runs(m: MasseyInstance, letters: Letters):
-    """(cuts, runs) of an entry: its piece boundaries ``cuts`` and, for each
-    piece j with nonzero lambda, (j, lambda numerator over ``phi.den``).
-
-    Piece j spans ``letters[cuts[j - 1]:cuts[j]]``, so the products before
-    and after it are ``letters[:cuts[j - 1]]`` and ``letters[cuts[j]:]``.
-    A piece's value is its table entry, read from ``phi.numerators``. The
-    memo is unshifted and holds integers only; the readers slice.
-    """
-    memo = m.piece_runs
-    hit = memo.get(letters)
-    if hit is None:
-        cuts = boundaries(piece_lengths(m.phi.spec, letters))
-        value = m.phi.numerators.get
-        lams = (value(letters[a:b], 0) for a, b in zip(cuts, cuts[1:]))
-        runs = tuple((j, lam) for j, lam in enumerate(lams, 1) if lam)
-        if len(memo) >= PIECE_RUN_LIMIT:
-            memo.clear()
-        memo[letters] = hit = (cuts, runs)
-    return hit
-
-
 class _EtaBase(Cochain):
     """The eta family of leaves: a cached bridge sum over the pieces of one
     entry, with factors ``left`` and ``right`` (None when absent, reading 1):
     ``Eta1`` has no right factor and ``Eta2`` no left one. Degree and ``den``
     follow from the factors.
 
-    ``windows`` is ``(K_L, K_R)`` when every factor present is a windowed
-    restriction (``Restriction.window``, 0 for an absent factor), else None.
-    Then ``_sum`` collapses the bulk of the pieces (README "Eta bulk
-    collapse"); otherwise it runs the term loop, ``_bridge_terms``.
+    ``windows`` is ``(K_L, K_R)``, one ``_window`` per factor, and ``_sum``
+    collapses the pieces between the edges they leave (README "Eta bulk
+    collapse").
 
     The ``shift-z-boundary`` mutation moves both cut points of a piece one
-    piece outward: the prefix of piece j ends at ``cuts[j - 1 + shift]`` and
-    its suffix starts at ``cuts[j - shift]``, in both paths.
+    piece outward: the prefix of piece j ends where piece j does, and its
+    suffix starts where piece j starts.
     """
 
     __slots__ = ("m", "left", "right", "degree", "den", "shift", "windows")
@@ -155,8 +130,7 @@ class _EtaBase(Cochain):
         self.degree = (left.degree if left else 1) + (right.degree if right else 1) - 1
         self.den = (left.den if left else 1) * m.phi.den * (right.den if right else 1)
         self.shift = 1 if m.mutation == "shift-z-boundary" else 0
-        kl, kr = _window(left), _window(right)
-        self.windows = None if kl is None or kr is None else (kl, kr)
+        self.windows = (_window(left), _window(right))
 
     def _eval(self, t, ctx):
         key = (self, t)
@@ -171,15 +145,14 @@ class _EtaBase(Cochain):
     def _sum(self, head: LettersTuple, e: Letters, tail: LettersTuple, ctx: EvalContext) -> int:
         """sum_j left(head, z<_j) lambda_j right(z>_j, tail) over the pieces of ``e``.
 
-        With windows, every piece outside the edges (those starting before
-        K_L, up to cut ``lo``, and those ending after n - K_R, from cut
-        ``hi``) has the factors ``A = left(head, e[:K_L])`` and ``B =
-        right(e[n - K_R:], tail)``: the sum is the edge terms plus A B times
-        phi(e) less the edge lambdas. Overlapping edges take the term loop.
+        Every piece outside the edges (those starting before K_L, up to cut
+        ``lo``, and those ending after n - K_R, from cut ``hi``) has the
+        factors ``A = left(head, e[:K_L])`` and ``B = right(e[n - K_R:],
+        tail)``: the sum is the edge terms plus A B times phi(e) less the
+        edge lambdas. When the edges overlap, the right edge starts at
+        ``lo``, so every piece is an edge piece and the bulk is 0.
         """
         m, left, right, shift = self.m, self.left, self.right, self.shift
-        if self.windows is None:
-            return sum(_bridge_terms(m, left, right, head, e, tail, ctx, shift))
         kl, kr = self.windows
         n = len(e)
         flags = cut_flags(m.phi.spec, e)
@@ -187,12 +160,9 @@ class _EtaBase(Cochain):
         lo = flags.find(1, kl)
         if lo < 0:
             lo = n
-        hi = flags.rfind(1, 0, max(n - kr + 1, 1)) if kr else n
-        if lo > hi:
-            return sum(_bridge_terms(m, left, right, head, e, tail, ctx, shift))
+        hi = max(flags.rfind(1, 0, max(n - kr + 1, 1)) if kr else n, lo)
         lam = m.phi.numerators.get
-        total = 0
-        bulk = m.phi.value_letters(e)
+        total = edge = 0
         for a, end in ((0, lo), (hi, n)):
             while a < end:
                 b = flags.find(1, a + 1, end)
@@ -200,7 +170,7 @@ class _EtaBase(Cochain):
                     b = end
                 lam_j = lam(e[a:b])
                 if lam_j:
-                    bulk -= lam_j
+                    edge += lam_j
                     pre, suf = (b, a) if shift else (a, b)
                     term = lam_j
                     if left is not None:
@@ -209,6 +179,7 @@ class _EtaBase(Cochain):
                         term *= right._eval((e[max(suf, n - kr) :],) + tail, ctx)
                     total += term
                 a = b
+        bulk = m.phi.value_letters(e) - edge if lo < hi else 0
         if bulk and left is not None:
             bulk *= left._eval(head + (e[:kl],), ctx)
         if bulk and right is not None:
@@ -216,13 +187,14 @@ class _EtaBase(Cochain):
         return total + bulk
 
 
-def _window(factor: Cochain | None) -> int | None:
-    """K of a windowed factor, 0 for an absent one, None for any other."""
+def _window(factor: Cochain | None) -> int:
+    """K of a windowed factor, 0 for an absent one, and ``sys.maxsize``, the
+    whole entry, for any other."""
     if factor is None:
         return 0
     if isinstance(factor, Restriction) and factor.window:
         return factor.window
-    return None
+    return sys.maxsize
 
 
 class Eta1(_EtaBase):
@@ -264,44 +236,33 @@ class EtaBridge(_EtaBase):
 
 def _bridge_terms(
     m: MasseyInstance,
-    left: Cochain | None,
-    right: Cochain | None,
     head: LettersTuple,
     e: Letters,
     tail: LettersTuple,
     ctx: EvalContext,
-    shift: int = 0,
     before: Letters = b"",
     after: Letters = b"",
 ) -> list[int]:
-    """The one term loop of the eta sums, over the pieces of ``e``, as
-    numerators over the product of the factors' denominators: piece j gives
-    ``left(head, before z<_j) lambda_j right(z>_j after, tail)``, an absent
-    factor reading 1, and 0 when lambda_j or the left factor vanishes (the
-    right one is then not evaluated).
+    """The terms of a three-sum side, one per piece of ``e``, as numerators
+    over the product of the omegas' denominators: piece j gives
+    ``omega1(head, before z<_j) lambda_j omega2(z>_j after, tail)``, and 0
+    when lambda_j or the omega1 factor vanishes (omega2 is then not
+    evaluated). Side 1 merges ``h`` into the suffix products (``after``),
+    side 2 merges ``g`` into the prefix products (``before``).
 
-    The eta nodes sum the terms, reading the piece runs with their
-    ``shift``. The three-sum sides read them unshifted, since they are the
-    oracle the mutated primitive is compared with: side 1 merges ``h`` into
-    the suffix products (``after``), side 2 merges ``g`` into the prefix
-    products (``before``).
+    The sides are the oracle the primitive is compared with, so they are
+    never shifted by the ``shift-z-boundary`` mutation.
     """
-    cuts, runs = _piece_runs(m, e)
-    terms = [0] * (len(cuts) - 1)
-    for j, term in runs:  # each term starts as lambda_j
-        if left is not None:
-            pre = e[: cuts[j - 1 + shift]]
-            if before:
-                pre = multiply_letters(before, pre)
-            term *= left._eval(head + (pre,), ctx)
-            if not term:
-                continue
-        if right is not None:
-            suf = e[cuts[j - shift] :]
-            if after:
-                suf = multiply_letters(suf, after)
-            term *= right._eval((suf,) + tail, ctx)
-        terms[j - 1] = term
+    cuts = [a for a, flag in enumerate(cut_flags(m.phi.spec, e)) if flag] + [len(e)]
+    lam = m.phi.numerators.get
+    terms = []
+    for a, b in zip(cuts, cuts[1:]):
+        term = lam(e[a:b], 0)
+        if term:
+            term *= m.omega1._eval(head + (multiply_letters(before, e[:a]),), ctx)
+        if term:
+            term *= m.omega2._eval((multiply_letters(e[b:], after),) + tail, ctx)
+        terms.append(term)
     return terms
 
 
@@ -410,10 +371,9 @@ def three_sum_residual(
     g, h = letters[m.k1 - 1], letters[m.k1]
     head, tail = letters[: m.k1 - 1], letters[m.k1 + 1 :]
 
-    omega1, omega2 = m.omega1, m.omega2
-    side1 = _bridge_terms(m, omega1, omega2, head, g, tail, ctx, after=h)
-    side2 = _bridge_terms(m, omega1, omega2, head, h, tail, ctx, before=g)
-    side3 = _bridge_terms(m, omega1, omega2, head, multiply_letters(g, h), tail, ctx)
+    side1 = _bridge_terms(m, head, g, tail, ctx, after=h)
+    side2 = _bridge_terms(m, head, h, tail, ctx, before=g)
+    side3 = _bridge_terms(m, head, multiply_letters(g, h), tail, ctx)
 
     den = m.omega1.den * m.phi.den * m.omega2.den
     total = Fraction(sum(side1) + sum(side2) - sum(side3), den)

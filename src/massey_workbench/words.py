@@ -179,8 +179,12 @@ def parse_word(text: str, rank: int) -> Word:
                     j += 1
                 if j == i or (s[i] == "-" and j == i + 1):
                     raise ConfigError(f"malformed power in {text!r}")
-                power = int(s[i:j])
+                try:
+                    power = int(s[i:j])
+                except ValueError:  # more digits than int() reads
+                    raise ResourceCapError(f"power in word {text!r} exceeds the length cap")
                 i = j
+            check_length(len(letters) + abs(power), f"length of word {text!r}")
             if power >= 0:
                 letters.extend([val] * power)
             else:

@@ -12,9 +12,12 @@ cases are every ``configs/*.json`` at ``--jobs`` 1 and 2, the three
 ``perfbench/workloads.py`` workloads at seeds 1-3, the three mutations
 on the mutation-sentinel plan at seeds 1-3, and the three mutations on the
 ``massey-long`` plan at seeds 1-2, whose entries of up to 200 letters reach
-the collapsed eta sums (the sentinel's reach 12), and ``WIDE_PLAN`` at
+the collapsed eta sums (the sentinel's reach 12), ``WIDE_PLAN`` at
 seeds 1-2, whose entries and top ladder rung of 300 letters need more than
-the top byte of a 32-bit output for a length draw. Arguments, if any, are
+the top byte of a 32-bit output for a length draw, and ``LINCOMB_OMEGA1``
+on the sentinel and ``massey-long`` plans, unmutated and with each
+mutation, at seed 1: an omega1 that is no windowed restriction, so the eta
+sums read it on whole entries. Arguments, if any, are
 case-name prefixes, and only the cases whose name starts with one of them
 run: ``axioms`` selects the three ``axioms-*.json`` configs and the
 ``axioms-defect`` workload, a check of a change to the triangle scan in
@@ -55,6 +58,14 @@ WIDE_PLAN = {
     "max_len_ladder": [25, 300],
     "ladder_samples": 30,
 }
+# omega1 = delta-qm:psi1 + 1/2 delta-qm:psi2, a factor with no window.
+LINCOMB_OMEGA1 = {
+    "op": "lincomb",
+    "terms": [
+        {"coeff": 1, "child": "delta-qm:psi1"},
+        {"coeff": "1/2", "child": "delta-qm:psi2"},
+    ],
+}
 
 
 def cases():
@@ -76,6 +87,10 @@ def cases():
             yield f"long {mutation} seed {seed}", [("massey", doc, {})]
     for seed in LONG_MUTATION_SEEDS:
         yield f"wide seed {seed}", [("massey", workloads.massey_doc(WIDE_PLAN, seed), {})]
+    for plan_name, plan in (("sentinel", workloads.SENTINEL_PLAN), ("long", workloads.LONG_PLAN)):
+        for mutation in (None, *workloads.SENTINEL_EXPECT):
+            doc = dict(workloads.massey_doc(plan, 1, mutation), omega1=LINCOMB_OMEGA1)
+            yield f"lincomb {plan_name} {mutation or 'none'} seed 1", [("massey", doc, {})]
 
 
 def digest(calls) -> str:

@@ -1,23 +1,19 @@
-"""The per-instance piece-run memo against a recomputation from the
+"""The factor arguments of the eta sums against a recomputation from the
 definitions.
 
-``massey._piece_runs`` decomposes each eta entry once per instance and keeps
-its unshifted cuts and the (j, lambda numerator) of the pieces whose lambda
-is nonzero. Here every lookup (first, repeated, and after the memo was
-cleared) is compared with ``piece_lengths`` / ``boundaries`` and the
-oracle ``reference_value`` computed in the test, and the prefix and suffix products
-the eta nodes read from it are recorded and compared with the products the
-``shift-z-boundary`` mutation prescribes, while the three-sum sides must
-stay unshifted.
+Factors that record their arguments read the whole entry, so every piece of
+it is an edge piece of the eta sums. The prefix and suffix products each
+eta node passes them, and its value, are compared with the pieces of
+``piece_lengths`` / ``boundaries`` and the oracle ``reference_value``,
+shifted as the ``shift-z-boundary`` mutation prescribes, while the
+three-sum sides must stay unshifted.
 """
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from massey_workbench import massey
 from massey_workbench.cochain import Cochain, EvalContext
 from massey_workbench.decomposition import DecompositionSpec, boundaries, piece_lengths
 from massey_workbench.massey import (
@@ -40,7 +36,7 @@ def _qm(rank, family, word, table):
     )
 
 
-# Each table leaves some pieces at lambda 0, so the memo's filter is exercised.
+# Each table leaves some pieces at lambda 0, which no factor is asked about.
 PHIS = {
     "letter": _qm(2, "letter", None, {"a": "1/2"}),
     "rolli": _qm(2, "rolli", None, {"a": "1/2", "aa": "-1/3", "b": 1}),
@@ -75,10 +71,8 @@ def ref_runs(phi, letters):
     return cuts, tuple(runs)
 
 
-def check_lookup(m, letters, shift):
-    phi = m.phi
-    cuts, runs = ref_runs(phi, letters)
-    assert massey._piece_runs(m, letters) == (cuts, runs)
+def check_arguments(m, letters, shift):
+    cuts, runs = ref_runs(m.phi, letters)
     n = len(cuts) - 1
     pres = [(letters[: cuts[min(j - 1 + shift, n)]],) for j, _ in runs]
     sufs = [(letters[cuts[max(j - shift, 0)] :],) for j, _ in runs]
@@ -102,32 +96,20 @@ def entries(rank):
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_piece_run_memo_matches_recomputation(data):
+def test_eta_factor_arguments_match_recomputation(data):
     phi = PHIS[data.draw(st.sampled_from(sorted(PHIS)))]
     mutation = data.draw(st.sampled_from([None, "shift-z-boundary"]))
     shift = 1 if mutation else 0
     words = data.draw(entries(phi.rank))
     m = MasseyInstance(phi, Recorder(), Recorder(), 1, 1, mutation=mutation)
 
-    for _ in ("first lookup", "repeat lookup"):
-        for letters in words:
-            check_lookup(m, letters, shift)
-    assert set(m.piece_runs) == set(words)
-
-    # An entry longer than any drawn one is a miss, so it clears the memo.
-    extra = reduce_letters((1,) * 15)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(massey, "PIECE_RUN_LIMIT", 1)
-        check_lookup(m, extra, shift)
-        assert list(m.piece_runs) == [extra]
-        for letters in words + words:
-            check_lookup(m, letters, shift)
-            assert list(m.piece_runs) == [letters]
+    for letters in words:
+        check_arguments(m, letters, shift)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_three_sum_sides_read_the_memo_unshifted(data):
+def test_three_sum_sides_are_unshifted(data):
     phi = PHIS[data.draw(st.sampled_from(sorted(PHIS)))]
     g, h = data.draw(entries(phi.rank).filter(lambda ws: len(ws) >= 2))[:2]
     assume(g and h and signed(g)[-1] != -signed(h)[0])

@@ -1,20 +1,21 @@
-"""The eta bulk collapse against the term loop and the plain piece sums.
+"""The eta bulk collapse against the plain piece sums.
 
-When every factor of an eta node is a windowed restriction, the node sums
-the edge pieces of its entry and gives the bulk ``A B`` times the rest of
-phi(e) (README "Eta bulk collapse"). The differential test compares each
-node with ``sum(_bridge_terms(...))``, the term loop the three-sum sides
-still run, and with the sum over the pieces of ``tests/oracles.py``, the
-windowed factors read from whole words as plain piece sums. phi is drawn
-from the letter, Rolli and Brooks(ab / aab / abC) families, the windowed
-factors from quasi-morphisms with K from 1 to 4 (Brooks(aabab), Rolli
-powers), all with tampered tables; entries of 1 to 200 letters carry long
-Rolli runs and forced Brooks pieces at both edges, and the short ones put
-the two edges together. ``k1`` and ``k2`` run over 1 to 3 with table,
-lincomb and cup factors, which take the term loop.
+An eta node sums the edge pieces of its entry and gives the bulk ``A B``
+times the rest of phi(e) (README "Eta bulk collapse"); a factor that is no
+windowed restriction has the whole entry as its window, so its edge spans
+every piece. The differential test compares each node with the sum over
+the pieces of ``tests/oracles.py``, the windowed factors read from whole
+words as plain piece sums. phi is drawn from the letter, Rolli and
+Brooks(ab / aab / abC) families, the windowed factors from quasi-morphisms
+with K from 1 to 4 (Brooks(aabab), Rolli powers), all with tampered tables;
+entries of 1 to 200 letters carry long Rolli runs and forced Brooks pieces
+at both edges, and the short ones make the two edges overlap. ``k1`` and
+``k2`` run over 1 to 3 with table, lincomb and cup factors, which read the
+whole entry.
 """
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from massey_workbench.cochain import (
 )
 from massey_workbench.config import load_config, massey_from_json
 from massey_workbench.decomposition import DecompositionSpec, boundaries
-from massey_workbench.massey import MasseyInstance, _bridge_terms, eta1, eta2, eta_bridge
+from massey_workbench.massey import MasseyInstance, eta1, eta2, eta_bridge
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, _sample_letters, parse_word, sample_word
 from oracles import letters_of, piece_lengths, reference_value, tampered_lambda
@@ -150,6 +151,14 @@ def short_words():
     )
 
 
+def window_of(factor):
+    """0 for an absent factor, K for a windowed restriction, and the whole
+    entry, ``sys.maxsize``, for any other."""
+    if factor is None:
+        return 0
+    return factor.window if isinstance(factor, Restriction) and factor.window else sys.maxsize
+
+
 def oracle_sum(phi, left, right, head, e, tail, shift):
     """sum_j left(head, z<_j) lambda_j right(z>_j, tail) straight from the
     pieces, with the cut points moved by ``shift``."""
@@ -159,16 +168,16 @@ def oracle_sum(phi, left, right, head, e, tail, shift):
     for j in range(1, len(cuts)):
         term = phi.table.value(letters[cuts[j - 1] : cuts[j]])
         if term and left is not None:
-            term *= left(head + (_make(letters[: cuts[j - 1 + shift]], RANK),))
+            term *= left(head + (_make(letters[: cuts[j - 1 + shift]], e.rank),))
         if term and right is not None:
-            term *= right((_make(letters[cuts[j - shift] :], RANK),) + tail)
+            term *= right((_make(letters[cuts[j - shift] :], e.rank),) + tail)
         total += term
     return total
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_collapsed_eta_matches_term_loop_and_piece_sums(data):
+def test_collapsed_eta_matches_piece_sums(data):
     phi = data.draw(quasimorphisms(PHI_FAMILIES, dense=data.draw(st.booleans())))
     k1, k2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     if data.draw(st.integers(0, 3)):
@@ -194,13 +203,8 @@ def test_collapsed_eta_matches_term_loop_and_piece_sums(data):
         (eta2(m), None, omega2, None, ref2, (), tail),
         (eta_bridge(m), omega1, omega2, ref1, ref2, head, tail),
     ):
-        windowed = all(f is None or isinstance(f, Restriction) and f.window for f in (left, right))
-        assert (node.windows is not None) == windowed
+        assert node.windows == (window_of(left), window_of(right))
         got = node._eval(letters_of(h + (e,) + tl), EvalContext())
-        loop = _bridge_terms(
-            m, left, right, letters_of(h), e.letters, letters_of(tl), EvalContext(), shift
-        )
-        assert got == sum(loop)
         assert Fraction(got, node.den) == oracle_sum(phi, ref_left, ref_right, h, e, tl, shift)
 
 
@@ -220,13 +224,21 @@ def long_tuples(rank, arity, count, length, seed):
 
 def test_standard_eta_nodes_take_the_collapse():
     """On the standard instance both omegas are windowed (psi1 = Brooks(aB)
-    with K = 1, psi2 = Rolli with K = 2), so the eta nodes never decompose
-    a 200-letter entry through the piece-run memo."""
+    with K = 1, psi2 = Rolli with K = 2), and the collapsed sums on
+    200-letter entries equal the plain piece sums."""
     m, _ = massey_from_json(load_config(STANDARD))
     nodes = (eta1(m), eta2(m), eta_bridge(m))
     assert [node.windows for node in nodes] == [(1, 0), (0, 2), (1, 2)]
+
+    def ref1(t):
+        return evaluate(m.omega1, t)
+
+    def ref2(t):
+        return evaluate(m.omega2, t)
+
     ctx = EvalContext()
-    for t in long_tuples(m.rank, 3, 4, 200, "eta-collapse"):
-        for node in nodes:
-            evaluate(node, t[: node.degree], ctx)
-    assert not m.piece_runs
+    for g, e, h in long_tuples(m.rank, 3, 4, 200, "eta-collapse"):
+        for node, head, tail in zip(nodes, ((g,), (), (g,)), ((), (h,), (h,))):
+            left, right = (ref1 if head else None), (ref2 if tail else None)
+            got = evaluate(node, head + (e,) + tail, ctx)
+            assert got == oracle_sum(m.phi, left, right, head, e, tail, 0)

@@ -629,6 +629,14 @@ def config_args(tmp_path, base, key, value) -> list[str]:
             (MASSEY_DOC, "plan.sample_counts", [5]),
             (MASSEY_DOC, "plan.sample_counts.delta_p", "5"),
             (VERIFY_DOC, "plan.pair_radius", "3"),
+            (MASSEY_DOC, "plan", "x"),
+            (MASSEY_DOC, "plan", 3),
+            (MASSEY_DOC, "plan", []),
+            (MASSEY_DOC, "plan", [["seed", 5]]),
+            (VERIFY_DOC, "plan", None),
+            # The plan takes the config's rank; a plan.rank of 3 once sampled
+            # tuples with c on a rank-2 instance.
+            (MASSEY_DOC, "plan.rank", 3),
         ]
     ],
 )
@@ -653,6 +661,8 @@ MASSEY_K1_DOC = massey_doc(k1=1)
             (MASSEY_DOC, "phi.decomposition.word", 5),
             (MASSEY_DOC, "phi.lambda", 5),
             (MASSEY_DOC, "phi.lambda.0.value", "1/0"),
+            (MASSEY_DOC, "phi.lambda.0.value", "1e999999"),
+            (MASSEY_DOC, "phi.lambda.0.value", "1e-999999"),
             (MASSEY_DOC, "phi.lambda", [{"piece": "ab"}]),
             (MASSEY_DOC, "phi.lambda", [{"piece": "ab", "value": 1}, {"piece": "ab", "value": 2}]),
             (DEFECT_DOC, "phi.lambda.0.value", "1/0"),
@@ -793,6 +803,17 @@ def test_cli_rejects_oversized_lengths(tmp_path, monkeypatch, capsys, base, key,
         monkeypatch.setattr(module, "measure_r_hat", ran)
     monkeypatch.setattr(report.Report, "add", ran)
     assert main(config_args(tmp_path, base, key, bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "exceeds the length cap" in err
+
+
+@pytest.mark.parametrize("text", ["a^99999999999", "a^-" + "9" * 5000], ids=["power", "digits"])
+def test_oversized_word_powers_hit_the_length_cap(tmp_path, capsys, text):
+    """A word power past the length cap, or with more digits than ``int``
+    reads, is a one-line resource-cap error, exit 3; it used to end in a
+    MemoryError or ValueError traceback."""
+    assert main(config_args(tmp_path, MASSEY_DOC, "phi.decomposition.word", text)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert "exceeds the length cap" in err
