@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -70,14 +71,15 @@ def _invoke(args) -> Scan:
 
 
 def chunked_map(worker: Worker, payload, tasks: Sequence, jobs: int = 1) -> Scan:
-    """Run ``worker(payload, chunk)`` over contiguous chunks and fold the results."""
+    """Run ``worker(payload, chunk)`` over contiguous chunks, at most one per CPU, and fold them."""
     if not tasks:
         return Scan()
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(tasks) < 2 * jobs:
         return worker(payload, tasks)
     ctx = multiprocessing.get_context("fork")
     parts = _chunks(tasks, jobs)
-    with ctx.Pool(processes=min(jobs, len(parts))) as pool:
+    with ctx.Pool(processes=len(parts)) as pool:
         scans = pool.map(_invoke, [(worker, payload, chunk) for chunk in parts])
     return functools.reduce(Scan.merge, scans)
 

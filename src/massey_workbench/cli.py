@@ -69,11 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         print(render_table(doc))
         return 0
 
-    overrides = {
-        key: value
-        for key, value in (("seed", args.seed), ("radius", args.radius), ("jobs", args.jobs))
-        if value is not None
-    }
+    overrides = {"seed": args.seed, "radius": args.radius, "jobs": args.jobs}
     problem = args.out and _out_problem(args.out)
     if problem:
         print(f"error: {problem}", file=sys.stderr)

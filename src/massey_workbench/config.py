@@ -208,11 +208,9 @@ _PLAN_INTEGERS = (
 )
 
 
-def plan_from_json(obj: dict, rank: int, seed_override: int | None = None) -> ExperimentPlan:
+def plan_from_json(obj: dict, rank: int) -> ExperimentPlan:
     """The plan of a ``massey`` config; its rank is always the config's."""
     obj = dict(obj)
-    if seed_override is not None:
-        obj["seed"] = seed_override
     check_keys(obj, {*_PLAN_INTEGERS, "enumeration_cap", "sample_counts", "max_len_ladder"}, "plan")
     for key in _PLAN_INTEGERS:
         if key in obj:
@@ -233,7 +231,7 @@ def plan_from_json(obj: dict, rank: int, seed_override: int | None = None) -> Ex
     return ExperimentPlan(rank=rank, **obj)
 
 
-def massey_from_json(doc: dict, seed_override: int | None = None) -> tuple[MasseyInstance, ExperimentPlan]:
+def massey_from_json(doc: dict) -> tuple[MasseyInstance, ExperimentPlan]:
     rank = read_int(doc, "rank", 2)
     phi = qm_from_json(field(doc, "phi", "massey config"), rank, name="phi")
     bodies = typed(doc.get("quasimorphisms", {}), dict, "quasimorphisms")
@@ -250,5 +248,5 @@ def massey_from_json(doc: dict, seed_override: int | None = None) -> tuple[Masse
         k2=k2,
         mutation=doc.get("mutation"),
     )
-    plan = plan_from_json(typed(doc.get("plan", {}), dict, "plan"), rank, seed_override)
+    plan = plan_from_json(typed(doc.get("plan", {}), dict, "plan"), rank)
     return instance, plan

@@ -15,3 +15,10 @@ class UsageError(WorkbenchError, ValueError):
 
 class ResourceCapError(WorkbenchError, RuntimeError):
     """An enumeration would exceed the configured cap."""
+
+
+def at_least(value: int, key: str, least: int) -> int:
+    """``value`` if it is at least ``least``, else a ``ConfigError`` naming ``key``."""
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value

@@ -6,9 +6,11 @@ import time
 from fractions import Fraction
 
 from ._parallel import Scan, pair_scan, scan
-from .config import check_keys, field, massey_from_json, qm_from_json, read_int, spec_from_json
+from .config import (
+    check_keys, field, massey_from_json, qm_from_json, read_int, spec_from_json, typed
+)
 from .decomposition import check_axioms, measure_r_hat
-from .errors import ConfigError
+from .errors import ConfigError, at_least
 from .massey import verify_massey_triviality, verify_primitives
 from .quasimorphism import QuasiMorphism, defect, defect_from_triangle, defect_sup
 from .report import Report, StageResult, now_iso
@@ -41,16 +43,19 @@ def check_config_keys(doc: dict, command: str) -> None:
         raise ConfigError(f"a {command} run cannot read a config for command {doc['command']!r}")
 
 
-def _setting(overrides: dict, doc: dict, key: str, default: int) -> int:
-    """A command-line override if given (0 included), else the config value."""
-    value = overrides.get(key)
-    return read_int(doc if value is None else overrides, key, default)
-
-
-def _at_least(value: int, key: str, least: int) -> int:
-    if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
-    return value
+def _with_overrides(doc: dict, overrides: dict | None, command: str) -> dict:
+    """``doc`` with the given overrides (``None`` is not given, 0 is) set in
+    its plan if the command reads one, else at the top level; key-checked,
+    so an override passes the key, type and range checks of a config value."""
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    if "plan" not in CONFIG_KEYS[command]:
+        config = {**doc, **given}
+    elif "radius" in given:
+        raise ConfigError(f"--radius does not apply to {command}; set the plan radii in the config")
+    else:
+        config = dict(doc, plan={**typed(doc.get("plan", {}), dict, "plan"), **given})
+    check_config_keys(config, command)
+    return config
 
 
 def _finish(report: Report, started: float, started_at: str, config_echo: dict) -> Report:
@@ -62,16 +67,15 @@ def _finish(report: Report, started: float, started_at: str, config_echo: dict) 
 
 def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     """Exhaustive decomposition axiom suite plus the R-hat stabilization check."""
-    overrides = overrides or {}
-    check_config_keys(doc, "axioms")
+    config = _with_overrides(doc, overrides, "axioms")
     started, started_at = time.monotonic(), now_iso()
-    rank = read_int(doc, "rank", 2)
-    spec = spec_from_json(doc.get("decomposition", {"family": "letter"}), rank)
-    radius = _setting(overrides, doc, "radius", 6)
-    pair_radius = _at_least(read_int(doc, "pair_radius", min(radius, 5)), "pair_radius", 0)
-    cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
-    jobs = _at_least(_setting(overrides, doc, "jobs", 1), "jobs", 1)
-    stabilize = doc.get("check_stabilization", True)
+    rank = read_int(config, "rank", 2)
+    spec = spec_from_json(config.get("decomposition", {"family": "letter"}), rank)
+    radius = at_least(read_int(config, "radius", 6), "radius", 0)
+    pair_radius = at_least(read_int(config, "pair_radius", min(radius, 5)), "pair_radius", 0)
+    cap = enumeration_cap(read_int(config, "enumeration_cap", None))
+    jobs = at_least(read_int(config, "jobs", 1), "jobs", 1)
+    stabilize = config.get("check_stabilization", True)
     if not isinstance(stabilize, bool):
         raise ConfigError(f"check_stabilization must be true or false, got {stabilize!r}")
 
@@ -119,19 +123,18 @@ def _tripod_identity_stage(q: QuasiMorphism, radius: int, cap, jobs: int = 1) ->
 
 def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     """Defect statistics and the quasi-morphism invariants behind them."""
-    overrides = overrides or {}
-    check_config_keys(doc, "defect")
+    config = _with_overrides(doc, overrides, "defect")
     started, started_at = time.monotonic(), now_iso()
-    rank = read_int(doc, "rank", 2)
-    q = qm_from_json(field(doc, "phi", "defect config"), rank)
-    radius = _setting(overrides, doc, "radius", 4)
-    pair_radius = _at_least(read_int(doc, "pair_radius", radius), "pair_radius", 0)
-    random_pairs = _at_least(read_int(doc, "random_pairs", 2000), "random_pairs", 0)
-    max_len = _at_least(read_int(doc, "max_len", 100), "max_len", 0)
-    seed = _setting(overrides, doc, "seed", 0)
-    cap = enumeration_cap(read_int(doc, "enumeration_cap", None))
+    rank = read_int(config, "rank", 2)
+    q = qm_from_json(field(config, "phi", "defect config"), rank)
+    radius = at_least(read_int(config, "radius", 4), "radius", 0)
+    pair_radius = at_least(read_int(config, "pair_radius", radius), "pair_radius", 0)
+    random_pairs = at_least(read_int(config, "random_pairs", 2000), "random_pairs", 0)
+    max_len = at_least(read_int(config, "max_len", 100), "max_len", 0)
+    seed = read_int(config, "seed", 0)
+    cap = enumeration_cap(read_int(config, "enumeration_cap", None))
     check_length(max_len, "max_len", cap)
-    jobs = _at_least(_setting(overrides, doc, "jobs", 1), "jobs", 1)
+    jobs = at_least(read_int(config, "jobs", 1), "jobs", 1)
 
     # Measured before the report starts, so no stage's time holds this scan.
     r_hat = measure_r_hat(q.spec, pair_radius, cap, jobs)
@@ -155,30 +158,18 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     return _finish(report, started, started_at, doc)
 
 
-def _massey_setup(doc: dict, overrides: dict, command: str):
-    check_config_keys(doc, command)
-    if overrides.get("radius") is not None:
-        raise ConfigError(
-            f"--radius does not apply to {command}; set the plan radii in the config"
-        )
-    instance, plan = massey_from_json(doc, overrides.get("seed"))
-    if overrides.get("jobs") is not None:
-        plan.jobs = _at_least(int(overrides["jobs"]), "jobs", 1)
-    return instance, plan
+def _run_plan(doc: dict, overrides: dict | None, command: str, verify) -> Report:
+    started, started_at = time.monotonic(), now_iso()
+    instance, plan = massey_from_json(_with_overrides(doc, overrides, command))
+    return _finish(verify(instance, plan), started, started_at, doc)
 
 
 def run_massey(doc: dict, overrides: dict | None = None) -> Report:
-    started, started_at = time.monotonic(), now_iso()
-    instance, plan = _massey_setup(doc, overrides or {}, "massey")
-    report = verify_massey_triviality(instance, plan)
-    return _finish(report, started, started_at, doc)
+    return _run_plan(doc, overrides, "massey", verify_massey_triviality)
 
 
 def run_verify_primitive(doc: dict, overrides: dict | None = None) -> Report:
-    started, started_at = time.monotonic(), now_iso()
-    instance, plan = _massey_setup(doc, overrides or {}, "verify-primitive")
-    report = verify_primitives(instance, plan)
-    return _finish(report, started, started_at, doc)
+    return _run_plan(doc, overrides, "verify-primitive", verify_primitives)
 
 
 RUNNERS = {

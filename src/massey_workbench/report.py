@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .errors import ConfigError, at_least
 from .words import check_length
 
 if TYPE_CHECKING:
@@ -52,21 +52,19 @@ class ExperimentPlan:
     }
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigError("rank must be >= 1")
+        at_least(self.rank, "rank", 1)
         # An entry radius of 0 would read as "no cap" in the tuple enumeration,
         # and a negative budget as an empty exhaustive domain.
         least = dict.fromkeys(("exhaustive_entry_radius", "max_len", "ladder_samples", "jobs"), 1)
         least.update(exhaustive_total_budget=0, deep_budget=0, pair_radius=0)
         for key, low in least.items():
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+            at_least(getattr(self, key), key, low)
         ladder = tuple(self.max_len_ladder)
         # With no rung the sup bound would pass unchecked.
         if not ladder:
             raise ConfigError("max_len_ladder needs at least one rung")
-        if any(rung < 1 for rung in ladder):
-            raise ConfigError(f"max_len_ladder rungs must be >= 1, got {list(ladder)}")
+        for rung in ladder:
+            at_least(rung, "max_len_ladder rung", 1)
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("max_len_ladder must be strictly increasing")
         # Also checks the cap itself.
@@ -74,8 +72,7 @@ class ExperimentPlan:
         check_length(ladder[-1], "max_len_ladder rung", self.enumeration_cap)
         self.max_len_ladder = ladder
         for stage, count in self.sample_counts.items():
-            if count < 0:
-                raise ConfigError(f"negative sample count for stage {stage!r}")
+            at_least(count, f"sample_counts.{stage}", 0)
 
     def samples(self, stage: str) -> int:
         if stage in self.sample_counts:
@@ -84,22 +81,6 @@ class ExperimentPlan:
 
     def budget(self, arity: int) -> int:
         return self.exhaustive_total_budget if arity <= 5 else self.deep_budget
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "seed": self.seed,
-            "exhaustive_entry_radius": self.exhaustive_entry_radius,
-            "exhaustive_total_budget": self.exhaustive_total_budget,
-            "deep_budget": self.deep_budget,
-            "pair_radius": self.pair_radius,
-            "sample_counts": dict(sorted(self.sample_counts.items())),
-            "max_len": self.max_len,
-            "max_len_ladder": list(self.max_len_ladder),
-            "ladder_samples": self.ladder_samples,
-            "enumeration_cap": self.enumeration_cap,
-            "jobs": self.jobs,
-        }
 
 
 @dataclass

@@ -17,7 +17,10 @@ seeds 1-2, whose entries and top ladder rung of 300 letters need more than
 the top byte of a 32-bit output for a length draw, and ``LINCOMB_OMEGA1``
 on the sentinel and ``massey-long`` plans, unmutated and with each
 mutation, at seed 1: an omega1 that is no windowed restriction, so the eta
-sums read it on whole entries. Arguments, if any, are
+sums read it on whole entries. Three cases pass overrides, as the CLI flags
+do, rather than config values: ``defect-brooks-ab.json`` with ``--seed 7
+--radius 3``, ``axioms-brooks-ab.json`` with ``--radius 7`` and the
+unmutated sentinel plan at seed 1 with ``--seed 7``. Arguments, if any, are
 case-name prefixes, and only the cases whose name starts with one of them
 run: ``axioms`` selects the three ``axioms-*.json`` configs and the
 ``axioms-defect`` workload, a check of a change to the triangle scan in
@@ -67,6 +70,12 @@ LINCOMB_OMEGA1 = {
     ],
 }
 
+# Configs run with overrides in place of their own values.
+OVERRIDE_CASES = (
+    ("defect-brooks-ab.json", {"seed": 7, "radius": 3}),
+    ("axioms-brooks-ab.json", {"radius": 7}),
+)
+
 
 def cases():
     """(case name, [(command, config dict, overrides), ...]) in a fixed order."""
@@ -74,6 +83,12 @@ def cases():
         for jobs in (1, 2):
             doc = load_config(path)
             yield f"{path.name} --jobs {jobs}", [(doc["command"], doc, {"jobs": jobs})]
+    for name, overrides in OVERRIDE_CASES:
+        doc = load_config(ROOT / "configs" / name)
+        flags = " ".join(f"--{key} {value}" for key, value in overrides.items())
+        yield f"{name} {flags}", [(doc["command"], doc, overrides)]
+    doc = workloads.massey_doc(workloads.SENTINEL_PLAN, 1)
+    yield "sentinel none seed 1 --seed 7", [("massey", doc, {"seed": 7})]
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             yield f"{workload} seed {seed}", workloads.job_calls(workload, seed)

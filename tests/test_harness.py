@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import json
 import time
@@ -487,6 +488,31 @@ def test_zero_overrides_are_not_replaced_by_config_values():
     assert axioms.notes["radius"] == 0
 
 
+def test_overrides_read_as_config_values():
+    """An override is the config value it replaces, and a None override is
+    not given."""
+
+    def stages(report):
+        return strip_timing(report.to_json())["stages"]
+
+    by_config = massey_doc()
+    by_config["plan"] = dict(by_config["plan"], seed=7)
+    by_override = run_massey(massey_doc(), {"seed": 7, "radius": None, "jobs": None})
+    assert stages(by_override) == stages(run_massey(by_config))
+    by_override = run_defect(DEFECT_DOC, {"seed": 7, "radius": 1})
+    assert stages(by_override) == stages(run_defect(dict(DEFECT_DOC, seed=7, radius=1)))
+    unset = {"seed": None, "radius": None, "jobs": None}
+    assert stages(run_defect(DEFECT_DOC, unset)) == stages(run_defect(DEFECT_DOC))
+    assert stages(run_axioms(AXIOMS_DOC, unset)) == stages(run_axioms(AXIOMS_DOC))
+
+
+def test_cli_refuses_a_seed_for_axioms(tmp_path, capsys):
+    """axioms reads no seed; --seed was once ignored, exit 0."""
+    assert main(config_args(tmp_path, AXIOMS_DOC, "radius", 2) + ["--seed", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown axioms config keys: ['seed']\n"
+
+
 def test_jobs_below_one_rejected():
     doc = {"rank": 2, "decomposition": {"family": "letter"}, "radius": 2}
     for jobs in (0, -1):
@@ -808,6 +834,24 @@ def test_cli_rejects_oversized_lengths(tmp_path, monkeypatch, capsys, base, key,
     assert "exceeds the length cap" in err
 
 
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("base", [AXIOMS_DOC, DEFECT_DOC], ids=["axioms", "defect"])
+def test_negative_radius_is_refused_before_any_scan(tmp_path, monkeypatch, capsys, base, flag):
+    """A radius of -1, from the config or from --radius, is a one-line
+    configuration error, exit 2, before R-hat or any stage runs; defect once
+    ran R-hat and qm-antisymmetry first."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    for name in ("measure_r_hat", "check_axioms"):
+        monkeypatch.setattr(harness, name, ran)
+    monkeypatch.setattr(report.Report, "add", ran)
+    args = config_args(tmp_path, base, "radius", base["radius"] if flag else -1)
+    assert main(args + ["--radius", "-1"] if flag else args) == 2
+    assert capsys.readouterr().err == "error: radius must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("text", ["a^99999999999", "a^-" + "9" * 5000], ids=["power", "digits"])
 def test_oversized_word_powers_hit_the_length_cap(tmp_path, capsys, text):
     """A word power past the length cap, or with more digits than ``int``
@@ -955,6 +999,6 @@ def test_massey_stage_domains_match_the_benchmark_counts():
     spec.loader.exec_module(workloads)
     doc = massey_doc()
     report = run_massey(doc)
-    plan = plan_from_json(doc["plan"], doc["rank"]).to_json()
+    plan = dataclasses.asdict(plan_from_json(doc["plan"], doc["rank"]))
     checked = {stage.name: stage.checked for stage in report.stages}
     assert checked == workloads.expected_massey_counts(plan)

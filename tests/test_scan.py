@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from massey_workbench import _parallel
 from massey_workbench._parallel import Scan, pair_scan, scan
 
 
@@ -124,3 +125,38 @@ def test_a_true_return_ends_the_chunk():
     result = pair_scan(recording_probe, seen, [0, 1, 2], [False, True, False])
     assert seen == [(0, False), (0, True)]
     assert result == Scan(9, {"flag": (0, True)})
+
+
+class RecordingContext:
+    """A multiprocessing context whose pool records its size and chunk count
+    and maps in-process, so no worker process starts."""
+
+    def __init__(self):
+        self.pools = []
+
+    def Pool(self, processes):
+        self.pools.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.pools.append(len(items))
+        return [fn(item) for item in items]
+
+
+def test_workers_and_chunks_are_capped_at_the_cpu_count(monkeypatch):
+    """--jobs 5000 once forked 5000 workers for a list of 10,000 tasks."""
+    ctx = RecordingContext()
+    monkeypatch.setattr(_parallel.multiprocessing, "get_context", lambda method: ctx)
+    tasks = make_tasks(10_000, 1)
+    serial_scan = scan(stats_probe, 3, tasks)
+    for cpus, jobs in ((4, 5000), (4, 3), (None, 5000)):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
+        assert scan(stats_probe, 3, tasks, jobs) == serial_scan
+    # (processes, chunks) per pool; no CPU count means one job, in-process.
+    assert ctx.pools == [4, 4, 3, 3]
