@@ -76,7 +76,8 @@ class EvalContext:
     """Per-run caches. Not shared across processes; create one per worker.
 
     Keys hold the node itself, so a cached node stays alive and its identity
-    cannot pass to a new node while its values are cached. The cache is
+    cannot pass to a new node while its values are cached; the three-sum
+    pair records are keyed by ``(phi, g, h)``. The cache is
     cleared wholesale when it reaches ``limit`` entries, which keeps long
     exhaustive scans at bounded memory.
     """

@@ -25,8 +25,9 @@ the same value ``A`` or ``B`` on every piece away from the ends of the entry:
 the node sums the few edge pieces and adds ``A B`` times the rest of phi(e)
 (README "Eta bulk collapse"). Any other factor reads the whole entry, so its
 edge spans every piece. The three-sum sides, the oracle the primitive is
-compared with, run their own unshifted term loop ``_bridge_terms``; both
-read lambda from the table.
+compared with, run their own unshifted term loop in ``three_sum_residual``
+over a per-pair record of the tripod and of the nonzero-lambda pieces;
+both read lambda from the table.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .cochain import (
     EvalContext,
     LettersTuple,
     Restriction,
-    WordTuple,
     aligned_letters,
     coboundary,
     cup,
@@ -60,7 +60,7 @@ from .decomposition import cut_flags, measure_r_hat, triangle_split
 from .errors import UsageError
 from .quasimorphism import QuasiMorphism
 from .report import ExperimentPlan, Report, StageResult
-from .words import Letters, _make, multiply_letters
+from .words import Letters, _make
 
 MUTATIONS = ("flip-eta-sign", "shift-z-boundary", "flip-beta1-cup-sign")
 
@@ -234,38 +234,6 @@ class EtaBridge(_EtaBase):
         return self._sum(t[:mid], t[mid], t[mid + 1 :], ctx)
 
 
-def _bridge_terms(
-    m: MasseyInstance,
-    head: LettersTuple,
-    e: Letters,
-    tail: LettersTuple,
-    ctx: EvalContext,
-    before: Letters = b"",
-    after: Letters = b"",
-) -> list[int]:
-    """The terms of a three-sum side, one per piece of ``e``, as numerators
-    over the product of the omegas' denominators: piece j gives
-    ``omega1(head, before z<_j) lambda_j omega2(z>_j after, tail)``, and 0
-    when lambda_j or the omega1 factor vanishes (omega2 is then not
-    evaluated). Side 1 merges ``h`` into the suffix products (``after``),
-    side 2 merges ``g`` into the prefix products (``before``).
-
-    The sides are the oracle the primitive is compared with, so they are
-    never shifted by the ``shift-z-boundary`` mutation.
-    """
-    cuts = [a for a, flag in enumerate(cut_flags(m.phi.spec, e)) if flag] + [len(e)]
-    lam = m.phi.numerators.get
-    terms = []
-    for a, b in zip(cuts, cuts[1:]):
-        term = lam(e[a:b], 0)
-        if term:
-            term *= m.omega1._eval(head + (multiply_letters(before, e[:a]),), ctx)
-        if term:
-            term *= m.omega2._eval((multiply_letters(e[b:], after),) + tail, ctx)
-        terms.append(term)
-    return terms
-
-
 eta1 = Eta1
 eta2 = Eta2
 eta_bridge = EtaBridge
@@ -327,21 +295,24 @@ class TriangleTermLedger:
     """Bookkeeping of the positional cancellation across the three sums.
 
     ``surviving_terms`` lists every (side, j, value) left after removing the
-    index-matched pairs whose values are exactly equal; ``canceled_count``
-    counts removed terms (two per matched pair); ``bound`` is the total
-    thick length of the tripod, so a correct construction never leaves more
-    than ``bound`` survivors.
+    index-matched pairs whose values are exactly equal, each value the
+    numerator of the term over ``den``; ``canceled_count`` counts removed
+    terms (two per matched pair); ``bound`` is the total thick length of the
+    tripod, so a correct construction never leaves more than ``bound``
+    survivors.
     """
 
-    surviving_terms: list[tuple[int, int, Fraction]] = field(default_factory=list)
+    surviving_terms: list[tuple[int, int, int]] = field(default_factory=list)
     canceled_count: int = 0
     bound: int = 0
     thick_lengths: tuple[int, int, int] = (0, 0, 0)
+    den: int = 1
 
     def to_json(self) -> dict:
         return {
             "surviving_terms": [
-                {"side": s, "j": j, "value": str(v)} for s, j, v in self.surviving_terms
+                {"side": s, "j": j, "value": str(Fraction(v, self.den))}
+                for s, j, v in self.surviving_terms
             ],
             "canceled_count": self.canceled_count,
             "bound": self.bound,
@@ -349,85 +320,109 @@ class TriangleTermLedger:
         }
 
 
+def _pair_record(phi: QuasiMorphism, g: Letters, h: Letters) -> tuple:
+    """``(n1, n3, thick_lengths, sides)``, the part of a three-sum ledger
+    that depends on the aligned pair ``(g, h)`` alone: the piece counts of
+    the corners ``c1``, ``c3`` and of the remainders of the tripod of ``(1,
+    g, gh)``, from one ``triangle_split`` call, and for the pieces of ``g``,
+    ``h`` and ``g h`` in turn, the piece count and ``(j, a, b, lambda_j)``
+    for each piece ``j`` with nonzero lambda, ``a`` and ``b`` its ends in
+    ``g h``, which is ``g`` followed by ``h``."""
+    rank = phi.rank
+    tri = triangle_split(phi.spec, _make(g, rank), _make(h, rank))
+    n1, _, n3 = tri.corner_counts
+    lam = phi.numerators.get
+    sides = []
+    for e, offset in ((g, 0), (h, len(g)), (g + h, 0)):
+        cuts = [a for a, flag in enumerate(cut_flags(phi.spec, e)) if flag] + [len(e)]
+        pieces = [
+            (j, offset + a, offset + b, lam_j)
+            for j, (a, b) in enumerate(zip(cuts, cuts[1:]))
+            if (lam_j := lam(e[a:b]))
+        ]
+        sides.append((len(cuts) - 1, tuple(pieces)))
+    return n1, n3, tri.thick_lengths, tuple(sides)
+
+
 def three_sum_residual(
-    m: MasseyInstance, t: WordTuple, ctx: EvalContext | None = None
-) -> tuple[Fraction, TriangleTermLedger]:
-    """Evaluate the three decomposition sums directly and cancel the
-    index-matched corner pairs.
+    m: MasseyInstance, t: LettersTuple, ctx: EvalContext | None = None
+) -> tuple[int, TriangleTermLedger]:
+    """The three decomposition sums with the index-matched corner pairs
+    cancelled: the numerator of the full alternating total over
+    ``ledger.den``, and the ledger.
 
     Side 1 runs over the pieces of g_{k1}, side 2 over those of h_1, side 3
-    (negated) over those of g_{k1} h_1. For aligned input the first
-    |D(c1)| terms of sides 1 and 3 coincide pairwise, as do the last
-    |D(c3)| terms of sides 2 and 3; a pair is only removed if its two
+    (negated) over those of g_{k1} h_1; piece j gives ``omega1(head, z<_j)
+    lambda_j omega2(z>_j, tail)`` with the products taken in g h, and 0
+    when lambda_j or the omega1 factor vanishes (omega2 is then not
+    evaluated). The sides are the oracle of the primitive, so the
+    ``shift-z-boundary`` mutation does not shift them. For aligned input
+    the first |D(c1)| terms of sides 1 and 3 coincide pairwise, as do the
+    last |D(c3)| terms of sides 2 and 3; a pair is only removed if its two
     values are exactly equal, so any construction error surfaces as excess
-    survivors. The returned value always equals the full alternating total.
+    survivors. ``ctx`` keeps the ``_pair_record`` of each ``(phi, g, h)``.
     """
-    if len(t) != m.k1 + m.k2:
-        raise UsageError(f"expected arity {m.k1 + m.k2}, got {len(t)}")
-    letters = tuple(w.letters for w in t)
-    if not aligned_letters(letters):
+    k1 = m.k1
+    if len(t) != k1 + m.k2:
+        raise UsageError(f"expected arity {k1 + m.k2}, got {len(t)}")
+    if not aligned_letters(t):
         raise UsageError("three-sum residual is defined on aligned tuples")
     ctx = ctx if ctx is not None else EvalContext()
-    g, h = letters[m.k1 - 1], letters[m.k1]
-    head, tail = letters[: m.k1 - 1], letters[m.k1 + 1 :]
+    g, h = t[k1 - 1], t[k1]
+    head, tail = t[: k1 - 1], t[k1 + 1 :]
+    key = (m.phi, g, h)
+    record = ctx.node_values.get(key) or ctx.store(key, _pair_record(m.phi, g, h))
+    n1, n3, thick_lengths, sides = record
 
-    side1 = _bridge_terms(m, head, g, tail, ctx, after=h)
-    side2 = _bridge_terms(m, head, h, tail, ctx, before=g)
-    side3 = _bridge_terms(m, head, multiply_letters(g, h), tail, ctx)
+    gh = g + h
+    omega1, omega2 = m.omega1._eval, m.omega2._eval
+    side1, side2, side3 = rows = [[0] * count for count, _ in sides]
+    for terms, (_, pieces) in zip(rows, sides):
+        for j, a, b, lam_j in pieces:
+            term = lam_j * omega1(head + (gh[:a],), ctx)
+            if term:
+                terms[j] = term * omega2((gh[b:],) + tail, ctx)
 
-    den = m.omega1.den * m.phi.den * m.omega2.den
-    total = Fraction(sum(side1) + sum(side2) - sum(side3), den)
-
-    tri = triangle_split(m.phi.spec, t[m.k1 - 1], t[m.k1])
-    n1, _, n3 = tri.corner_counts
-
-    ledger = TriangleTermLedger(bound=tri.thick_total, thick_lengths=tri.thick_lengths)
-    canceled1 = [False] * len(side1)
-    canceled2 = [False] * len(side2)
-    canceled3 = [False] * len(side3)
+    canceled = [[False] * len(terms) for terms in rows]
+    canceled1, canceled2, canceled3 = canceled
     for j in range(min(n1, len(side1), len(side3))):
         if side1[j] == side3[j]:
             canceled1[j] = canceled3[j] = True
-            ledger.canceled_count += 2
     for i in range(1, min(n3, len(side2), len(side3)) + 1):
-        if canceled3[len(side3) - i]:
-            continue
-        if side2[len(side2) - i] == side3[len(side3) - i]:
-            canceled2[len(side2) - i] = canceled3[len(side3) - i] = True
-            ledger.canceled_count += 2
-    for side_no, terms, canceled in (
-        (1, side1, canceled1),
-        (2, side2, canceled2),
-        (3, side3, canceled3),
-    ):
-        for j, value in enumerate(terms):
-            if not canceled[j]:
-                ledger.surviving_terms.append((side_no, j + 1, Fraction(value, den)))
-    return total, ledger
+        if not canceled3[-i] and side2[-i] == side3[-i]:
+            canceled2[-i] = canceled3[-i] = True
+    survivors = [
+        (side_no, j + 1, value)
+        for side_no, terms, flags in zip((1, 2, 3), rows, canceled)
+        for j, value in enumerate(terms)
+        if not flags[j]
+    ]
+    den = m.omega1.den * m.phi.den * m.omega2.den
+    ledger = TriangleTermLedger(
+        survivors, sum(map(sum, canceled)), sum(thick_lengths), thick_lengths, den
+    )
+    return sum(side1) + sum(side2) - sum(side3), ledger
 
 
 def _three_sum_probe(payload, t: LettersTuple, out: Scan) -> None:
     m, primitive, r_bound, ctx = payload
-    total, ledger = three_sum_residual(m, tuple(_make(x, m.rank) for x in t), ctx)
-    direct = Fraction(primitive._eval(t, ctx), primitive.den)
-    if total != direct:
+    total, ledger = three_sum_residual(m, t, ctx)
+    direct = primitive._eval(t, ctx)
+    if total * primitive.den != direct * ledger.den:
         out.fail(
             "three-sum-equality",
-            {"tuple": describe_tuple(t), "three_sum": str(total), "primitive": str(direct)},
+            {
+                "tuple": describe_tuple(t),
+                "three_sum": str(Fraction(total, ledger.den)),
+                "primitive": str(Fraction(direct, primitive.den)),
+            },
         )
     survivors = len(ledger.surviving_terms)
     out.offer("survivors", survivors)
     out.offer("thick_bound", ledger.bound)
     if survivors > ledger.bound or ledger.bound > r_bound:
-        out.fail(
-            "ledger-bound",
-            {
-                "tuple": describe_tuple(t),
-                "survivors": survivors,
-                "bound": ledger.bound,
-                "three_r_hat": r_bound,
-            },
-        )
+        failure = {"tuple": describe_tuple(t), "survivors": survivors, "bound": ledger.bound}
+        out.fail("ledger-bound", {**failure, "three_r_hat": r_bound, "ledger": ledger.to_json()})
 
 
 def _exact_stages(m: MasseyInstance) -> list[tuple]:

@@ -113,7 +113,7 @@ def test_three_sum_sides_are_unshifted(data):
     phi = PHIS[data.draw(st.sampled_from(sorted(PHIS)))]
     g, h = data.draw(entries(phi.rank).filter(lambda ws: len(ws) >= 2))[:2]
     assume(g and h and signed(g)[-1] != -signed(h)[0])
-    t = (_make(g, phi.rank), _make(h, phi.rank))
+    t = (g, h)
     plain = MasseyInstance(phi, Recorder(), Recorder(), 1, 1)
     shifted = MasseyInstance(phi, Recorder(), Recorder(), 1, 1, mutation="shift-z-boundary")
     total, ledger = three_sum_residual(plain, t)

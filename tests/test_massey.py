@@ -34,7 +34,7 @@ from massey_workbench.massey import (
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.report import ExperimentPlan, strip_timing
 from massey_workbench.words import parse_word
-from oracles import decompose, words_of
+from oracles import decompose, letters_of, words_of
 
 W = lambda s: parse_word(s, 2)
 
@@ -220,7 +220,8 @@ def test_three_sum_equals_primitive_with_ledger():
     r_hat = measure_r_hat(m.phi.spec, 3)
     saw_survivor = False
     for t in domain(4, budget=6, samples=200, max_len=30, seed=51):
-        total, ledger = three_sum_residual(m, t, ctx)
+        total, ledger = three_sum_residual(m, letters_of(t), ctx)
+        total = Fraction(total, ledger.den)
         assert total == evaluate(primitive, t, ctx)
         assert len(ledger.surviving_terms) <= ledger.bound <= 3 * r_hat
         saw_survivor = saw_survivor or ledger.surviving_terms
@@ -230,9 +231,9 @@ def test_three_sum_equals_primitive_with_ledger():
 def test_three_sum_rejects_bad_input():
     m = standard_instance()
     with pytest.raises(UsageError):
-        three_sum_residual(m, (W("a"), W("A"), W("b"), W("a")))
+        three_sum_residual(m, letters_of((W("a"), W("A"), W("b"), W("a"))))
     with pytest.raises(UsageError):
-        three_sum_residual(m, (W("a"), W("b")))
+        three_sum_residual(m, letters_of((W("a"), W("b"))))
 
 
 def test_letter_middle_primitive_vanishes():
@@ -244,7 +245,7 @@ def test_letter_middle_primitive_vanishes():
     ctx = EvalContext()
     for t in domain(4, budget=6, samples=100, seed=61):
         assert evaluate(primitive, t, ctx) == 0
-        total, ledger = three_sum_residual(m, t, ctx)
+        total, ledger = three_sum_residual(m, letters_of(t), ctx)
         assert total == 0
         assert ledger.bound == 0
         assert not ledger.surviving_terms
@@ -267,7 +268,8 @@ def test_mutations_break_three_sum(mutation):
     ctx = EvalContext()
     mismatch = None
     for t in domain(4, budget=6):
-        total, _ = three_sum_residual(m, t, ctx)
+        total, ledger = three_sum_residual(m, letters_of(t), ctx)
+        total = Fraction(total, ledger.den)
         if total != evaluate(primitive, t, ctx):
             mismatch = t
             break
@@ -334,6 +336,25 @@ def test_verify_massey_triviality_mutated_fails_with_counterexample():
     stage = next(s for s in failed if s.name == "three-sum-equality")
     assert stage.counterexample is not None
     assert "tuple" in stage.counterexample
+
+
+def test_failing_ledger_bound_carries_the_ledger(monkeypatch):
+    # With R-hat read as 0 the first tuple with a thick tripod fails
+    # ledger-bound; its counterexample is that tuple's ledger.
+    monkeypatch.setattr(massey, "measure_r_hat", lambda *args: 0)
+    m = standard_instance()
+    report = verify_massey_triviality(m, small_plan())
+    stages = {s.name: s for s in report.stages}
+    assert stages["three-sum-equality"].passed
+    failure = stages["ledger-bound"].counterexample
+    assert failure is not None and failure["three_r_hat"] == 0
+    t = tuple(W(x).letters for x in failure["tuple"])
+    _, ledger = three_sum_residual(m, t)
+    assert failure["ledger"] == ledger.to_json()
+    assert failure["bound"] == ledger.bound > 0
+    assert failure["survivors"] == len(failure["ledger"]["surviving_terms"])
+    values = [Fraction(term["value"]) for term in failure["ledger"]["surviving_terms"]]
+    assert values == [Fraction(v, ledger.den) for _, _, v in ledger.surviving_terms]
 
 
 def test_verify_primitives_flow():

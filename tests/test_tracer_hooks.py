@@ -10,8 +10,9 @@ import sys
 from pathlib import Path
 
 from massey_workbench import harness
-from massey_workbench.checks import sup_scan
+from massey_workbench.checks import sup_scan, task_lists
 from massey_workbench.cochain import TableCochain, alternate, random_aligned_tuples
+from massey_workbench.config import massey_from_json
 from massey_workbench.words import parse_word
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -91,6 +92,10 @@ TINY_DEFECT = {
 def test_tracer_installs_counts_and_uninstalls():
     tracer_module = load_tracer()
     before = library_bindings()
+    m, plan = massey_from_json(TINY_MASSEY)
+    domain = task_lists(plan)(m.k1 + m.k2, "three_sum")
+    three_sum_pairs = len({t[m.k1 - 1 : m.k1 + 1] for t in domain})
+    assert three_sum_pairs < len(domain)
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
@@ -100,8 +105,10 @@ def test_tracer_installs_counts_and_uninstalls():
         )
         assert report.passed
         assert harness.RUNNERS["massey"](TINY_MASSEY).passed
-        # three_sum_residual and defect_from_triangle each split tripods.
+        # three_sum_residual splits one tripod per distinct (g_{k1}, h_1)
+        # pair of its domain, and defect_from_triangle one per pair.
         splits = tracer.counts["decomposition.triangle_split"]
+        assert splits == three_sum_pairs
         assert harness.RUNNERS["defect"](TINY_DEFECT).passed
         assert tracer.counts["decomposition.triangle_split"] > splits > 0
         # Table and alternation nodes, which the standard instance does not use.
