@@ -74,11 +74,10 @@ def identity_stage(
     rhs: Cochain,
     tasks: list[LettersTuple],
     jobs: int = 1,
-    stats: dict | None = None,
 ) -> StageResult:
     """Exact pointwise equality of two expressions over the task list."""
     result = scan(_identity_probe, (name, lhs, rhs, EvalContext()), tasks, jobs)
-    return StageResult.from_scan(name, result, stats)
+    return StageResult.from_scan(name, result)
 
 
 def _zero_probe(payload, t: LettersTuple, out: Scan):

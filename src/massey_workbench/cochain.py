@@ -18,9 +18,10 @@ integer arithmetic.
 Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s:
 cache keys are ``(node, t)`` and a coboundary face is a bare ``bytes``:
 ``a + b`` when the entries concatenate, else their ``multiply_letters``
-product. On a concatenating pair the coboundary of a quasi-morphism leaf is
-its ``QuasiMorphism.junction``, read off the letters at the junction, so
-its restriction keys its memo on those letters alone (``Restriction.window``).
+product. On a concatenating pair the coboundary of a quasi-morphism leaf
+evaluates the leaf's counting kernel on the ``QuasiMorphism.window`` letters
+each side of the junction, so its restriction keys its memo on those letters
+alone (``Restriction.window``, README "Junction window").
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class Restriction(Cochain):
     Over the coboundary of a quasi-morphism leaf, ``window`` is the leaf's
     ``QuasiMorphism.window`` K, else 0. A nonzero window cuts a pair to
     ``(x[-K:], y[:K])`` before the memo and the child see it: the alignment
-    test and the junction read nothing else (README "Junction window").
+    test and the child's window read nothing else (README "Junction window").
     """
 
     __slots__ = ("degree", "den", "child", "window")
@@ -206,7 +207,13 @@ class Restriction(Cochain):
 
 
 class Coboundary(Cochain):
-    """``qm`` is the quasi-morphism of a leaf child, for its junction, else None."""
+    """``qm`` is the quasi-morphism of a leaf child, else None.
+
+    On a concatenating pair ``(x, y)`` the coboundary of a leaf is
+    ``v(x') + v(y') - v(x' + y')`` with ``x' = x[-K:]``, ``y' = y[:K]``,
+    ``v = qm.value_letters`` and ``K = qm.window`` (README "Junction
+    window"); every other tuple takes the alternating sum of faces.
+    """
 
     __slots__ = ("degree", "den", "child", "qm")
 
@@ -217,8 +224,12 @@ class Coboundary(Cochain):
         self.qm = child.qm if isinstance(child, QMCochain) else None
 
     def _eval(self, t, ctx):
-        if self.qm is not None and t[0] and t[1] and t[0][-1] + t[1][0] != 256:
-            return self.qm.junction(*t)
+        qm = self.qm
+        if qm is not None and t[0] and t[1] and t[0][-1] + t[1][0] != 256:
+            k = qm.window
+            x, y = t[0][-k:], t[1][:k]
+            v = qm.value_letters
+            return v(x) + v(y) - v(x + y)
         child = self.child
         k = child.degree
         total = child._eval(t[1:], ctx)

@@ -152,10 +152,6 @@ class TriangleDecomposition:
     thick_lengths: tuple[int, int, int]
     corner_counts: tuple[int, int, int]
 
-    @property
-    def thick_total(self) -> int:
-        return sum(self.thick_lengths)
-
 
 def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
     letters = w.letters

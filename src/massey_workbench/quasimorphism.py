@@ -5,8 +5,9 @@ Values are exact rationals throughout, so every downstream identity can be
 asserted with equality rather than tolerance. A quasi-morphism is evaluated
 by an integer counting kernel (``counting_kernel``) as a numerator over the
 least common denominator of its table; the tests compare it with the plain
-sum of lambda over the pieces (``tests/oracles.py``). The same counts give
-the defect of a concatenating pair from the letters at its junction.
+sum of lambda over the pieces (``tests/oracles.py``). No pattern it counts
+has more than ``window`` + 1 letters, so the defect of a concatenating pair
+is the same kernel on the ``window`` letters each side of the junction.
 
 Words arrive as ``Letters``, the packed ``bytes`` of ``words``. The value
 cache is keyed by those bytes, whose hash is computed once per object, and
@@ -80,15 +81,12 @@ class QuasiMorphism(SetOnce):
 
     ``den`` is the least common denominator of lambda, and ``numerators``
     maps each piece with nonzero lambda to its numerator over ``den``.
-    ``value_letters`` returns the integer numerator of phi over ``den``,
-    ``value`` the ``Fraction``, and ``junction`` that of the defect of a
-    concatenating pair, which reads at most ``window`` letters on each
-    side of the junction.
+    ``value_letters`` returns the integer numerator of phi over ``den`` and
+    ``value`` the ``Fraction``. The defect of a concatenating pair ``x y``
+    is that of ``(x[-window:], y[:window])`` (README "Junction window").
     """
 
-    __slots__ = (
-        "spec", "table", "name", "den", "numerators", "junction", "window", "_cache", "_kernel"
-    )
+    __slots__ = ("spec", "table", "name", "den", "numerators", "window", "_cache", "_kernel")
 
     def __init__(self, spec: DecompositionSpec, table: LambdaTable, name: str = "phi"):
         for letters in table.entries:
@@ -100,9 +98,7 @@ class QuasiMorphism(SetOnce):
         self.table = table
         self.name = name
         self._cache: dict[Letters, int] = {}
-        self.den, self.numerators, self._kernel, self.junction, self.window = counting_kernel(
-            spec, table
-        )
+        self.den, self.numerators, self._kernel, self.window = counting_kernel(spec, table)
 
     @property
     def rank(self) -> int:
@@ -143,7 +139,6 @@ class QuasiMorphism(SetOnce):
 
 # (translation table or None, ((pattern, integer coefficient), ...))
 _CountGroup = tuple[bytes | None, tuple[tuple[bytes, int], ...]]
-_Junction = Callable[[Letters, Letters], int]
 
 
 def _letter_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
@@ -196,12 +191,13 @@ def _rolli_terms(scaled: dict[Letters, int]) -> list[_CountGroup]:
 
 def counting_kernel(
     spec: DecompositionSpec, table: LambdaTable
-) -> tuple[int, dict[Letters, int], Callable[[Letters], int], _Junction, int]:
-    """(den, scaled, evaluator, junction, window): the least common
-    denominator of the table, the nonzero entries as numerators over it, an
-    exact evaluator of the numerator over it of the quasi-morphism
-    (spec, table) on ``Letters``, and the ``junction_kernel`` of the same
-    counts.
+) -> tuple[int, dict[Letters, int], Callable[[Letters], int], int]:
+    """(den, scaled, evaluator, window): the least common denominator of the
+    table, the nonzero entries as numerators over it, an exact evaluator of
+    the numerator over it of the quasi-morphism (spec, table) on
+    ``Letters``, and the largest ``len(p) - 1`` over the counted patterns
+    ``p``, at least 1: a concatenating pair's defect reads only
+    ``x[-window:]`` and ``y[:window]`` (README "Junction window").
 
     Every table entry is read as given, so a table that is not alternating
     (the tests' ``tampered_lambda``) is evaluated as the piece sum would be.
@@ -215,6 +211,7 @@ def counting_kernel(
     else:
         groups = _brooks_terms(spec.brooks_word.letters, scaled)  # type: ignore[union-attr]
     groups = [(tr, terms) for tr, terms in groups if terms]
+    window = max([1, *(len(p) - 1 for _, terms in groups for p, _ in terms)])
 
     def kernel(letters: Letters) -> int:
         s = b"\0" + letters
@@ -225,40 +222,7 @@ def counting_kernel(
                 total += coeff * t.count(pattern)
         return total
 
-    return den, scaled, kernel, *junction_kernel(groups)
-
-
-def junction_kernel(groups: list[_CountGroup]) -> tuple[_Junction, int]:
-    """(junction, window). ``junction`` is the exact phi(x) + phi(y) -
-    phi(x + y) for nonempty ``x``, ``y`` that concatenate, as a numerator:
-    the sum over patterns p, k = len(p) - 1, of c_p ([0 y[:k] is p] -
-    [p occurs in (0 x)[-k:] + y[:k]]), all strings through the group's
-    translation (README "Junction kernel"). Both terms put y[0] at a
-    position >= 1 of p, so only the groups with the translation of y[0]
-    there are visited. ``window`` is the largest k over the patterns, at
-    least 1: the junction reads only ``x[-window:]`` and ``y[:window]``
-    (README "Junction window").
-    """
-    window = max([1, *(len(p) - 1 for _, terms in groups for p, _ in terms)])
-    by_first: dict[int, list] = {}
-    for translation, terms in groups:
-        tr = translation or bytes(range(256))
-        long = tuple((p, c, len(p) - 1) for p, c in terms if len(p) > 1)
-        inner = {b for p, _, _ in long for b in p[1:]}
-        for b in range(1, 256):
-            if tr[b] in inner:
-                by_first.setdefault(b, []).append((tr, max(k for *_, k in long), long))
-
-    def junction(x: Letters, y: Letters) -> int:
-        total = 0
-        for tr, k_max, terms in by_first.get(y[0], ()):
-            tail = (b"\0" + x[-k_max:])[-k_max:].translate(tr)
-            head = (b"\0" + y[:k_max]).translate(tr)
-            for p, c, k in terms:
-                total += c * (head.startswith(p) - (p in tail[-k:] + head[1 : k + 1]))
-        return total
-
-    return junction, window
+    return den, scaled, kernel, window
 
 
 def _is_legal_piece(spec: DecompositionSpec, letters: Letters) -> bool:

@@ -17,7 +17,9 @@ seeds 1-2, whose entries and top ladder rung of 300 letters need more than
 the top byte of a 32-bit output for a length draw, and ``LINCOMB_OMEGA1``
 on the sentinel and ``massey-long`` plans, unmutated and with each
 mutation, at seed 1: an omega1 that is no windowed restriction, so the eta
-sums read it on whole entries. Three cases pass overrides, as the CLI flags
+sums read it on whole entries, and the ``instances.py`` instances with phi
+= Brooks(ab) and omega1 windows K = 1 to 4 on the sentinel plan at seed 1.
+Three cases pass overrides, as the CLI flags
 do, rather than config values: ``defect-brooks-ab.json`` with ``--seed 7
 --radius 3``, ``axioms-brooks-ab.json`` with ``--radius 7`` and the
 unmutated sentinel plan at seed 1 with ``--seed 7``. Arguments, if any, are
@@ -45,6 +47,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 # The workload definitions are read, never written, bytecode included.
 sys.dont_write_bytecode = True
 
+import instances  # noqa: E402
 import workloads  # noqa: E402
 
 from massey_workbench.config import load_config  # noqa: E402
@@ -106,6 +109,9 @@ def cases():
         for mutation in (None, *workloads.SENTINEL_EXPECT):
             doc = dict(workloads.massey_doc(plan, 1, mutation), omega1=LINCOMB_OMEGA1)
             yield f"lincomb {plan_name} {mutation or 'none'} seed 1", [("massey", doc, {})]
+    for window in sorted(instances.PSI1_BY_WINDOW):
+        doc = instances.massey_doc(workloads.SENTINEL_PLAN, 1, "brooks-ab", window)
+        yield f"instance brooks-ab K {window} seed 1", [("massey", doc, {})]
 
 
 def digest(calls) -> str:

@@ -1,12 +1,13 @@
-"""Differential tests of the junction kernel.
+"""Differential tests of the coboundary of a quasi-morphism leaf.
 
-``QuasiMorphism.junction(x, y)`` gives phi(x) + phi(y) - phi(x y) for a
-concatenating pair from the letters around the junction alone, and the
-coboundary of a quasi-morphism leaf returns it on such pairs. Both are
-compared with the plain piece sum of ``tests/oracles.py`` for the letter,
-Rolli and Brooks families on ranks 1 to 3 and 26, on alternating and
-tampered tables, at cuts inside and beside forced pieces. Each broken
-evaluator below must make the comparison fail.
+On a concatenating pair ``(x, y)``, ``coboundary(qm_cochain(q))`` reads the
+counting kernel on ``x[-K:]``, ``y[:K]`` and their concatenation, K =
+``q.window`` (README "Junction window"); on every other pair it sums its
+faces. Both paths are compared with phi(x) + phi(y) - phi(x y) from the
+plain piece sum of ``tests/oracles.py`` for the letter, Rolli and Brooks
+families on ranks 1 to 3 and 26, on alternating and tampered tables, at
+cuts inside and beside forced pieces. Each broken copy of the window read
+below must make the comparison fail.
 """
 
 from fractions import Fraction
@@ -15,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massey_workbench import quasimorphism
-from massey_workbench.cochain import coboundary, evaluate, qm_cochain
+from massey_workbench.cochain import Coboundary, coboundary, evaluate, qm_cochain
 from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, parse_word, sample_word
@@ -84,78 +84,74 @@ def piece_sum_defect(q, x, y, xy):
 
 @given(cases())
 @settings(max_examples=300, deadline=None)
-def test_junction_matches_piece_sum(case):
+def test_coboundary_matches_piece_sum(case):
     q, z, cuts = case
     delta = coboundary(qm_cochain(q))
     rank = q.rank
     for c in cuts:
         x, y = _make(z.letters[:c], rank), _make(z.letters[c:], rank)
-        want = piece_sum_defect(q, x, y, z)
         # One assertion, so a broken evaluator fails at one site. z y^-1
-        # cancels at its junction, so the coboundary takes the three-term
-        # path there.
-        assert (
-            Fraction(q.junction(x.letters, y.letters), q.den),
-            evaluate(delta, (x, y)),
-            evaluate(delta, (z, y.inverse())),
-        ) == (want, want, piece_sum_defect(q, z, y.inverse(), x))
+        # cancels at its junction, so the coboundary sums its faces there.
+        assert (evaluate(delta, (x, y)), evaluate(delta, (z, y.inverse()))) == (
+            piece_sum_defect(q, x, y, z),
+            piece_sum_defect(q, z, y.inverse(), x),
+        )
 
 
 def test_junction_examples():
-    brooks = QuasiMorphism(
-        DecompositionSpec("brooks", 2, parse_word("ab", 2)), LambdaTable({parse_word("ab", 2): 1})
-    )
-    rolli = QuasiMorphism(
-        DecompositionSpec("rolli", 2),
-        LambdaTable({parse_word("a", 2): 1, parse_word("a^2", 2): 5}),
-    )
-    a, b, aa = (parse_word(s, 2).letters for s in ("a", "b", "aa"))
+    def delta(family, table, word=None):
+        spec = DecompositionSpec(family, 2, word and parse_word(word, 2))
+        q = QuasiMorphism(spec, LambdaTable({parse_word(p, 2): v for p, v in table.items()}))
+        node = coboundary(qm_cochain(q))
+        return lambda x, y: evaluate(node, (parse_word(x, 2), parse_word(y, 2)))
+
+    brooks = delta("brooks", {"ab": 1}, "ab")
     # phi(a) + phi(b) - phi(ab) = 0 + 0 - 1
-    assert brooks.junction(a, b) == -1 and brooks.junction(b, a) == 0
+    assert brooks("a", "b") == -1 and brooks("b", "a") == 0
+    rolli = delta("rolli", {"a": 1, "a^2": 5})
     # a, a: 1 + 1 - 5; aa, a: 5 + 1 - lambda(a^3) = 6; b, a: no run crosses
-    assert rolli.junction(a, a) == -3 and rolli.junction(aa, a) == 6
-    assert rolli.junction(b, a) == 0
+    assert rolli("a", "a") == -3 and rolli("a^2", "a") == 6 and rolli("b", "a") == 0
+    # ba^2, a^2 b: the window of 3 letters keeps both runs whole
+    assert rolli("b a^2", "a^2 b") == 10
     # the letter family has no pattern that can cross a junction
-    letter = QuasiMorphism(DecompositionSpec("letter", 2), LambdaTable({parse_word("a", 2): 7}))
-    assert letter.junction(a, a) == 0
+    letter = delta("letter", {"a": 7})
+    assert letter("a", "a") == 0 and letter("b a", "a b") == 0
+    assert delta("brooks", {"aab": Fraction(1, 2)}, "aab")("b a", "a b") == Fraction(-1, 2)
 
 
-def broken_kernel(short=0, start=True, translate=True):
-    """The junction formula term by term, with one part broken: a window
-    ``short`` letters too short on each side, no start term, or no
-    translation. It is returned with the true window, the largest k."""
+def window_read(short=0, head=False, product=True):
+    """``Coboundary._eval`` with its window read rebuilt, optionally
+    broken: a window ``short`` letters too short, ``x[:K]`` read instead of
+    ``x[-K:]``, or the ``v(x' + y')`` term dropped. Every other tuple is
+    left to the real ``_eval``."""
+    exact = Coboundary._eval
 
-    def factory(groups):
-        def junction(x, y):
-            total = 0
-            for translation, terms in groups:
-                tr = translation if translate and translation else bytes(range(256))
-                for p, c, k in ((p, c, len(p) - 1) for p, c in terms if len(p) > 1):
-                    span = k - short
-                    tail = (b"\0" + x)[max(0, len(x) + 1 - span) :].translate(tr)
-                    head = (b"\0" + y[:k]).translate(tr)
-                    crossing = p in tail + head[1 : span + 1]
-                    total += c * ((start and head == p) - crossing)
-            return total
+    def _eval(self, t, ctx):
+        qm = self.qm
+        if qm is None or not (t[0] and t[1] and t[0][-1] + t[1][0] != 256):
+            return exact(self, t, ctx)
+        k = qm.window - short
+        x = t[0][:k] if head else t[0][len(t[0]) - min(k, len(t[0])) :]
+        y = t[1][:k]
+        v = qm.value_letters
+        return v(x) + v(y) - (v(x + y) if product else 0)
 
-        return junction, max([1, *(len(p) - 1 for _, terms in groups for p, _ in terms)])
-
-    return factory
+    return _eval
 
 
 @pytest.mark.parametrize(
     "broken",
-    [broken_kernel(short=1), broken_kernel(start=False), broken_kernel(translate=False)],
-    ids=["short-window", "no-start-term", "no-translation"],
+    [window_read(short=1), window_read(head=True), window_read(product=False)],
+    ids=["short-window", "head-of-x", "no-product-term"],
 )
-def test_differential_test_catches_broken_kernels(monkeypatch, broken):
-    monkeypatch.setattr(quasimorphism, "junction_kernel", broken)
+def test_differential_test_catches_broken_window_reads(monkeypatch, broken):
+    monkeypatch.setattr(Coboundary, "_eval", broken)
     with pytest.raises(AssertionError):
-        test_junction_matches_piece_sum()
+        test_coboundary_matches_piece_sum()
 
 
-def test_unbroken_reference_kernel_passes(monkeypatch):
-    """The term-by-term form the broken kernels start from is itself exact,
-    so each of them fails for its own defect."""
-    monkeypatch.setattr(quasimorphism, "junction_kernel", broken_kernel())
-    test_junction_matches_piece_sum()
+def test_unbroken_window_read_passes(monkeypatch):
+    """The rebuilt read the broken copies start from is itself exact, so
+    each of them fails for its own defect."""
+    monkeypatch.setattr(Coboundary, "_eval", window_read())
+    test_coboundary_matches_piece_sum()

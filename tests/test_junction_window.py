@@ -141,13 +141,13 @@ def test_window_matches_piece_sum(case):
 def test_short_window_is_caught(monkeypatch, family, brooks):
     """With the window one letter short, a pair whose forced piece crosses
     the junction reads wrong."""
-    exact = quasimorphism.junction_kernel
+    exact = quasimorphism.counting_kernel
 
-    def short(groups):
-        junction, window = exact(groups)
-        return junction, window - 1
+    def short(spec, table):
+        *kernel, window = exact(spec, table)
+        return (*kernel, window - 1)
 
-    monkeypatch.setattr(quasimorphism, "junction_kernel", short)
+    monkeypatch.setattr(quasimorphism, "counting_kernel", short)
     run = given(pairs(family, brooks, nonzero=True))(check)
     # The first failing example is enough; shrinking it would take longer.
     quick = settings(max_examples=300, deadline=None, database=None, phases=[Phase.generate])
