@@ -15,13 +15,13 @@ lets a name be bound once, so no node changes under a cached value.
 ``evaluate`` is where the ``Fraction`` is built; everything below it is
 integer arithmetic.
 
-Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s:
-cache keys are ``(node, t)`` and a coboundary face is a bare ``bytes``:
-``a + b`` when the entries concatenate, else their ``multiply_letters``
-product. On a concatenating pair the coboundary of a quasi-morphism leaf
-evaluates the leaf's counting kernel on the ``QuasiMorphism.window`` letters
-each side of the junction, so its restriction keys its memo on those letters
-alone (``Restriction.window``, README "Junction window").
+Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s,
+cache keys are ``(node, t)``, and composite nodes run one generated function
+per ``EvalContext`` (``compile_plan``, README "Compiled evaluation plans").
+On a concatenating pair the coboundary of a quasi-morphism leaf evaluates
+the leaf's counting kernel on the ``QuasiMorphism.window`` letters each side
+of the junction, so its restriction keys its memo on those letters alone
+(``Restriction.window``, README "Junction window").
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ResourceCapError, UsageError
 from .quasimorphism import QuasiMorphism, SetOnce
@@ -68,11 +68,6 @@ def is_aligned(t: Sequence[Word]) -> bool:
     return aligned_letters(tuple(w.letters for w in t))
 
 
-def flip_letters(t: LettersTuple) -> LettersTuple:
-    """Reverse the tuple and invert each entry; preserves alignment."""
-    return tuple(invert_letters(x) for x in reversed(t))
-
-
 class EvalContext:
     """Per-run caches. Not shared across processes; create one per worker.
 
@@ -80,20 +75,29 @@ class EvalContext:
     cannot pass to a new node while its values are cached; the three-sum
     pair records are keyed by ``(phi, g, h)``. The cache is
     cleared wholesale when it reaches ``limit`` entries, which keeps long
-    exhaustive scans at bounded memory.
+    exhaustive scans at bounded memory. ``plans`` holds the composite nodes'
+    plans, never pickled: a context goes into a payload before it has any.
     """
 
-    __slots__ = ("node_values",)
+    __slots__ = ("node_values", "plans")
     limit = 1_500_000
 
     def __init__(self):
         self.node_values: dict[tuple, int] = {}
+        self.plans = _Plans()
 
     def store(self, key: tuple, value: int) -> int:
         if len(self.node_values) >= self.limit:
             self.node_values.clear()
         self.node_values[key] = value
         return value
+
+
+class _Plans(dict):
+    """Composite node -> its plan, compiled on the first lookup."""
+
+    def __missing__(self, node: Cochain) -> Callable[[LettersTuple, EvalContext], int]:
+        return self.setdefault(node, compile_plan(node))
 
 
 class Cochain(SetOnce):
@@ -103,6 +107,7 @@ class Cochain(SetOnce):
     bound once (``SetOnce``), so no value cached under a node can go stale.
     ``_eval`` returns the integer numerator of the value over ``den``. Nodes
     compare and hash by identity, which keeps cache keys cheap to hash.
+    ``_terms`` expands a node for ``compile_plan``; a leaf is one call of its ``_eval``.
     """
 
     __slots__ = ()
@@ -111,6 +116,9 @@ class Cochain(SetOnce):
 
     def _eval(self, t: LettersTuple, ctx: EvalContext) -> int:
         raise NotImplementedError
+
+    def _terms(self, args: tuple) -> list:
+        return [(1, ((self, args),))]
 
 
 def evaluate(expr: Cochain, t: Sequence[Word], ctx: EvalContext | None = None) -> Fraction:
@@ -132,6 +140,9 @@ class ConstantCochain(Cochain):
 
     def _eval(self, t, ctx):
         return self.value.numerator
+
+    def _terms(self, args):
+        return [(self.value.numerator, ())]
 
 
 class TableCochain(Cochain):
@@ -209,10 +220,10 @@ class Restriction(Cochain):
 class Coboundary(Cochain):
     """``qm`` is the quasi-morphism of a leaf child, else None.
 
-    On a concatenating pair ``(x, y)`` the coboundary of a leaf is
-    ``v(x') + v(y') - v(x' + y')`` with ``x' = x[-K:]``, ``y' = y[:K]``,
-    ``v = qm.value_letters`` and ``K = qm.window`` (README "Junction
-    window"); every other tuple takes the alternating sum of faces.
+    The coboundary of a leaf is a leaf: ``v(x') + v(y') - v(x' y')`` with
+    ``x' = x[-K:]``, ``y' = y[:K]`` on a concatenating pair (``K =
+    qm.window``, README "Junction window"), else on the whole pair, with ``v
+    = qm.value_letters``; any other coboundary expands to its faces.
     """
 
     __slots__ = ("degree", "den", "child", "qm")
@@ -224,24 +235,25 @@ class Coboundary(Cochain):
         self.qm = child.qm if isinstance(child, QMCochain) else None
 
     def _eval(self, t, ctx):
-        qm = self.qm
-        if qm is not None and t[0] and t[1] and t[0][-1] + t[1][0] != 256:
-            k = qm.window
-            x, y = t[0][-k:], t[1][:k]
-            v = qm.value_letters
-            return v(x) + v(y) - v(x + y)
-        child = self.child
-        k = child.degree
-        total = child._eval(t[1:], ctx)
-        sign = 1
-        for i in range(k):
-            sign = -sign
-            a, b = t[i], t[i + 1]
-            merged = a + b if a and b and a[-1] + b[0] != 256 else multiply_letters(a, b)
-            face_value = child._eval(t[:i] + (merged,) + t[i + 2 :], ctx)
-            total = total + face_value if sign > 0 else total - face_value
-        last = child._eval(t[:-1], ctx)
-        return total + last if (k + 1) % 2 == 0 else total - last
+        if self.qm is None:
+            return ctx.plans[self](t, ctx)
+        x, y = t
+        if x and y and x[-1] + y[0] != 256:
+            x, y = x[-self.qm.window :], y[: self.qm.window]
+        v = self.qm.value_letters
+        return v(x) + v(y) - v(multiply_letters(x, y))
+
+    def _terms(self, args):
+        if self.qm is not None:
+            return super()._terms(args)
+        faces = [args[1:]]
+        for i in range(len(args) - 1):
+            (a, b, inv), (c, d, _) = args[i : i + 2]
+            # Inverted ranges run backwards, so their merge is t[c:b].
+            faces.append(args[:i] + ((c, b, inv) if inv else (a, d, inv),) + args[i + 2 :])
+        faces.append(args[:-1])
+        expanded = map(self.child._terms, faces)
+        return [((-1) ** i * c, fs) for i, terms in enumerate(expanded) for c, fs in terms]
 
 
 class CupProduct(Cochain):
@@ -256,11 +268,12 @@ class CupProduct(Cochain):
         self.right = right
 
     def _eval(self, t, ctx):
+        return ctx.plans[self](t, ctx)
+
+    def _terms(self, args):
         p = self.left.degree
-        a = self.left._eval(t[:p], ctx)
-        if not a:
-            return 0
-        return a * self.right._eval(t[p:], ctx)
+        right = self.right._terms(args[p:])
+        return [(c * d, fs + gs) for c, fs in self.left._terms(args[:p]) for d, gs in right]
 
 
 class Alternation(Cochain):
@@ -277,12 +290,12 @@ class Alternation(Cochain):
         self.child = child
 
     def _eval(self, t, ctx):
-        k = self.degree
-        straight = self.child._eval(t, ctx)
-        flipped = self.child._eval(flip_letters(t), ctx)
-        if ((k + 1) // 2) % 2 == 0:
-            return straight + flipped
-        return straight - flipped
+        return ctx.plans[self](t, ctx)
+
+    def _terms(self, args):
+        sign = -1 if (self.degree + 1) // 2 % 2 else 1
+        flipped = tuple((a, b, not inv) for a, b, inv in reversed(args))
+        return self.child._terms(args) + [(sign * c, fs) for c, fs in self.child._terms(flipped)]
 
 
 class LinearCombination(Cochain):
@@ -310,10 +323,57 @@ class LinearCombination(Cochain):
         )
 
     def _eval(self, t, ctx):
-        total = 0
-        for c, e in self.terms:
-            total += c * e._eval(t, ctx)
-        return total
+        return ctx.plans[self](t, ctx)
+
+    def _terms(self, args):
+        return [(c * d, fs) for c, e in self.terms for d, fs in e._terms(args)]
+
+
+def compile_plan(expr: Cochain) -> Callable[[LettersTuple, EvalContext], int]:
+    """``expr._eval`` as one generated straight-line function on its
+    ``_terms`` (README "Compiled evaluation plans"): each range product is
+    built once, each distinct leaf call made at most once, on first use, and
+    each term stops at its first zero factor. No term is merged or cancelled."""
+    root = tuple((i, i + 1, False) for i in range(expr.degree))
+    names = {r: f"t{r[0]}" for r in root}
+    head = ["def f(t, ctx):"] + [f"    {', '.join(names.values())}, = t"] * bool(root)
+    # Open ``if`` blocks, the body first, as (leading factor, calls made in it):
+    # a call made only in a closed block is retried at its next use.
+    body, leaves, maybe, blocks = ["    total = 0"], {}, set(), [(None, set())]
+
+    def product(a, b, inv):
+        if (a, b, inv) not in names:
+            x, y = product(a, b if inv else b - 1, False), names[b - 1, b, False]
+            concat = f"{x} + {y} if {x} and {y} and {x}[-1] + {y}[0] != 256 else mul({x}, {y})"
+            names[a, b, inv] = f"{'q' if inv else 'p'}{a}_{b}"
+            head.append(f"    {names[a, b, inv]} = {f'inv({x})' if inv else concat}")
+        return names[a, b, inv]
+
+    def load(call):
+        j = leaves.setdefault(call, len(leaves))
+        if all(j not in made for _, made in blocks):
+            args = "t" if call[1] == root else f"({''.join(product(*r) + ', ' for r in call[1])})"
+            line = f"v{j} = L{j}({args}, ctx)"
+            body.append("    " * len(blocks) + (f"if v{j} is None: {line}" if j in maybe else line))
+            blocks[-1][1].add(j)
+        return f"v{j}"
+
+    for c, factors in [term for term in expr._terms(root) if term[0]]:
+        guards = [call for call, _ in blocks[1:]]
+        keep = 1 + sum(itertools.takewhile(bool, map(operator.eq, factors[:-1], guards)))
+        while len(blocks) > keep:
+            maybe |= blocks.pop()[1]
+        for call in factors[keep - 1 : -1]:
+            body.append(f"{'    ' * len(blocks)}if {load(call)}:")
+            blocks.append((call, set()))
+        used = [str(c)] * (c != 1 or not factors) + [load(call) for call in factors]
+        body.append(f"{'    ' * len(blocks)}total += {' * '.join(used)}")
+    head += [f"    {' = '.join(f'v{j}' for j in sorted(maybe))} = None"] * bool(maybe)
+    namespace = {"mul": multiply_letters, "inv": invert_letters}
+    namespace.update((f"L{j}", leaf._eval) for (leaf, _), j in leaves.items())
+    exec("\n".join([*head, *body, "    return total"]), namespace)
+    # Popped, ``f`` and its globals form no cycle: a plan dies with its context.
+    return namespace.pop("f")
 
 
 # The builders are the node classes themselves.

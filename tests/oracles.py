@@ -22,12 +22,26 @@ paths of the library are compared against.
   reference of its block decoder.
 * ``letters_of`` and ``words_of`` convert a tuple between ``Word`` entries
   and their ``Letters``.
+* ``flip_letters`` reverses a tuple and inverts each entry, and
+  ``tree_eval`` evaluates a cochain expression by recursion over its
+  composite nodes, with no plan and no restriction memo: the reference of
+  ``cochain.compile_plan``.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from massey_workbench.cochain import (
+    Alternation,
+    Coboundary,
+    Cochain,
+    CupProduct,
+    EvalContext,
+    LinearCombination,
+    Restriction,
+    aligned_letters,
+)
 from massey_workbench.decomposition import (
     DecompositionSpec,
     TriangleDecomposition,
@@ -246,3 +260,51 @@ def letters_of(t) -> tuple[Letters, ...]:
 
 def words_of(t, rank: int = 2) -> tuple[Word, ...]:
     return tuple(_make(x, rank) for x in t)
+
+
+def flip_letters(t: tuple[Letters, ...]) -> tuple[Letters, ...]:
+    """Reverse the tuple and invert each entry; preserves alignment."""
+    return tuple(invert_letters(x) for x in reversed(t))
+
+
+def tree_eval(expr: Cochain, t: tuple[Letters, ...], ctx: EvalContext) -> int:
+    """The numerator of ``expr`` on ``t`` over ``expr.den``, by recursion:
+    a coboundary sums its faces (its junction read on a concatenating pair
+    when its child is a quasi-morphism leaf), a cup multiplies its blocks
+    unless the front one vanishes, an alternation adds or subtracts the
+    flipped tuple, a linear combination scales its terms, and a restriction
+    cuts its window and tests alignment. Every other node is a leaf and runs
+    its own ``_eval``."""
+    if isinstance(expr, Restriction):
+        k = expr.window
+        if k:
+            t = (t[0][-k:], t[1][:k])
+        return tree_eval(expr.child, t, ctx) if aligned_letters(t) else 0
+    if isinstance(expr, Coboundary):
+        qm = expr.qm
+        if qm is not None and t[0] and t[1] and t[0][-1] + t[1][0] != 256:
+            k = qm.window
+            x, y = t[0][-k:], t[1][:k]
+            v = qm.value_letters
+            return v(x) + v(y) - v(x + y)
+        child = expr.child
+        k = child.degree
+        total = tree_eval(child, t[1:], ctx)
+        sign = 1
+        for i in range(k):
+            sign = -sign
+            merged = multiply_letters(t[i], t[i + 1])
+            total += sign * tree_eval(child, t[:i] + (merged,) + t[i + 2 :], ctx)
+        last = tree_eval(child, t[:-1], ctx)
+        return total + last if (k + 1) % 2 == 0 else total - last
+    if isinstance(expr, CupProduct):
+        p = expr.left.degree
+        a = tree_eval(expr.left, t[:p], ctx)
+        return a * tree_eval(expr.right, t[p:], ctx) if a else 0
+    if isinstance(expr, Alternation):
+        straight = tree_eval(expr.child, t, ctx)
+        flipped = tree_eval(expr.child, flip_letters(t), ctx)
+        return straight + flipped if (expr.degree + 1) // 2 % 2 == 0 else straight - flipped
+    if isinstance(expr, LinearCombination):
+        return sum(c * tree_eval(e, t, ctx) for c, e in expr.terms)
+    return expr._eval(t, ctx)

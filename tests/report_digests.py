@@ -17,7 +17,9 @@ seeds 1-2, whose entries and top ladder rung of 300 letters need more than
 the top byte of a 32-bit output for a length draw, and ``LINCOMB_OMEGA1``
 on the sentinel and ``massey-long`` plans, unmutated and with each
 mutation, at seed 1: an omega1 that is no windowed restriction, so the eta
-sums read it on whole entries, and the ``instances.py`` instances with phi
+sums read it on whole entries, ``ALT_OMEGA1`` and ``TABLE_LINCOMB_OMEGA2``
+on the sentinel plan at seed 1, the two expression kinds the standard
+instance never evaluates, and the ``instances.py`` instances with phi
 = Brooks(ab) and omega1 windows K = 1 to 4 on the sentinel plan at seed 1.
 Three cases pass overrides, as the CLI flags
 do, rather than config values: ``defect-brooks-ab.json`` with ``--seed 7
@@ -72,6 +74,28 @@ LINCOMB_OMEGA1 = {
         {"coeff": "1/2", "child": "delta-qm:psi2"},
     ],
 }
+# omega1 = alt(delta-qm:psi1): the eta sums and every stage read omega1 on
+# inverted products of entries.
+ALT_OMEGA1 = {"op": "alt", "child": "delta-qm:psi1"}
+# omega2 = a two-entry table + delta-qm:psi2: a table leaf beside a
+# windowed restriction, again a factor with no window.
+TABLE_LINCOMB_OMEGA2 = {
+    "op": "lincomb",
+    "terms": [
+        {
+            "coeff": "2/3",
+            "child": {
+                "op": "table",
+                "degree": 2,
+                "entries": [
+                    {"tuple": ["a", "b"], "value": "1"},
+                    {"tuple": ["ab", "A"], "value": "-1/2"},
+                ],
+            },
+        },
+        {"coeff": 1, "child": "delta-qm:psi2"},
+    ],
+}
 
 # Configs run with overrides in place of their own values.
 OVERRIDE_CASES = (
@@ -109,6 +133,12 @@ def cases():
         for mutation in (None, *workloads.SENTINEL_EXPECT):
             doc = dict(workloads.massey_doc(plan, 1, mutation), omega1=LINCOMB_OMEGA1)
             yield f"lincomb {plan_name} {mutation or 'none'} seed 1", [("massey", doc, {})]
+    for name, key, expr in (
+        ("alt omega1", "omega1", ALT_OMEGA1),
+        ("table-lincomb omega2", "omega2", TABLE_LINCOMB_OMEGA2),
+    ):
+        doc = dict(workloads.massey_doc(workloads.SENTINEL_PLAN, 1), **{key: expr})
+        yield f"{name} sentinel seed 1", [("massey", doc, {})]
     for window in sorted(instances.PSI1_BY_WINDOW):
         doc = instances.massey_doc(workloads.SENTINEL_PLAN, 1, "brooks-ab", window)
         yield f"instance brooks-ab K {window} seed 1", [("massey", doc, {})]

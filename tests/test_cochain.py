@@ -18,7 +18,6 @@ from massey_workbench.cochain import (
     evaluate,
     exhaustive_aligned_tuples,
     aligned_letters,
-    flip_letters,
     is_aligned,
     lincomb,
     qm_cochain,
@@ -30,7 +29,7 @@ from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.errors import UsageError
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import Word, _make, parse_word, words_of_length
-from oracles import letters_of, words_of
+from oracles import flip_letters, letters_of, words_of
 
 W = lambda s: parse_word(s, 2)
 

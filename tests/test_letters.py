@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massey_workbench.cochain import aligned_letters, flip_letters, random_aligned_tuples
+from massey_workbench.cochain import aligned_letters, random_aligned_tuples
 from massey_workbench.decomposition import DecompositionSpec, is_non_self_overlapping
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
@@ -28,8 +28,8 @@ from massey_workbench.words import (
     sample_word,
     words_of_length,
 )
+from oracles import flip_letters, reference_value, split_product
 from oracles import random_aligned_tuples as per_letter_tuples
-from oracles import reference_value, split_product
 
 
 def signed(letters: bytes) -> tuple[int, ...]:

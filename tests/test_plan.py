@@ -1,0 +1,302 @@
+"""Compiled evaluation plans against the recursive tree evaluation.
+
+``cochain.compile_plan`` expands a composite expression once into a
+generated straight-line function; ``oracles.tree_eval`` evaluates the same
+expression by recursion over its nodes, as the library did before plans.
+They must agree exactly:
+
+* on random trees of table, quasi-morphism, restricted and bare
+  quasi-morphism coboundary, cup, alternation, linear combination (with
+  cancelling pairs), coboundary and constant nodes of degree 0 to 4, on
+  aligned tuples and on tuples with identity entries and cancelling
+  neighbours;
+* on the lhs and rhs of each of the seven exact massey stages, over the
+  first 200 tuples of the stage's domain, for the standard config, its three
+  mutations and the instances of ``instances.py``.
+
+Two broken expansions, a coboundary with a face dropped and an alternation
+whose flipped ranges are not inverted, must each fail the first test.
+Plans are compiled lazily, once per ``EvalContext``, and never pickled:
+every scan payload holds contexts without plans, and a ``--jobs 2`` run
+gives the serial report.
+"""
+
+import gc
+import importlib.util
+import itertools
+import json
+import pickle
+import weakref
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from instances import PHIS, PSI1_BY_WINDOW, massey_doc
+from massey_workbench import _parallel, cochain
+from massey_workbench.checks import task_lists
+from massey_workbench.cochain import (
+    Coboundary,
+    EvalContext,
+    TableCochain,
+    alternate,
+    coboundary,
+    constant,
+    count_exhaustive_aligned_tuples,
+    cup,
+    exhaustive_aligned_tuples,
+    lincomb,
+    qm_cochain,
+    random_aligned_tuples,
+    restrict,
+)
+from massey_workbench.config import massey_from_json
+from massey_workbench.decomposition import DecompositionSpec
+from massey_workbench.harness import run_massey
+from massey_workbench.massey import MUTATIONS, _exact_stages, bounded_primitive
+from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
+from massey_workbench.report import ExperimentPlan, strip_timing
+from massey_workbench.words import Word, parse_word
+from oracles import tree_eval, words_of
+
+ROOT = Path(__file__).resolve().parent.parent
+STANDARD = ROOT / "configs" / "massey-brooks-standard.json"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+RANK = 2
+W = lambda s: parse_word(s, RANK)
+
+QMS = (
+    QuasiMorphism(DecompositionSpec("brooks", RANK, W("ab")), LambdaTable({W("ab"): 1})),
+    QuasiMorphism(
+        DecompositionSpec("rolli", RANK),
+        LambdaTable({W("a"): Fraction(1, 2), W("bb"): -1, W("b"): Fraction(1, 3)}),
+    ),
+    QuasiMorphism(
+        DecompositionSpec("brooks", RANK, W("aab")),
+        LambdaTable({W("aab"): Fraction(2, 3), W("b"): Fraction(1, 5)}),
+    ),
+)
+VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+# Entries of up to three letters, the identity among them.
+ENTRIES = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3).map(
+    lambda ls: Word(ls, RANK).letters
+)
+
+
+@st.composite
+def aligned_tuples(draw, degree):
+    seed = draw(st.integers(0, 2**16))
+    return random_aligned_tuples(RANK, degree, 1, 3, seed)[0]
+
+
+@st.composite
+def trees(draw, degree: int, depth: int):
+    """A random expression of this degree, at most ``depth`` composite
+    nodes deep."""
+    kinds = ["table"] + ["const"] * (degree == 0) + ["qm"] * (degree == 1)
+    kinds += ["delta-qm", "restrict-delta-qm"] * (degree == 2)
+    if depth > 0:
+        kinds += ["alt", "lincomb", "cup"] + ["coboundary"] * (degree >= 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return constant(draw(VALUES))
+    if kind == "qm":
+        return qm_cochain(draw(st.sampled_from(QMS)))
+    if kind in ("delta-qm", "restrict-delta-qm"):
+        node = coboundary(qm_cochain(draw(st.sampled_from(QMS))))
+        return restrict(node) if kind == "restrict-delta-qm" else node
+    if kind == "table":
+        rows = draw(st.lists(st.tuples(aligned_tuples(degree), VALUES), max_size=4))
+        return TableCochain(degree, {words_of(key): v for key, v in rows})
+    if kind == "coboundary":
+        return coboundary(draw(trees(degree - 1, depth - 1)))
+    if kind == "cup":
+        p = draw(st.integers(0, degree))
+        return cup(draw(trees(p, depth - 1)), draw(trees(degree - p, depth - 1)))
+    if kind == "alt":
+        return alternate(draw(trees(degree, depth - 1)))
+    terms = draw(st.lists(st.tuples(VALUES, trees(degree, depth - 1)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        c, e = terms[0]
+        terms.append((-c, e))
+    return lincomb(*terms) if any(c for c, _ in terms) else lincomb((1, terms[0][1]))
+
+
+def check_plan(expr, tasks):
+    """The plan, on one context across the tasks, equals the tree
+    evaluation on another."""
+    ctx, ref_ctx = EvalContext(), EvalContext()
+    for t in tasks:
+        assert expr._eval(t, ctx) == tree_eval(expr, t, ref_ctx), t
+
+
+def plan_matches_tree(data):
+    degree = data.draw(st.integers(0, 4))
+    expr = data.draw(trees(degree, 3))
+    aligned = data.draw(st.lists(aligned_tuples(degree), min_size=2, max_size=2))
+    other = data.draw(st.lists(st.tuples(*[ENTRIES] * degree), min_size=2, max_size=2))
+    check_plan(expr, aligned + other)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_plan_matches_tree(data):
+    plan_matches_tree(data)
+
+
+def sentinel_plan() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.SENTINEL_PLAN
+
+
+def stage_cases():
+    """(name, massey config): the standard config, its three mutations,
+    and the instances of ``instances.py`` on the mutation-sentinel plan."""
+    standard = json.loads(STANDARD.read_text(encoding="utf-8"))
+    yield "standard", standard
+    for mutation in MUTATIONS:
+        yield f"standard {mutation}", dict(standard, mutation=mutation)
+    plan = sentinel_plan()
+    for phi in sorted(PHIS):
+        for window in sorted(PSI1_BY_WINDOW):
+            yield f"{phi} K {window}", massey_doc(plan, 1, phi, window)
+
+
+def first_tasks(plan, tasks, arity: int, key: str, count: int = 200) -> list:
+    """The first ``count`` tuples of a stage's ``task_lists`` domain; an
+    exhaustive part that holds them is enumerated no further."""
+    budget, radius = plan.budget(arity), plan.exhaustive_entry_radius
+    if count_exhaustive_aligned_tuples(plan.rank, arity, budget, radius) < count:
+        return tasks(arity, key)[:count]
+    domain = exhaustive_aligned_tuples(plan.rank, arity, budget, radius, plan.enumeration_cap)
+    return list(itertools.islice(domain, count))
+
+
+CASES = dict(stage_cases())
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_stage_plans_match_tree(case):
+    m, plan = massey_from_json(CASES[case])
+    tasks = task_lists(plan)
+    for name, arity, key, lhs, rhs in _exact_stages(m):
+        domain = first_tasks(plan, tasks, arity, key)
+        assert domain
+        for expr in (lhs, rhs) if rhs is not None else (lhs,):
+            check_plan(expr, domain)
+
+
+def dropped_face(self, args, exact=Coboundary._terms):
+    """``Coboundary._terms`` without its first face."""
+    terms = exact(self, args)
+    if self.qm is not None:
+        return terms
+    return terms[len(self.child._terms(args[1:])) :]
+
+
+def no_inverse(letters):
+    return letters
+
+
+# The random-tree test on generated examples alone: the first failure ends
+# it, unshrunk and unsaved.
+generated_only = settings(
+    max_examples=500, deadline=None, phases=[Phase.generate], database=None, derandomize=True
+)
+
+
+@pytest.mark.parametrize(
+    "owner, name, broken",
+    [(Coboundary, "_terms", dropped_face), (cochain, "invert_letters", no_inverse)],
+    ids=["coboundary-face-dropped", "alternation-range-not-inverted"],
+)
+def test_broken_compilers_fail(monkeypatch, owner, name, broken):
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(AssertionError):
+        generated_only(given(st.data())(plan_matches_tree))()
+
+
+# A plan on which every massey stage runs in well under a second.
+TINY_PLAN = {
+    "exhaustive_total_budget": 4,
+    "deep_budget": 4,
+    "pair_radius": 2,
+    "sample_counts": dict.fromkeys(ExperimentPlan.DEFAULT_SAMPLES, 5),
+    "max_len": 6,
+    "max_len_ladder": [6],
+    "ladder_samples": 5,
+}
+
+
+def contexts(payload):
+    if isinstance(payload, EvalContext):
+        yield payload
+    elif isinstance(payload, tuple):
+        for item in payload:
+            yield from contexts(item)
+
+
+def test_plans_are_lazy_and_never_pickled(monkeypatch):
+    compiled = []
+    compile_plan = cochain.compile_plan
+
+    def counted(expr):
+        compiled.append(expr)
+        return compile_plan(expr)
+
+    monkeypatch.setattr(cochain, "compile_plan", counted)
+    doc = massey_doc(TINY_PLAN, 1, "brooks-ab", 1)
+    m, plan = massey_from_json(doc)
+    _exact_stages(m)
+    primitive = bounded_primitive(m)
+    assert compiled == []
+
+    # The first use under a context compiles the plan, the next one reuses it.
+    ctx = EvalContext()
+    t = (b"\x01", b"\x02", b"\x01", b"\x02")
+    value = primitive._eval(t, ctx)
+    assert compiled == [primitive] and list(ctx.plans) == compiled
+    assert primitive._eval(t, ctx) == value and compiled == [primitive]
+    assert primitive._eval(t, EvalContext()) == value and compiled == [primitive] * 2
+
+    # Every scan of a run gets contexts with no plan in them, so its payload
+    # pickles for the ``--jobs`` workers.
+    plan_counts = []
+    chunked_map = _parallel.chunked_map
+
+    def checked(worker, payload, tasks, jobs=1):
+        plan_counts.extend(len(c.plans) for c in contexts(payload))
+        pickle.dumps(payload)
+        return chunked_map(worker, payload, tasks, jobs)
+
+    monkeypatch.setattr(_parallel, "chunked_map", checked)
+    assert run_massey(doc).passed
+    assert len(plan_counts) >= 10 and not any(plan_counts)
+    assert len(compiled) > 2
+
+
+def test_plans_go_with_their_context():
+    """A plan is freed with its context by reference counting: a cycle
+    through the plan would keep its nodes, and their quasi-morphism value
+    caches, alive until a full collection."""
+    ctx = EvalContext()
+    q = QMS[0]
+    expr = cup(qm_cochain(q), coboundary(qm_cochain(q)))
+    assert expr._eval((b"\x01", b"\x02", b"\x01"), ctx) is not None
+    plan = weakref.ref(ctx.plans[expr])
+    gc.disable()
+    try:
+        del ctx
+        assert plan() is None
+    finally:
+        gc.enable()
+
+
+def test_parallel_stages_equal_serial():
+    doc = massey_doc(TINY_PLAN, 1, "brooks-ab", 1)
+    serial = strip_timing(run_massey(doc).to_json())
+    assert strip_timing(run_massey(doc, {"jobs": 2}).to_json()) == serial
