@@ -12,7 +12,6 @@ from .cochain import (
     cup,
     evaluate,
     exhaustive_aligned_tuples,
-    is_aligned,
     lincomb,
     qm_cochain,
     restrict,
@@ -49,14 +48,6 @@ from .quasimorphism import (
     defect_sup,
 )
 from .report import ExperimentPlan, Report, StageResult
-from .words import (
-    Word,
-    ball_size,
-    enumerate_ball,
-    format_word,
-    parse_word,
-    sample_word,
-    word,
-)
+from .words import ball_size, enumerate_ball, format_letters, parse_word, sample_word
 
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Inhomogeneous cochain expressions over a free group, evaluated exactly.
 
-A cochain of degree k is an evaluator on k-tuples of words. Expressions are
+A cochain of degree k is an evaluator on k-tuples of words, each entry the
+``Letters`` of ``words`` and the tuple a ``LettersTuple``. Expressions are
 immutable trees: quasi-morphism and table leaves combined by coboundary,
 cup product, alternation, restriction to the aligned domain, and linear
 combination. Aligned-only leaves extend by zero off the aligned tuples
@@ -15,8 +16,7 @@ lets a name be bound once, so no node changes under a cached value.
 ``evaluate`` is where the ``Fraction`` is built; everything below it is
 integer arithmetic.
 
-Below ``evaluate`` a tuple holds the entries' ``Letters``, not ``Word``s,
-cache keys are ``(node, t)``, and composite nodes run one generated function
+Cache keys are ``(node, t)``, and composite nodes run one generated function
 per ``EvalContext`` (``compile_plan``, README "Compiled evaluation plans").
 On a concatenating pair the coboundary of a quasi-morphism leaf evaluates
 the leaf's counting kernel on the ``QuasiMorphism.window`` letters each side
@@ -38,16 +38,15 @@ from .quasimorphism import QuasiMorphism, SetOnce
 from .words import (
     LENGTH_LIMIT,
     Letters,
-    Word,
     _sample_aligned,
     enumeration_cap,
+    format_letters,
     invert_letters,
     multiply_letters,
     sphere_size,
     words_of_length,
 )
 
-WordTuple = tuple[Word, ...]
 LettersTuple = tuple[Letters, ...]
 
 
@@ -62,10 +61,6 @@ def aligned_letters(t: Sequence[Letters]) -> bool:
             return False
         prev_last = letters[-1]
     return True
-
-
-def is_aligned(t: Sequence[Word]) -> bool:
-    return aligned_letters(tuple(w.letters for w in t))
 
 
 class EvalContext:
@@ -121,12 +116,12 @@ class Cochain(SetOnce):
         return [(1, ((self, args),))]
 
 
-def evaluate(expr: Cochain, t: Sequence[Word], ctx: EvalContext | None = None) -> Fraction:
+def evaluate(expr: Cochain, t: Sequence[Letters], ctx: EvalContext | None = None) -> Fraction:
     """Evaluate an expression on a tuple whose arity matches its degree."""
     t = tuple(t)
     if len(t) != expr.degree:
         raise UsageError(f"arity {len(t)} does not match degree {expr.degree}")
-    value = expr._eval(tuple(w.letters for w in t), ctx if ctx is not None else EvalContext())
+    value = expr._eval(t, ctx if ctx is not None else EvalContext())
     return Fraction(value, expr.den)
 
 
@@ -148,22 +143,22 @@ class ConstantCochain(Cochain):
 class TableCochain(Cochain):
     """Finite-support cochain on aligned tuples, zero elsewhere.
 
-    ``table`` maps each key's letters to its entry's numerator over ``den``,
-    the lcm of the entries' denominators.
+    ``table`` maps each key to its entry's numerator over ``den``, the lcm
+    of the entries' denominators.
     """
 
     __slots__ = ("degree", "den", "table")
 
-    def __init__(self, degree: int, table: Mapping[WordTuple, Fraction | int | str]):
+    def __init__(self, degree: int, table: Mapping[LettersTuple, Fraction | int | str]):
         self.degree = degree
         values: dict[LettersTuple, Fraction] = {}
         for key, raw in table.items():
             key = tuple(key)
             if len(key) != degree:
                 raise UsageError(f"table key arity {len(key)} != degree {degree}")
-            if not is_aligned(key):
-                raise UsageError(f"table key {tuple(map(str, key))} is not aligned")
-            values[tuple(w.letters for w in key)] = Fraction(raw)
+            if not aligned_letters(key):
+                raise UsageError(f"table key {tuple(map(format_letters, key))} is not aligned")
+            values[key] = Fraction(raw)
         self.den = math.lcm(*(v.denominator for v in values.values()))
         self.table = {
             k: v.numerator * (self.den // v.denominator) for k, v in values.items()

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .massey import MasseyInstance
 from .quasimorphism import LambdaTable, QuasiMorphism
 from .report import ExperimentPlan
-from .words import Word, parse_word
+from .words import Letters, format_letters, parse_word
 
 
 def integer(value, name: str, optional: bool = False) -> int | None:
@@ -87,12 +87,14 @@ def read_int(doc: dict, key: str, default: int | None) -> int | None:
 def load_config(path: str | Path) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return doc
@@ -112,17 +114,19 @@ def spec_from_json(obj: dict, rank: int) -> DecompositionSpec:
 def qm_from_json(obj: dict, rank: int, name: str = "phi") -> QuasiMorphism:
     spec = spec_from_json(field(obj, "decomposition", f"quasimorphism {name!r}"), rank)
     check_keys(obj, ("decomposition", "lambda"), f"quasimorphism {name!r}")
-    entries: dict[Word, Fraction] = {}
+    entries: dict[Letters, Fraction] = {}
     for row in typed(obj.get("lambda", []), list, f"lambda of {name!r}"):
         check_keys(typed(row, dict, "lambda row"), ("piece", "value"), "lambda row")
         piece = parse_word(typed(field(row, "piece", "lambda row"), str, "lambda piece"), rank)
         if piece in entries:
-            raise ConfigError(f"duplicate lambda rows for piece {piece} of {name!r}")
+            raise ConfigError(
+                f"duplicate lambda rows for piece {format_letters(piece)} of {name!r}"
+            )
         entries[piece] = rational(field(row, "value", "lambda row"), "lambda value")
     return QuasiMorphism(spec, LambdaTable(entries), name=name)
 
 
-def _tuple_from_json(items, rank: int) -> tuple[Word, ...]:
+def _tuple_from_json(items, rank: int) -> tuple[Letters, ...]:
     items = typed(items, list, "table tuple")
     return tuple(parse_word(typed(s, str, "table tuple entry"), rank) for s in items)
 
@@ -238,8 +242,11 @@ def massey_from_json(doc: dict) -> tuple[MasseyInstance, ExperimentPlan]:
     qms = {name: qm_from_json(body, rank, name=name) for name, body in bodies.items()}
     k1 = read_int(doc, "k1", 2)
     k2 = read_int(doc, "k2", 2)
-    omega1 = expr_from_json(doc.get("omega1", "delta-qm:psi1"), rank, qms)
-    omega2 = expr_from_json(doc.get("omega2", "delta-qm:psi2"), rank, qms)
+    try:
+        omega1 = expr_from_json(doc.get("omega1", "delta-qm:psi1"), rank, qms)
+        omega2 = expr_from_json(doc.get("omega2", "delta-qm:psi2"), rank, qms)
+    except RecursionError:
+        raise ConfigError("an omega expression nests too deeply to read") from None
     instance = MasseyInstance(
         phi=phi,
         omega1=omega1,

@@ -29,16 +29,15 @@ from .errors import ConfigError, UsageError
 from .report import Report, StageResult
 from .words import (
     Letters,
-    Word,
-    _make,
     cancelled_length,
     enumerate_ball,
+    format_letters,
     invert_letters,
     multiply_letters,
 )
 
 
-def is_non_self_overlapping(w: Word) -> bool:
+def is_non_self_overlapping(w: Letters) -> bool:
     """True iff occurrences of ``w`` and ``w^-1`` in any reduced word are
     pairwise disjoint.
 
@@ -47,15 +46,14 @@ def is_non_self_overlapping(w: Word) -> bool:
     ``w^-1``, and the length-i suffix of ``w^-1`` differs from the length-i
     prefix of ``w``.
     """
-    a = w.letters
-    if not a:
+    if not w:
         raise UsageError("the empty word is not a valid piece pattern")
-    b = invert_letters(a)
-    if a == b:
+    winv = invert_letters(w)
+    if w == winv:
         return False
-    n = len(a)
+    n = len(w)
     for i in range(1, n):
-        if a[n - i :] == a[:i] or a[n - i :] == b[:i] or b[n - i :] == a[:i]:
+        if w[n - i :] == w[:i] or w[n - i :] == winv[:i] or winv[n - i :] == w[:i]:
             return False
     return True
 
@@ -69,7 +67,7 @@ class DecompositionSpec:
 
     family: Literal["letter", "rolli", "brooks"]
     rank: int
-    brooks_word: Word | None = None
+    brooks_word: Letters | None = None
 
     def __post_init__(self):
         # Letters must fit one signed byte and miss the cut-flag mark's 0x7f.
@@ -79,13 +77,16 @@ class DecompositionSpec:
             raise ConfigError(f"unknown decomposition family {self.family!r}")
         if self.family == "brooks":
             w = self.brooks_word
-            if w is None or not w.letters:
+            if not w:
                 raise ConfigError("brooks family requires a nonempty word")
-            if w.rank != self.rank:
-                raise ConfigError("brooks word rank differs from spec rank")
+            if any(not 1 <= min(b, 256 - b) <= self.rank for b in w):
+                raise ConfigError(
+                    f"brooks word {format_letters(w)} holds a letter outside rank {self.rank}"
+                )
             if not is_non_self_overlapping(w):
                 raise ConfigError(
-                    f"brooks word {w} is self-overlapping; occurrences would not be disjoint"
+                    f"brooks word {format_letters(w)} is self-overlapping; "
+                    "occurrences would not be disjoint"
                 )
         elif self.brooks_word is not None:
             raise ConfigError(f"family {self.family!r} takes no word parameter")
@@ -93,12 +94,12 @@ class DecompositionSpec:
     @functools.cached_property
     def brooks_patterns(self) -> tuple[Letters, Letters, bytes]:
         """The Brooks word, its inverse, and the mark ``cut_flags`` writes over them."""
-        w = self.brooks_word.letters  # type: ignore[union-attr]
+        w: Letters = self.brooks_word  # type: ignore[assignment]
         return w, invert_letters(w), b"\0" + b"\x7f" * (len(w) - 1)
 
     def describe(self) -> str:
         if self.family == "brooks":
-            return f"brooks({self.brooks_word})"
+            return f"brooks({format_letters(self.brooks_word)})"  # type: ignore[arg-type]
         return self.family
 
 
@@ -143,18 +144,17 @@ class TriangleDecomposition:
     piece counts of ``r1, r2, r3`` and of ``c1, c2, c3``.
     """
 
-    c1: Word
-    c2: Word
-    c3: Word
-    r1: Word
-    r2: Word
-    r3: Word
+    c1: Letters
+    c2: Letters
+    c3: Letters
+    r1: Letters
+    r2: Letters
+    r3: Letters
     thick_lengths: tuple[int, int, int]
     corner_counts: tuple[int, int, int]
 
 
-def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
-    letters = w.letters
+def _word_axioms_probe(spec: DecompositionSpec, letters: Letters, out: Scan) -> None:
     lengths = piece_lengths(spec, letters)
     cuts = boundaries(lengths)
     pieces = [letters[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
@@ -163,12 +163,12 @@ def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
     for piece in pieces:
         acc = multiply_letters(acc, piece)
     if acc != letters or sum(lengths) != len(letters) or any(not p for p in pieces):
-        out.fail("pieces-concatenate", {"word": str(w)})
+        out.fail("pieces-concatenate", {"word": format_letters(letters)})
         return
 
     inv_pieces = piece_lengths(spec, invert_letters(letters))
     if inv_pieces != tuple(reversed(lengths)):
-        out.fail("inverse-symmetry", {"word": str(w)})
+        out.fail("inverse-symmetry", {"word": format_letters(letters)})
 
     # Flags that start with 1 spell one piece run, so equal flags, equal runs.
     flags = cut_flags(spec, letters)
@@ -177,7 +177,7 @@ def _word_axioms_probe(spec: DecompositionSpec, w: Word, out: Scan) -> None:
         for j in range(i + 1, m + 1):
             ci, cj = cuts[i], cuts[j]
             if cut_flags(spec, letters[ci:cj]) != flags[ci:cj]:
-                out.fail("piece-runs-stable", {"word": str(w), "run": (i + 1, j)})
+                out.fail("piece-runs-stable", {"word": format_letters(letters), "run": (i + 1, j)})
                 return
 
 
@@ -389,7 +389,7 @@ def _tripod_row(
     return out
 
 
-def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecomposition:
+def triangle_split(spec: DecompositionSpec, g: Letters, h: Letters) -> TriangleDecomposition:
     """Corner words of maximal piece length for the triangle ``(1, g, gh)``.
 
     A one-column row of the tripod core: the tables of ``g`` and ``h`` are
@@ -398,32 +398,31 @@ def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecompo
     A pair whose factorization fails, which ``triangle_scan`` would record
     as a counterexample, raises ``UsageError``.
     """
-    if g.rank != h.rank:
-        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
-    a, b = g.letters, h.letters
-    la, lb = len(a), len(b)
-    dg, dh = _ScanData(spec, a), _ScanData(spec, b)
-    c = cancelled_length(a, b)
+    la, lb = len(g), len(h)
+    dg, dh = _ScanData(spec, g), _ScanData(spec, h)
+    c = cancelled_length(g, h)
     ghinv = dh.inverse[: lb - c] + dg.inverse[c:]
     found = _tripod_row(spec, dg, [dh], [c], [ghinv])[0]
     if found is None:
-        raise UsageError(f"triangle factorization fails for g = {g}, h = {h}")
+        raise UsageError(
+            f"triangle factorization fails for g = {format_letters(g)}, h = {format_letters(h)}"
+        )
     len1, len2, len3, thick = found
-    rank, ig, ih = spec.rank, dg.index, dh.index
+    ig, ih = dg.index, dh.index
     return TriangleDecomposition(
-        _make(invert_letters(a[:len1]), rank),
-        _make(a[la - len2 :], rank),
-        _make(b[lb - len3 :], rank),
-        _make(a[len1 : la - len2], rank),
-        _make(b[len2 : lb - len3], rank),
-        _make(ghinv[len3 : len(ghinv) - len1], rank),
+        invert_letters(g[:len1]),
+        g[la - len2 :],
+        h[lb - len3 :],
+        g[len1 : la - len2],
+        h[len2 : lb - len3],
+        ghinv[len3 : len(ghinv) - len1],
         thick,
         (ig[len1], ig[la] - ig[la - len2], ih[lb] - ih[lb - len3]),
     )
 
 
 def triangle_scan(
-    spec: DecompositionSpec, left: list[Word], right: list[Word], inner_radius: int = -1
+    spec: DecompositionSpec, left: list[Letters], right: list[Letters], inner_radius: int = -1
 ) -> tuple[int, dict | None, int, dict | None, int]:
     """Check triangle factorizations for all pairs; track max thick length.
 
@@ -442,20 +441,19 @@ def triangle_scan(
     """
     data: dict[Letters, _ScanData] = {}
     for w in (*right, *left):
-        if w.letters not in data:
-            data[w.letters] = _ScanData(spec, w.letters)
-    cols = [data[h.letters] for h in right]
+        if w not in data:
+            data[w] = _ScanData(spec, w)
+    cols = [data[h] for h in right]
     inv_cols = [dh.inverse for dh in cols]
     by_prefix: dict[Letters, list[int]] = {}
-    for j, h in enumerate(right):
-        b = h.letters
+    for j, b in enumerate(right):
         for k in range(1, len(b) + 1):
             by_prefix.setdefault(b[:k], []).append(j)
 
     counterexample = argmax = None
     r_hat = r_inner = -1
     for g in left:
-        dg = data[g.letters]
+        dg = data[g]
         inv_a = dg.inverse
         cancels = [0] * len(right)
         for k in range(1, len(inv_a) + 1):
@@ -474,7 +472,7 @@ def triangle_scan(
         for j, found in enumerate(_tripod_row(spec, dg, cols, cancels, products)):
             if found is None:
                 if counterexample is None:
-                    counterexample = {"g": str(g), "h": str(right[j])}
+                    counterexample = {"g": format_letters(g), "h": format_letters(right[j])}
                 continue
             n1, n2, worst = thick = found[3]
             if n1 > worst:
@@ -483,7 +481,11 @@ def triangle_scan(
                 worst = n2
             if worst > r_hat:
                 r_hat = worst
-                argmax = {"g": str(g), "h": str(right[j]), "thick_lengths": thick}
+                argmax = {
+                    "g": format_letters(g),
+                    "h": format_letters(right[j]),
+                    "thick_lengths": thick,
+                }
             if worst > r_inner and g_inner and len(right[j]) <= inner_radius:
                 r_inner = worst
     return len(left) * len(right), counterexample, max(r_hat, 0), argmax, r_inner

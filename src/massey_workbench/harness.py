@@ -14,7 +14,9 @@ from .errors import ConfigError, at_least
 from .massey import verify_massey_triviality, verify_primitives
 from .quasimorphism import QuasiMorphism, defect, defect_from_triangle, defect_sup
 from .report import Report, StageResult, now_iso
-from .words import Word, check_length, enumerate_ball, enumeration_cap
+from .words import (
+    Letters, check_length, enumerate_ball, enumeration_cap, format_letters, invert_letters
+)
 
 
 # Top-level keys each command reads; any other key is a typo that would
@@ -83,15 +85,12 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     return _finish(report, started, started_at, doc)
 
 
-def _antisymmetry_probe(q: QuasiMorphism, g: Word, out: Scan):
-    if q.value(g) != -q.value(g.inverse()):
+def _antisymmetry_probe(q: QuasiMorphism, g: Letters, out: Scan):
+    value, inverse_value = q.value(g), q.value(invert_letters(g))
+    if value != -inverse_value:
         out.fail(
             "qm-antisymmetry",
-            {
-                "word": str(g),
-                "value": str(q.value(g)),
-                "inverse_value": str(q.value(g.inverse())),
-            },
+            {"word": format_letters(g), "value": str(value), "inverse_value": str(inverse_value)},
         )
         return True
 
@@ -102,14 +101,19 @@ def _antisymmetry_stage(q: QuasiMorphism, radius: int, cap, jobs: int = 1) -> St
     return StageResult.from_scan("qm-antisymmetry", scan(_antisymmetry_probe, q, ball, jobs))
 
 
-def _tripod_probe(q: QuasiMorphism, pair: tuple[Word, Word], out: Scan):
+def _tripod_probe(q: QuasiMorphism, pair: tuple[Letters, Letters], out: Scan):
     g, h = pair
     d = defect(q, g, h)
     via_triangle = defect_from_triangle(q, g, h)
     if d != via_triangle:
         out.fail(
             "defect-tripod-identity",
-            {"g": str(g), "h": str(h), "defect": str(d), "triangle_sum": str(via_triangle)},
+            {
+                "g": format_letters(g),
+                "h": format_letters(h),
+                "defect": str(d),
+                "triangle_sum": str(via_triangle),
+            },
         )
         return True
 

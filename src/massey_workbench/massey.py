@@ -60,7 +60,7 @@ from .decomposition import cut_flags, measure_r_hat, triangle_split
 from .errors import UsageError
 from .quasimorphism import QuasiMorphism
 from .report import ExperimentPlan, Report, StageResult
-from .words import Letters, _make
+from .words import Letters
 
 MUTATIONS = ("flip-eta-sign", "shift-z-boundary", "flip-beta1-cup-sign")
 
@@ -328,8 +328,7 @@ def _pair_record(phi: QuasiMorphism, g: Letters, h: Letters) -> tuple:
     ``h`` and ``g h`` in turn, the piece count and ``(j, a, b, lambda_j)``
     for each piece ``j`` with nonzero lambda, ``a`` and ``b`` its ends in
     ``g h``, which is ``g`` followed by ``h``."""
-    rank = phi.rank
-    tri = triangle_split(phi.spec, _make(g, rank), _make(h, rank))
+    tri = triangle_split(phi.spec, g, h)
     n1, _, n3 = tri.corner_counts
     lam = phi.numerators.get
     sides = []

@@ -9,10 +9,10 @@ sum of lambda over the pieces (``tests/oracles.py``). No pattern it counts
 has more than ``window`` + 1 letters, so the defect of a concatenating pair
 is the same kernel on the ``window`` letters each side of the junction.
 
-Words arrive as ``Letters``, the packed ``bytes`` of ``words``. The value
-cache is keyed by those bytes, whose hash is computed once per object, and
-the kernel counts substrings directly in them: lambda's pieces are already
-the byte patterns it looks for.
+Words are ``Letters``, the packed ``bytes`` of ``words``, and so are the
+pieces lambda is keyed by. The value cache is keyed by those bytes, whose
+hash is computed once per object, and the kernel counts substrings directly
+in them: lambda's pieces are already the byte patterns it looks for.
 """
 
 from __future__ import annotations
@@ -25,8 +25,15 @@ from typing import Callable, Mapping
 
 from ._parallel import Scan, pair_scan, scan
 from .decomposition import DecompositionSpec, triangle_split
-from .errors import ConfigError, UsageError
-from .words import Letters, Word, _make, enumerate_ball, invert_letters, sample_word
+from .errors import ConfigError
+from .words import (
+    Letters,
+    enumerate_ball,
+    format_letters,
+    invert_letters,
+    multiply_letters,
+    sample_word,
+)
 
 
 class LambdaTable:
@@ -38,17 +45,16 @@ class LambdaTable:
 
     __slots__ = ("entries", "sup")
 
-    def __init__(self, entries: Mapping[Word, Fraction | int | str]):
+    def __init__(self, entries: Mapping[Letters, Fraction | int | str]):
         table: dict[Letters, Fraction] = {}
         for piece, raw in entries.items():
-            if not piece.letters:
+            if not piece:
                 raise ConfigError("the identity cannot be a piece")
             value = Fraction(raw)
-            inv = invert_letters(piece.letters)
-            for key, val in ((piece.letters, value), (inv, -value)):
+            for key, val in ((piece, value), (invert_letters(piece), -value)):
                 if key in table and table[key] != val:
                     raise ConfigError(
-                        f"contradictory lambda values at piece {_make(key, piece.rank)}"
+                        f"contradictory lambda values at piece {format_letters(key)}"
                     )
                 table[key] = val
         self.entries = table
@@ -92,7 +98,7 @@ class QuasiMorphism(SetOnce):
         for letters in table.entries:
             if not _is_legal_piece(spec, letters):
                 raise ConfigError(
-                    f"{_make(letters, spec.rank)} is not a piece of the {spec.describe()} family"
+                    f"{format_letters(letters)} is not a piece of the {spec.describe()} family"
                 )
         self.spec = spec
         self.table = table
@@ -104,10 +110,8 @@ class QuasiMorphism(SetOnce):
     def rank(self) -> int:
         return self.spec.rank
 
-    def value(self, g: Word) -> Fraction:
-        if g.rank != self.rank:
-            raise UsageError(f"word rank {g.rank} differs from {self.rank}")
-        return Fraction(self.value_letters(g.letters), self.den)
+    def value(self, letters: Letters) -> Fraction:
+        return Fraction(self.value_letters(letters), self.den)
 
     def value_letters(self, letters: Letters) -> int:
         cached = self._cache.get(letters)
@@ -118,9 +122,6 @@ class QuasiMorphism(SetOnce):
             self._cache.clear()
         self._cache[letters] = total
         return total
-
-    def __call__(self, g: Word) -> Fraction:
-        return self.value(g)
 
     def __getstate__(self):
         return (self.spec, self.table, self.name)
@@ -209,7 +210,7 @@ def counting_kernel(
     elif spec.family == "rolli":
         groups = _rolli_terms(scaled)
     else:
-        groups = _brooks_terms(spec.brooks_word.letters, scaled)  # type: ignore[union-attr]
+        groups = _brooks_terms(spec.brooks_word, scaled)  # type: ignore[arg-type]
     groups = [(tr, terms) for tr, terms in groups if terms]
     window = max([1, *(len(p) - 1 for _, terms in groups for p, _ in terms)])
 
@@ -230,22 +231,21 @@ def _is_legal_piece(spec: DecompositionSpec, letters: Letters) -> bool:
         return len(letters) == 1
     if spec.family == "rolli":
         return len(set(letters)) == 1
-    w = spec.brooks_word.letters  # type: ignore[union-attr]
+    w: Letters = spec.brooks_word  # type: ignore[assignment]
     return len(letters) == 1 or letters in (w, invert_letters(w))
 
 
-def defect(q: QuasiMorphism, g: Word, h: Word) -> Fraction:
+def defect(q: QuasiMorphism, g: Letters, h: Letters) -> Fraction:
     """phi(g) + phi(h) - phi(g h), exactly."""
-    if g.rank != q.rank or h.rank != q.rank:
-        raise UsageError("rank mismatch in defect")
     value = q.value_letters
-    return Fraction(value(g.letters) + value(h.letters) - value((g * h).letters), q.den)
+    return Fraction(value(g) + value(h) - value(multiply_letters(g, h)), q.den)
 
 
-def defect_from_triangle(q: QuasiMorphism, g: Word, h: Word) -> Fraction:
+def defect_from_triangle(q: QuasiMorphism, g: Letters, h: Letters) -> Fraction:
     """The defect equals phi(r1) + phi(r2) + phi(r3) over the tripod remainders."""
     tri = triangle_split(q.spec, g, h)
-    return q.value(tri.r1) + q.value(tri.r2) + q.value(tri.r3)
+    value = q.value_letters
+    return Fraction(value(tri.r1) + value(tri.r2) + value(tri.r3), q.den)
 
 
 @dataclass
@@ -262,7 +262,7 @@ class DefectStats:
         }
 
 
-def _defect_probe(q: QuasiMorphism, pair: tuple[Word, Word], out: Scan) -> None:
+def _defect_probe(q: QuasiMorphism, pair: tuple[Letters, Letters], out: Scan) -> None:
     g, h = pair
     out.offer("defect", abs(defect(q, g, h)), pair)
 
@@ -290,5 +290,5 @@ def defect_sup(
             pairs.append((sample_word(q.rank, lg, rng), sample_word(q.rank, lh, rng)))
         result.merge(scan(_defect_probe, q, pairs, jobs))
     best, pair = result.best("defect", _ZERO)
-    argmax = None if pair is None else (str(pair[0]), str(pair[1]))
+    argmax = None if pair is None else (format_letters(pair[0]), format_letters(pair[1]))
     return DefectStats(best, argmax, result.checked)

@@ -1,12 +1,12 @@
 """Reduced words in a free group of finite rank.
 
-A letter is a nonzero integer: ``+i`` is the i-th generator, ``-i`` its
-formal inverse (1-indexed, ``i <= rank <= 26``). ``Word(...)`` and the word
-syntax take letters in that signed form; everything below them holds a word
-as ``Letters``, a ``bytes`` object with one signed byte per letter
-(``x & 0xFF``: ``+i`` is byte ``i``, ``-i`` is byte ``256 - i``). The bytes
-of a word are reduced (no adjacent cancelling pair) and hold no zero byte;
-``b""`` is the identity.
+A word is ``Letters``, a ``bytes`` object with one signed byte per letter:
+the signed letter ``+i`` is the i-th generator and ``-i`` its formal
+inverse (1-indexed, ``i <= rank <= 26``), and its byte is ``x & 0xFF``, so
+``+i`` is byte ``i`` and ``-i`` is byte ``256 - i``. The bytes of a word are
+reduced (no adjacent cancelling pair) and hold no zero byte; ``b""`` is the
+identity. ``parse_word`` reads the word syntax of a config into reduced
+``Letters`` of one rank, and ``format_letters`` writes them back.
 
 Two letter bytes are inverse exactly when they sum to 256; that is the one
 inverse test, used by reduction, by ``cancelled_length`` (the junction of a
@@ -81,89 +81,23 @@ def invert_letters(a: Letters) -> Letters:
     return a[::-1].translate(INVERSE)
 
 
-class Word:
-    """Immutable reduced word of a fixed rank.
+def parse_word(text: str, rank: int) -> Letters:
+    """Parse word syntax into reduced letters of ``rank``: ASCII ``a``..``z``
+    generators, ``A`` or ``a^-1`` inverses.
 
-    The constructor takes signed letters, checks each against the rank and
-    packs and reduces them, so every held value is in canonical form;
-    binary operations require matching ranks.
+    Powers ``a^3`` / ``a^-2`` take ASCII digits; ``1`` denotes the identity.
     """
-
-    __slots__ = ("letters", "rank")
-
-    def __init__(self, letters: Iterable[int] = (), rank: int = 2):
-        if not 1 <= rank <= 26:
-            raise ConfigError(f"rank must be in [1, 26], got {rank}")
-        signed = tuple(letters)
-        for x in signed:
-            if not 0 < abs(x) <= rank:
-                raise ConfigError(f"letter {x} outside rank {rank}")
-        object.__setattr__(self, "letters", reduce_letters(signed))
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.letters == other.letters
-            and self.rank == other.rank
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.rank))
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        if self.rank != other.rank:
-            raise UsageError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return _make(multiply_letters(self.letters, other.letters), self.rank)
-
-    def inverse(self) -> "Word":
-        return _make(invert_letters(self.letters), self.rank)
-
-    def __repr__(self) -> str:
-        return f"Word({format_word(self)!r}, rank={self.rank})"
-
-    def __str__(self) -> str:
-        return format_word(self)
-
-    def __reduce__(self):
-        return (_make, (self.letters, self.rank))
-
-
-def _make(letters: Letters, rank: int) -> Word:
-    """Fast constructor for packed letters already known to be reduced."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "rank", rank)
-    return w
-
-
-def word(text: str, rank: int = 2) -> Word:
-    return parse_word(text, rank)
-
-
-def parse_word(text: str, rank: int) -> Word:
-    """Parse word syntax: ``a``..``z`` generators, ``A`` or ``a^-1`` inverses.
-
-    Powers ``a^3`` / ``a^-2`` are accepted; ``1`` denotes the identity.
-    """
+    if not 1 <= rank <= 26:
+        raise ConfigError(f"rank must be in [1, 26], got {rank}")
     s = text.strip().replace(" ", "")
     if s in ("", "1"):
-        return Word((), rank)
+        return b""
     letters: list[int] = []
     i = 0
     n = len(s)
     while i < n:
         ch = s[i]
-        if ch.isalpha() and ch.lower().isascii():
+        if ch.isascii() and ch.isalpha():
             base = ord(ch.lower()) - ord("a") + 1
             if base > rank:
                 raise ConfigError(f"generator {ch!r} outside rank {rank} in {text!r}")
@@ -175,7 +109,7 @@ def parse_word(text: str, rank: int) -> Word:
                 j = i
                 if j < n and s[j] == "-":
                     j += 1
-                while j < n and s[j].isdigit():
+                while j < n and "0" <= s[j] <= "9":
                     j += 1
                 if j == i or (s[i] == "-" and j == i + 1):
                     raise ConfigError(f"malformed power in {text!r}")
@@ -191,15 +125,11 @@ def parse_word(text: str, rank: int) -> Word:
                 letters.extend([-val] * (-power))
         else:
             raise ConfigError(f"unexpected character {ch!r} in word {text!r}")
-    return Word(letters, rank)
-
-
-def format_word(w: Word) -> str:
-    """Canonical text: lower-case generators, upper-case inverses, 1 for identity."""
-    return format_letters(w.letters)
+    return reduce_letters(letters)
 
 
 def format_letters(letters: Letters) -> str:
+    """Canonical text: lower-case generators, upper-case inverses, 1 for identity."""
     return letters.translate(_TEXT).decode("ascii") or "1"
 
 
@@ -251,7 +181,7 @@ def words_of_length(rank: int, length: int) -> Iterator[Letters]:
     yield from extend(0, length)
 
 
-def enumerate_ball(rank: int, radius: int, cap: int | None = None) -> Iterator[Word]:
+def enumerate_ball(rank: int, radius: int, cap: int | None = None) -> Iterator[Letters]:
     """Every reduced word of length <= radius, exactly once, shortest first."""
     total = ball_size(rank, radius)
     limit = enumeration_cap(cap)
@@ -260,8 +190,7 @@ def enumerate_ball(rank: int, radius: int, cap: int | None = None) -> Iterator[W
             f"ball of radius {radius} in rank {rank} has {total} words, cap is {limit}"
         )
     for length in range(radius + 1):
-        for letters in words_of_length(rank, length):
-            yield _make(letters, rank)
+        yield from words_of_length(rank, length)
 
 
 def check_length(value: int, key: str, cap: int | None = None) -> None:
@@ -275,12 +204,12 @@ def check_length(value: int, key: str, cap: int | None = None) -> None:
         )
 
 
-def sample_word(rank: int, length: int, seed: int | random.Random) -> Word:
+def sample_word(rank: int, length: int, seed: int | random.Random) -> Letters:
     """Uniform reduced word of exact length via a non-backtracking walk."""
     if length < 0:
         raise UsageError("length must be >= 0")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return _make(_sample_letters(rank, length, rng, first_banned=0), rank)
+    return _sample_letters(rank, length, rng, first_banned=0)
 
 
 def _sample_letters(

@@ -20,8 +20,6 @@ paths of the library are compared against.
   entry and one ``choice`` per letter, and ``random_aligned_tuples`` lists
   them on the seeded generator of ``cochain.random_aligned_tuples``: the
   reference of its block decoder.
-* ``letters_of`` and ``words_of`` convert a tuple between ``Word`` entries
-  and their ``Letters``.
 * ``flip_letters`` reverses a tuple and inverts each entry, and
   ``tree_eval`` evaluates a cochain expression by recursion over its
   composite nodes, with no plan and no restriction memo: the reference of
@@ -47,12 +45,9 @@ from massey_workbench.decomposition import (
     TriangleDecomposition,
     boundaries,
 )
-from massey_workbench.errors import UsageError
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
     Letters,
-    Word,
-    _make,
     cancelled_length,
     invert_letters,
     multiply_letters,
@@ -65,7 +60,7 @@ def piece_lengths(spec: DecompositionSpec, letters: Letters) -> tuple[int, ...]:
         return (1,) * len(letters)
     if spec.family == "rolli":
         return tuple(len(list(run)) for _, run in itertools.groupby(letters))
-    w = spec.brooks_word.letters
+    w = spec.brooks_word
     winv = invert_letters(w)
     L = len(w)
     n = len(letters)
@@ -88,29 +83,20 @@ def cut_flags(spec: DecompositionSpec, letters: Letters) -> bytes:
     return b"".join(b"\1" + b"\0" * (n - 1) for n in piece_lengths(spec, letters))
 
 
-def decompose(spec: DecompositionSpec, g: Word) -> tuple[Word, ...]:
+def decompose(spec: DecompositionSpec, g: Letters) -> tuple[Letters, ...]:
     """Cut ``g`` into its pieces."""
-    if g.rank != spec.rank:
-        raise UsageError(f"word rank {g.rank} differs from spec rank {spec.rank}")
-    letters = g.letters
-    cuts = boundaries(piece_lengths(spec, letters))
-    return tuple(_make(letters[lo:hi], spec.rank) for lo, hi in zip(cuts, cuts[1:]))
+    cuts = boundaries(piece_lengths(spec, g))
+    return tuple(g[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
 
 
-def split_product(g: Word, h: Word) -> tuple[Word, Word, Word]:
+def split_product(g: Letters, h: Letters) -> tuple[Letters, Letters, Letters]:
     """Split ``g = p*t``, ``h = t^-1 * q`` with maximal cancelled part ``t``.
 
     ``g*h`` equals ``p*q`` with no cancellation at the junction; in a free
     group the maximal ``t`` is unique.
     """
-    if g.rank != h.rank:
-        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
-    a, b = g.letters, h.letters
-    c = cancelled_length(a, b)
-    p = _make(a[: len(a) - c], g.rank)
-    t = _make(a[len(a) - c :], g.rank)
-    q = _make(b[c:], g.rank)
-    return p, t, q
+    c = cancelled_length(g, h)
+    return g[: len(g) - c], g[len(g) - c :], h[c:]
 
 
 def _max_aligned(candidates: tuple[int, ...], other: set[int], cap: int) -> int:
@@ -123,20 +109,16 @@ def _max_aligned(candidates: tuple[int, ...], other: set[int], cap: int) -> int:
     return best
 
 
-def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecomposition:
+def triangle_split(spec: DecompositionSpec, gl: Letters, hl: Letters) -> TriangleDecomposition:
     """Corner words of maximal piece length for the triangle ``(1, g, gh)``.
 
     Each corner word must end on a piece boundary of both adjacent sides;
     nested prefixes make the maximal choice unique. Nothing is checked: a
     broken decomposition still yields a (wrong) split.
     """
-    if g.rank != h.rank:
-        raise UsageError(f"rank mismatch: {g.rank} vs {h.rank}")
-    p, t, _q = split_product(g, h)
-    gl, hl = g.letters, h.letters
+    p, t, _q = split_product(gl, hl)
     ghinv = invert_letters(multiply_letters(gl, hl))
     total = len(ghinv)
-    rank = spec.rank
 
     cuts_g = boundaries(piece_lengths(spec, gl))
     cuts_h = boundaries(piece_lengths(spec, hl))
@@ -156,66 +138,57 @@ def triangle_split(spec: DecompositionSpec, g: Word, h: Word) -> TriangleDecompo
     len_c1 = _max_aligned(lead_g, trail_ghinv, len(p))
     len_c3 = _max_aligned(trail_h, lead_ghinv, len(hl) - len(t))
 
-    c1 = _make(invert_letters(gl[:len_c1]), rank)
-    c2 = _make(gl[len(gl) - len_c2 :], rank)
-    c3 = _make(hl[len(hl) - len_c3 :], rank)
-    r1 = _make(gl[len_c1 : len(gl) - len_c2], rank)
-    r2 = _make(hl[len_c2 : len(hl) - len_c3], rank)
-    r3 = _make(ghinv[len_c3 : total - len_c1], rank)
-    thick = tuple(len(piece_lengths(spec, r.letters)) for r in (r1, r2, r3))
-    corners = tuple(len(piece_lengths(spec, c.letters)) for c in (c1, c2, c3))
+    c1 = invert_letters(gl[:len_c1])
+    c2 = gl[len(gl) - len_c2 :]
+    c3 = hl[len(hl) - len_c3 :]
+    r1 = gl[len_c1 : len(gl) - len_c2]
+    r2 = hl[len_c2 : len(hl) - len_c3]
+    r3 = ghinv[len_c3 : total - len_c1]
+    thick = tuple(len(piece_lengths(spec, r)) for r in (r1, r2, r3))
+    corners = tuple(len(piece_lengths(spec, c)) for c in (c1, c2, c3))
     return TriangleDecomposition(c1, c2, c3, r1, r2, r3, thick, corners)
 
 
 def verify_triangle(
-    spec: DecompositionSpec, g: Word, h: Word, tri: TriangleDecomposition
+    spec: DecompositionSpec, g: Letters, h: Letters, tri: TriangleDecomposition
 ) -> bool:
     """Recompute all nine corner/remainder decompositions and compare runs."""
-    gh = g * h
+    inv = invert_letters
     sides = (
-        (g, tri.c1.inverse(), tri.r1, tri.c2),
-        (h, tri.c2.inverse(), tri.r2, tri.c3),
-        (gh.inverse(), tri.c3.inverse(), tri.r3, tri.c1),
+        (g, inv(tri.c1), tri.r1, tri.c2),
+        (h, inv(tri.c2), tri.r2, tri.c3),
+        (inv(multiply_letters(g, h)), inv(tri.c3), tri.r3, tri.c1),
     )
     for side, first, mid, last in sides:
-        expect = piece_lengths(spec, side.letters)
-        got = (
-            piece_lengths(spec, first.letters)
-            + piece_lengths(spec, mid.letters)
-            + piece_lengths(spec, last.letters)
-        )
+        expect = piece_lengths(spec, side)
+        got = piece_lengths(spec, first) + piece_lengths(spec, mid) + piece_lengths(spec, last)
         if got != expect:
             return False
-        if multiply_letters(
-            multiply_letters(first.letters, mid.letters), last.letters
-        ) != side.letters:
+        if multiply_letters(multiply_letters(first, mid), last) != side:
             return False
     return True
 
 
-def piece_values(q: QuasiMorphism, g: Word) -> list[Fraction]:
+def piece_values(q: QuasiMorphism, g: Letters) -> list[Fraction]:
     """lambda evaluated on each piece of g, in order."""
-    letters = g.letters
-    cuts = boundaries(piece_lengths(q.spec, letters))
-    return [
-        q.table.value(letters[cuts[i] : cuts[i + 1]]) for i in range(len(cuts) - 1)
-    ]
+    cuts = boundaries(piece_lengths(q.spec, g))
+    return [q.table.value(g[cuts[i] : cuts[i + 1]]) for i in range(len(cuts) - 1)]
 
 
-def reference_value(q: QuasiMorphism, g: Word) -> Fraction:
+def reference_value(q: QuasiMorphism, g: Letters) -> Fraction:
     """phi(g) straight from the definition, as the sum of lambda over the
     pieces of g."""
     return sum(piece_values(q, g), Fraction(0))
 
 
-def tampered_lambda(table: LambdaTable, piece: Word, value) -> LambdaTable:
+def tampered_lambda(table: LambdaTable, piece: Letters, value) -> LambdaTable:
     """Copy of a table with one entry overwritten, skipping the alternation
     completion. Breaks the alternating invariant on purpose, for mutation
     tests.
     """
     clone = LambdaTable.__new__(LambdaTable)
     entries = dict(table.entries)
-    entries[piece.letters] = Fraction(value)
+    entries[piece] = Fraction(value)
     clone.entries = entries
     clone.sup = max((abs(v) for v in entries.values()), default=Fraction(0))
     return clone
@@ -252,14 +225,6 @@ def random_aligned_tuple(
 def random_aligned_tuples(rank: int, arity: int, count: int, max_len: int, seed):
     rng = random.Random(f"{seed}:aligned:{arity}:{max_len}")
     return [random_aligned_tuple(rng, rank, arity, max_len) for _ in range(count)]
-
-
-def letters_of(t) -> tuple[Letters, ...]:
-    return tuple(w.letters for w in t)
-
-
-def words_of(t, rank: int = 2) -> tuple[Word, ...]:
-    return tuple(_make(x, rank) for x in t)
 
 
 def flip_letters(t: tuple[Letters, ...]) -> tuple[Letters, ...]:

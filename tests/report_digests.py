@@ -20,7 +20,10 @@ mutation, at seed 1: an omega1 that is no windowed restriction, so the eta
 sums read it on whole entries, ``ALT_OMEGA1`` and ``TABLE_LINCOMB_OMEGA2``
 on the sentinel plan at seed 1, the two expression kinds the standard
 instance never evaluates, and the ``instances.py`` instances with phi
-= Brooks(ab) and omega1 windows K = 1 to 4 on the sentinel plan at seed 1.
+= Brooks(ab) and omega1 windows K = 1 to 4 on the sentinel plan at seed 1,
+and, on the same plan and seed, ``RANK3`` (phi = Brooks(abC), psi1 =
+Brooks(cA), the only case that formats a ``c`` or ``C`` letter) and
+``CUP_OMEGA1`` (omega1 = delta psi1 cup delta psi2, k1 = 4).
 Three cases pass overrides, as the CLI flags
 do, rather than config values: ``defect-brooks-ab.json`` with ``--seed 7
 --radius 3``, ``axioms-brooks-ab.json`` with ``--radius 7`` and the
@@ -96,6 +99,26 @@ TABLE_LINCOMB_OMEGA2 = {
         {"coeff": 1, "child": "delta-qm:psi2"},
     ],
 }
+# Rank 3: phi = Brooks(abC) and psi1 = Brooks(cA) hold the third generator.
+RANK3 = {
+    "rank": 3,
+    "phi": {
+        "decomposition": {"family": "brooks", "word": "abC"},
+        "lambda": [{"piece": "abC", "value": "1"}],
+    },
+    "quasimorphisms": {
+        **workloads.STANDARD_INSTANCE["quasimorphisms"],
+        "psi1": {
+            "decomposition": {"family": "brooks", "word": "cA"},
+            "lambda": [{"piece": "cA", "value": "1"}],
+        },
+    },
+}
+# omega1 = delta-qm:psi1 cup delta-qm:psi2, a degree-4 factor.
+CUP_OMEGA1 = {
+    "omega1": {"op": "cup", "left": "delta-qm:psi1", "right": "delta-qm:psi2"},
+    "k1": 4,
+}
 
 # Configs run with overrides in place of their own values.
 OVERRIDE_CASES = (
@@ -142,6 +165,9 @@ def cases():
     for window in sorted(instances.PSI1_BY_WINDOW):
         doc = instances.massey_doc(workloads.SENTINEL_PLAN, 1, "brooks-ab", window)
         yield f"instance brooks-ab K {window} seed 1", [("massey", doc, {})]
+    for name, changes in (("rank3 brooks-abC", RANK3), ("cup omega1", CUP_OMEGA1)):
+        doc = dict(workloads.massey_doc(workloads.SENTINEL_PLAN, 1), **changes)
+        yield f"{name} sentinel seed 1", [("massey", doc, {})]
 
 
 def digest(calls) -> str:

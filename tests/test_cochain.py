@@ -18,7 +18,6 @@ from massey_workbench.cochain import (
     evaluate,
     exhaustive_aligned_tuples,
     aligned_letters,
-    is_aligned,
     lincomb,
     qm_cochain,
     random_aligned_tuples,
@@ -28,15 +27,16 @@ from massey_workbench.checks import sup_scan
 from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.errors import UsageError
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.words import Word, _make, parse_word, words_of_length
-from oracles import flip_letters, letters_of, words_of
+from massey_workbench.words import (
+    format_letters,
+    multiply_letters,
+    parse_word,
+    reduce_letters,
+    words_of_length,
+)
+from oracles import flip_letters as flip
 
 W = lambda s: parse_word(s, 2)
-
-
-def flip(t):
-    """Reverse a tuple of words and invert each entry."""
-    return tuple(_make(x, 2) for x in flip_letters(letters_of(t)))
 
 
 def brooks_qm(pattern="ab"):
@@ -61,28 +61,28 @@ def delta_oracle(fn, t):
     k = len(t) - 1
     total = fn(t[1:])
     for i in range(1, k + 1):
-        merged = t[: i - 1] + (t[i - 1] * t[i],) + t[i + 1 :]
+        merged = t[: i - 1] + (multiply_letters(t[i - 1], t[i]),) + t[i + 1 :]
         total += (-1) ** i * fn(merged)
     total += (-1) ** (k + 1) * fn(t[:k])
     return total
 
 
 def rand_tuples(arity, count, max_len=8, seed=0):
-    return [words_of(t) for t in random_aligned_tuples(2, arity, count, max_len, seed)]
+    return random_aligned_tuples(2, arity, count, max_len, seed)
 
 
-def test_is_aligned_examples():
-    assert is_aligned((W("a"), W("b")))
-    assert not is_aligned((W("a"), W("Ab")))
-    assert not is_aligned((W("a"), W("1")))
-    assert is_aligned(())
-    assert not is_aligned((W("1"),))
-    assert is_aligned((W("ab"), W("ba"), W("ab")))
+def test_aligned_letters_examples():
+    assert aligned_letters((W("a"), W("b")))
+    assert not aligned_letters((W("a"), W("Ab")))
+    assert not aligned_letters((W("a"), W("1")))
+    assert aligned_letters(())
+    assert not aligned_letters((W("1"),))
+    assert aligned_letters((W("ab"), W("ba"), W("ab")))
 
 
 def test_flip_preserves_alignment():
     for t in rand_tuples(3, 20, seed=5):
-        assert is_aligned(flip(t))
+        assert aligned_letters(flip(t))
         assert flip(flip(t)) == t
 
 
@@ -90,11 +90,11 @@ def test_aligned_tuples_closed_under_faces():
     # dropping an end entry or merging an adjacent pair stays aligned, so
     # coboundary expansion of an aligned tuple never leaves the domain
     for t in rand_tuples(4, 40, seed=15):
-        assert is_aligned(t[1:])
-        assert is_aligned(t[:-1])
+        assert aligned_letters(t[1:])
+        assert aligned_letters(t[:-1])
         for i in range(len(t) - 1):
-            merged = t[:i] + (t[i] * t[i + 1],) + t[i + 2 :]
-            assert is_aligned(merged)
+            merged = t[:i] + (multiply_letters(t[i], t[i + 1]),) + t[i + 2 :]
+            assert aligned_letters(merged)
 
 
 def test_delta_of_degree_zero_constant_vanishes():
@@ -107,7 +107,7 @@ def test_delta_qm_is_the_defect_expression():
     q = brooks_qm()
     e = coboundary(qm_cochain(q))
     for g, h in [(W("a"), W("b")), (W("ab"), W("ab")), (W("Ba"), W("ab"))]:
-        assert evaluate(e, (g, h)) == q(h) - q(g * h) + q(g)
+        assert evaluate(e, (g, h)) == q.value(h) - q.value(multiply_letters(g, h)) + q.value(g)
     assert evaluate(e, (W("a"), W("b"))) == -1
 
 
@@ -141,7 +141,7 @@ def test_cup_front_back_blocks():
     q1, q2 = qm_cochain(brooks_qm("ab")), qm_cochain(brooks_qm("aB"))
     e = cup(q1, q2)
     for t in rand_tuples(2, 20, seed=4):
-        assert evaluate(e, t) == q1.qm(t[0]) * q2.qm(t[1])
+        assert evaluate(e, t) == q1.qm.value(t[0]) * q2.qm.value(t[1])
 
 
 def test_leibniz_rule():
@@ -225,14 +225,12 @@ def test_lincomb_validation():
 def test_exhaustive_aligned_tuples_against_brute_force():
     # brute force: all pairs of nonempty ball words, filtered by alignment
     budget = 4
-    words = [
-        _make(l, 2) for n in range(1, budget) for l in words_of_length(2, n)
-    ]
+    words = [w for n in range(1, budget) for w in words_of_length(2, n)]
     brute = {
-        (u.letters, v.letters)
+        (u, v)
         for u in words
         for v in words
-        if len(u) + len(v) <= budget and is_aligned((u, v))
+        if len(u) + len(v) <= budget and aligned_letters((u, v))
     }
     mine = set(exhaustive_aligned_tuples(2, 2, budget))
     assert mine == brute
@@ -269,7 +267,7 @@ def old_random_aligned_tuples(rank, arity, count, max_len, seed):
                 choices = [x for x in alphabet if x != -last] if last else alphabet
                 last = rng.choice(choices)
                 letters.append(last)
-            t.append(Word(letters, rank))
+            t.append(reduce_letters(letters))
         out.append(tuple(t))
     return out
 
@@ -277,9 +275,8 @@ def old_random_aligned_tuples(rank, arity, count, max_len, seed):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_random_aligned_tuples_keep_their_random_stream(rank):
     for arity, max_len, seed in [(1, 30, 0), (2, 12, "7:delta_p"), (4, 50, 3)]:
-        assert random_aligned_tuples(rank, arity, 40, max_len, seed) == [
-            letters_of(t) for t in old_random_aligned_tuples(rank, arity, 40, max_len, seed)
-        ]
+        old = old_random_aligned_tuples(rank, arity, 40, max_len, seed)
+        assert random_aligned_tuples(rank, arity, 40, max_len, seed) == old
 
 
 def small_pairs(seed):
@@ -300,9 +297,9 @@ def test_sup_scan():
     # argmax is the first tuple that reaches it
     expr = restrict(coboundary(qm_cochain(brooks_qm())))
     tasks = small_pairs(4)
-    first = next(t for t in tasks if abs(evaluate(expr, words_of(t))) == 1)
+    first = next(t for t in tasks if abs(evaluate(expr, t)) == 1)
     for jobs in (1, 2):
-        assert sup_scan(expr, tasks, jobs) == (1, [str(w) for w in words_of(first)], len(tasks))
+        assert sup_scan(expr, tasks, jobs) == (1, list(map(format_letters, first)), len(tasks))
 
 
 def test_context_never_returns_a_freed_nodes_value():

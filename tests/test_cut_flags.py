@@ -9,6 +9,7 @@ kernel below must make the comparison fail.
 """
 
 import operator
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 import oracles
 from massey_workbench import decomposition
 from massey_workbench.decomposition import DecompositionSpec
-from massey_workbench.words import Word, parse_word, sample_word
+from massey_workbench.words import (
+    invert_letters,
+    multiply_letters,
+    parse_word,
+    reduce_letters,
+    sample_word,
+)
 
 # Brooks words with the smallest rank that holds them; the spec rejects a
 # self-overlapping word, so each of these is a valid pattern.
@@ -42,17 +49,18 @@ def entries(draw):
     otherwise), cut to at most 400 letters."""
     spec = draw(specs())
     rank = spec.rank
-    entry = Word((), rank)
+    entry = b""
     for _ in range(draw(st.integers(0, 12))):
-        entry = entry * sample_word(rank, draw(st.integers(0, 60)), draw(st.integers(0, 2**32)))
+        sampled = sample_word(rank, draw(st.integers(0, 60)), draw(st.integers(0, 2**32)))
+        entry = multiply_letters(entry, sampled)
         if spec.family == "brooks":
             w = spec.brooks_word
-            forced = w if draw(st.booleans()) else w.inverse()
+            forced = w if draw(st.booleans()) else invert_letters(w)
         else:
             x = draw(st.integers(1, rank)) * draw(st.sampled_from((1, -1)))
-            forced = Word((x,) * draw(st.integers(1, 6)), rank)
-        entry = entry * forced
-    return spec, entry.letters[:MAX_LETTERS]
+            forced = reduce_letters((x,) * draw(st.integers(1, 6)))
+        entry = multiply_letters(entry, forced)
+    return spec, entry[:MAX_LETTERS]
 
 
 @given(entries())
@@ -85,7 +93,7 @@ def test_cut_flags_are_local_to_separator_segments(case, cuts):
 
 def test_separator_is_no_letter_or_mark_byte():
     sep = decomposition._SEP
-    letter_bytes = set(b"".join(Word((x,), 26).letters for i in range(1, 27) for x in (i, -i)))
+    letter_bytes = set(parse_word(string.ascii_letters, 26))
     mark = DecompositionSpec("brooks", 2, parse_word("ab", 2)).brooks_patterns[2]
     assert len(sep) == 1 and set(mark) == {0, 0x7F}
     assert sep[0] not in letter_bytes | set(mark)
@@ -94,7 +102,7 @@ def test_separator_is_no_letter_or_mark_byte():
 def test_cut_flags_examples():
     brooks = DecompositionSpec("brooks", 2, parse_word("ab", 2))
     rolli = DecompositionSpec("rolli", 2)
-    letters = parse_word("aabaBAb", 2).letters
+    letters = parse_word("aabaBAb", 2)
     assert decomposition.cut_flags(brooks, letters) == b"\1\1\0\1\1\0\1"
     assert decomposition.piece_lengths(brooks, letters) == (1, 2, 1, 2, 1)
     assert decomposition.cut_flags(rolli, letters) == b"\1\0\1\1\1\1\1"

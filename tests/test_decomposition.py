@@ -19,10 +19,11 @@ from massey_workbench.decomposition import (
 from massey_workbench.errors import ConfigError, UsageError
 from massey_workbench.report import strip_timing
 from massey_workbench.words import (
-    Word,
-    _make,
     cancelled_length,
     enumerate_ball,
+    format_letters,
+    invert_letters,
+    multiply_letters,
     parse_word,
     sample_word,
 )
@@ -58,8 +59,8 @@ def test_decompose_examples():
 def test_brooks_occurrences_match_brute_force():
     # every occurrence of ab or BA in aabab must become a piece
     g = W("aabab")
-    occ = brute_occurrences(g.letters, W("ab").letters)
-    occ_inv = brute_occurrences(g.letters, W("BA").letters)
+    occ = brute_occurrences(g, W("ab"))
+    occ_inv = brute_occurrences(g, W("BA"))
     assert occ == [1, 3] and occ_inv == []
     starts = []
     pos = 0
@@ -74,11 +75,7 @@ def test_brooks_occurrences_match_brute_force():
 @settings(max_examples=60, deadline=None)
 def test_brooks_pieces_are_exactly_all_occurrences(seed):
     g = sample_word(2, seed % 40, seed)
-    w = W("ab").letters
-    winv = W("BA").letters
-    expected = sorted(
-        brute_occurrences(g.letters, w) + brute_occurrences(g.letters, winv)
-    )
+    expected = sorted(brute_occurrences(g, W("ab")) + brute_occurrences(g, W("BA")))
     starts = []
     pos = 0
     for p in decompose(BROOKS_AB, g):
@@ -94,17 +91,17 @@ def test_non_self_overlapping_examples():
     assert is_non_self_overlapping(W("aba")) is False
 
 
-def brute_non_self_overlapping(w: Word) -> bool:
+def brute_non_self_overlapping(w: bytes) -> bool:
     """Oracle: look for two distinct overlapping occurrences of w or w^-1
     inside every reduced word assembled from w against itself."""
-    patterns = [w.letters, w.inverse().letters]
+    patterns = [w, invert_letters(w)]
     m = len(w)
     for p1, p2 in itertools.product(patterns, repeat=2):
         for shift in range(1, m):
             # overlay p2 shifted over p1; consistent overlap means trouble
             if all(p1[shift + i] == p2[i] for i in range(m - shift)):
                 return False
-    return w.letters != w.inverse().letters
+    return w != invert_letters(w)
 
 
 @given(st.integers(0, 2**32))
@@ -129,8 +126,8 @@ def test_brooks_spec_rejects_self_overlapping():
 def around_piece(spec, g, j):
     """The products of the pieces before and after the j-th piece of ``g``,
     sliced from its cut positions as the eta sums slice them."""
-    cuts = boundaries(piece_lengths(spec, g.letters))
-    return _make(g.letters[: cuts[j - 1]], g.rank), _make(g.letters[cuts[j] :], g.rank)
+    cuts = boundaries(piece_lengths(spec, g))
+    return g[: cuts[j - 1]], g[cuts[j] :]
 
 
 def test_prefix_suffix_products():
@@ -149,7 +146,7 @@ def test_prefix_piece_suffix_reassembles(seed):
         pieces = decompose(spec, g)
         for j in range(1, len(pieces) + 1):
             before, after = around_piece(spec, g, j)
-            assert before * pieces[j - 1] * after == g
+            assert before + pieces[j - 1] + after == g
 
 
 def test_triangle_letter_example():
@@ -162,7 +159,7 @@ def test_triangle_letter_example():
 def test_triangle_reduced_product_has_trivial_c2():
     # when gh is already reduced the cancelled corner is empty
     for g, h in [(W("ab"), W("ab")), (W("aab"), W("ba")), (W("b"), W("a"))]:
-        assert signed(g.letters)[-1] != -signed(h.letters)[0]
+        assert signed(g)[-1] != -signed(h)[0]
         tri = triangle_split(LETTER, g, h)
         assert tri.c2 == W("1")
 
@@ -186,7 +183,7 @@ def tripod_pairs(draw):
     g = sample_word(rank, draw(st.integers(0, 40)), draw(st.integers(0, 2**32)))
     cancel = draw(st.integers(0, len(g)))
     rest = sample_word(rank, draw(st.integers(0, 40 - cancel)), draw(st.integers(0, 2**32)))
-    h = _make(g.letters[len(g) - cancel :], rank).inverse() * rest
+    h = multiply_letters(invert_letters(g[len(g) - cancel :]), rest)
     return spec, g, h
 
 
@@ -243,10 +240,13 @@ def test_spec_validation():
         DecompositionSpec("letters", 2)
     with pytest.raises(ConfigError):
         DecompositionSpec("letter", 2, W("ab"))
-    with pytest.raises(ConfigError):
-        DecompositionSpec("brooks", 3, W("ab"))  # rank mismatch
-    with pytest.raises(UsageError):
-        decompose(LETTER, parse_word("a", 3))
+
+
+def test_brooks_word_letters_must_fit_the_rank():
+    DecompositionSpec("brooks", 3, parse_word("aC", 3))
+    for letters in (parse_word("aC", 3), parse_word("ac", 3), b"\x01\x00", b"\x01\x80"):
+        with pytest.raises(ConfigError, match="outside rank 2"):
+            DecompositionSpec("brooks", 2, letters)
 
 
 def test_check_axioms_parallel_matches_serial():
@@ -265,12 +265,16 @@ def naive_triangle_scan(spec, left, right, inner_radius=-1):
             tri = oracles.triangle_split(spec, g, h)
             if not verify_triangle(spec, g, h, tri):
                 if counterexample is None:
-                    counterexample = {"g": str(g), "h": str(h)}
+                    counterexample = {"g": format_letters(g), "h": format_letters(h)}
                 continue
             worst = max(tri.thick_lengths)
             if worst > r_hat:
                 r_hat = worst
-                argmax = {"g": str(g), "h": str(h), "thick_lengths": tri.thick_lengths}
+                argmax = {
+                    "g": format_letters(g),
+                    "h": format_letters(h),
+                    "thick_lengths": tri.thick_lengths,
+                }
             if len(g) <= inner_radius and len(h) <= inner_radius:
                 r_inner = max(r_inner, worst)
     return len(left) * len(right), counterexample, max(r_hat, 0), argmax, r_inner
@@ -361,12 +365,15 @@ def scan_lists(draw):
     rank = spec.rank
     draws = st.tuples(st.integers(0, 8), st.integers(0, 2**32))
     pool = [sample_word(rank, n, seed) for n, seed in draw(st.lists(draws, min_size=1, max_size=5))]
-    pool += [w.inverse() for w in pool] + [Word((), rank)]
+    pool += [invert_letters(w) for w in pool] + [b""]
     left = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     right = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     g = pool[0]
-    tails = [g.inverse() * sample_word(rank, n, seed) for n, seed in draw(st.lists(draws))]
-    cancelling = [h for h in [g.inverse(), *tails] if cancelled_length(g.letters, h.letters)]
+    tails = [
+        multiply_letters(invert_letters(g), sample_word(rank, n, seed))
+        for n, seed in draw(st.lists(draws))
+    ]
+    cancelling = [h for h in [invert_letters(g), *tails] if cancelled_length(g, h)]
     if cancelling and draw(st.booleans()):
         left.insert(draw(st.integers(0, len(left))), g)
         right = draw(st.lists(st.sampled_from(cancelling), min_size=1, max_size=6))
@@ -455,10 +462,10 @@ def _first_flag_zero(spec, letters):
 @pytest.mark.parametrize(
     "kernel,stage,counterexample",
     [
-        (_marks(W("ab").letters), "inverse-symmetry", {"word": "ab"}),
+        (_marks(W("ab")), "inverse-symmetry", {"word": "ab"}),
         (_first_flag_zero, "pieces-concatenate", {"word": "a"}),
         (
-            _marks(W("ab").letters, W("BA").letters, count=1),
+            _marks(W("ab"), W("BA"), count=1),
             "piece-runs-stable",
             {"word": "abab", "run": (2, 3)},
         ),

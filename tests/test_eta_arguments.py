@@ -24,7 +24,7 @@ from massey_workbench.massey import (
     three_sum_residual,
 )
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.words import _make, parse_word, reduce_letters
+from massey_workbench.words import parse_word, reduce_letters
 from oracles import reference_value
 from test_letters import signed
 
@@ -63,8 +63,7 @@ def ref_runs(phi, letters):
     cuts = boundaries(piece_lengths(phi.spec, letters))
     runs = []
     for j in range(1, len(cuts)):
-        piece = _make(letters[cuts[j - 1] : cuts[j]], phi.rank)
-        lam = reference_value(phi, piece) * phi.den
+        lam = reference_value(phi, letters[cuts[j - 1] : cuts[j]]) * phi.den
         assert lam.denominator == 1
         if lam:
             runs.append((j, int(lam)))

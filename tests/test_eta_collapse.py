@@ -38,8 +38,15 @@ from massey_workbench.config import load_config, massey_from_json
 from massey_workbench.decomposition import DecompositionSpec, boundaries
 from massey_workbench.massey import MasseyInstance, eta1, eta2, eta_bridge
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.words import Word, _make, _sample_letters, parse_word, sample_word
-from oracles import letters_of, piece_lengths, reference_value, tampered_lambda
+from massey_workbench.words import (
+    _sample_letters,
+    invert_letters,
+    multiply_letters,
+    parse_word,
+    reduce_letters,
+    sample_word,
+)
+from oracles import piece_lengths, reference_value, tampered_lambda
 
 RANK = 3
 # (family, Brooks word) of phi and of the windowed factors.
@@ -59,22 +66,22 @@ def quasimorphisms(draw, families, dense=False):
     tampered ones; ``dense`` puts a nonzero entry on every letter first."""
     family, text = draw(st.sampled_from(families))
     w = parse_word(text, RANK) if text else None
-    letter = LETTER.map(lambda x: Word([x], RANK))
+    letter = LETTER.map(lambda x: reduce_letters([x]))
     if family == "brooks":
-        long_piece = st.sampled_from([w, w.inverse()])
+        long_piece = st.sampled_from([w, invert_letters(w)])
         piece = letter | long_piece
     elif family == "rolli":
-        power = st.tuples(LETTER, st.integers(1, 3)).map(lambda p: Word([p[0]] * p[1], RANK))
+        power = st.tuples(LETTER, st.integers(1, 3)).map(lambda p: reduce_letters([p[0]] * p[1]))
         long_piece = piece = power
     else:
         long_piece = piece = letter
     entries: dict = {}
     if dense:
         for x in range(1, RANK + 1):
-            entries[Word([x], RANK)] = draw(VALUE.filter(bool))
+            entries[reduce_letters([x])] = draw(VALUE.filter(bool))
     forced = (draw(long_piece), draw(VALUE.filter(bool)))
     for p, v in [forced] + draw(st.lists(st.tuples(piece, VALUE), max_size=4)):
-        if p not in entries and p.inverse() not in entries:
+        if p not in entries and invert_letters(p) not in entries:
             entries[p] = v
     table = LambdaTable(entries)
     for p, v in draw(st.lists(st.tuples(piece, VALUE), max_size=2)):
@@ -87,9 +94,10 @@ def windowed_ref(q):
 
     def f(t):
         x, y = t
-        if not aligned_letters((x.letters, y.letters)):
+        if not aligned_letters((x, y)):
             return Fraction(0)
-        return reference_value(q, x) + reference_value(q, y) - reference_value(q, x * y)
+        xy = multiply_letters(x, y)
+        return reference_value(q, x) + reference_value(q, y) - reference_value(q, xy)
 
     return f
 
@@ -106,7 +114,7 @@ def factors(draw, degree):
         if kind == "windowed":
             return windowed, windowed_ref(q), q
         if kind == "table":
-            key = (Word([1], RANK), Word([2], RANK))
+            key = (parse_word("a", RANK), parse_word("b", RANK))
             node = TableCochain(2, {key: draw(VALUE)})
             return node, lambda t: evaluate(node, t), q
         node = lincomb((draw(VALUE.filter(bool)), windowed))
@@ -124,17 +132,17 @@ def lines(draw, pieces):
     (a one-letter power repeated up to 40 times) with random stretches
     between them."""
     target = draw(st.one_of(st.integers(0, 12), st.integers(0, 200)))
-    z = Word((), RANK)
+    z = b""
     while len(z) < target:
         p = draw(st.sampled_from(pieces))
         if draw(st.integers(0, 3)) == 0:
             part = sample_word(RANK, draw(st.integers(1, 30)), draw(st.integers(0, 2**32)))
         elif len(set(p)) == 1:
-            part = _make(p[:1] * draw(st.integers(1, 40)), RANK)
+            part = p[:1] * draw(st.integers(1, 40))
         else:
-            part = _make(p, RANK)
-        z = z * part
-    return _make(z.letters[:target], RANK)
+            part = p
+        z = multiply_letters(z, part)
+    return z[:target]
 
 
 @st.composite
@@ -142,7 +150,7 @@ def junction_words(draw, q):
     """A table piece of ``q``, a one-letter power repeated 2 to 4 times:
     a junction inside it has a nonzero defect more often than not."""
     p = draw(st.sampled_from(sorted(q.table.entries)))
-    return _make(p * draw(st.integers(2, 4)) if len(set(p)) == 1 else p, RANK)
+    return p * draw(st.integers(2, 4)) if len(set(p)) == 1 else p
 
 
 def short_words():
@@ -162,15 +170,14 @@ def window_of(factor):
 def oracle_sum(phi, left, right, head, e, tail, shift):
     """sum_j left(head, z<_j) lambda_j right(z>_j, tail) straight from the
     pieces, with the cut points moved by ``shift``."""
-    letters = e.letters
-    cuts = boundaries(piece_lengths(phi.spec, letters))
+    cuts = boundaries(piece_lengths(phi.spec, e))
     total = Fraction(0)
     for j in range(1, len(cuts)):
-        term = phi.table.value(letters[cuts[j - 1] : cuts[j]])
+        term = phi.table.value(e[cuts[j - 1] : cuts[j]])
         if term and left is not None:
-            term *= left(head + (_make(letters[: cuts[j - 1 + shift]], e.rank),))
+            term *= left(head + (e[: cuts[j - 1 + shift]],))
         if term and right is not None:
-            term *= right((_make(letters[cuts[j - shift] :], e.rank),) + tail)
+            term *= right((e[cuts[j - shift] :],) + tail)
         total += term
     return total
 
@@ -189,22 +196,22 @@ def test_collapsed_eta_matches_piece_sums(data):
     m = MasseyInstance(phi, omega1, omega2, k1, k2, mutation=mutation)
     pieces = sorted({p for q in (phi, psi1, psi2) for p in q.table.entries})
     first, last = data.draw(junction_words(psi1)), data.draw(junction_words(psi2))
-    z = (first * data.draw(lines(pieces)) * last).letters
+    z = multiply_letters(multiply_letters(first, data.draw(lines(pieces))), last)
     assume(z)
     # e is z less up to the letters of first and last, which end and start
     # the entries next to it.
     a = data.draw(st.integers(0, min(len(first), len(z) - 1)))
     b = len(z) - data.draw(st.integers(0, min(len(last), len(z) - 1 - a)))
-    e = _make(z[a:b], RANK)
-    head = (*(data.draw(short_words()) for _ in range(k1 - 2)), _make(z[:a], RANK))[: k1 - 1]
-    tail = (_make(z[b:], RANK), *(data.draw(short_words()) for _ in range(k2 - 2)))[: k2 - 1]
+    e = z[a:b]
+    head = (*(data.draw(short_words()) for _ in range(k1 - 2)), z[:a])[: k1 - 1]
+    tail = (z[b:], *(data.draw(short_words()) for _ in range(k2 - 2)))[: k2 - 1]
     for node, left, right, ref_left, ref_right, h, tl in (
         (eta1(m), omega1, None, ref1, None, head, ()),
         (eta2(m), None, omega2, None, ref2, (), tail),
         (eta_bridge(m), omega1, omega2, ref1, ref2, head, tail),
     ):
         assert node.windows == (window_of(left), window_of(right))
-        got = node._eval(letters_of(h + (e,) + tl), EvalContext())
+        got = node._eval(h + (e,) + tl, EvalContext())
         assert Fraction(got, node.den) == oracle_sum(phi, ref_left, ref_right, h, e, tl, shift)
 
 
@@ -216,7 +223,7 @@ def long_tuples(rank, arity, count, length, seed):
         row, last = [], 0
         for _ in range(arity):
             letters = _sample_letters(rank, length, rng, first_banned=last)
-            row.append(_make(letters, rank))
+            row.append(letters)
             last = letters[-1]
         out.append(tuple(row))
     return out

@@ -104,8 +104,8 @@ def test_spec_and_qm_parsing():
         },
         2,
     )
-    assert q(parse_word("aaa", 2)) == Fraction(2, 3) * 0 + q.table.value(W("aaa").letters)
-    assert q(W("a")) == Fraction(2, 3)
+    assert q.value(parse_word("aaa", 2)) == Fraction(2, 3) * 0 + q.table.value(W("aaa"))
+    assert q.value(W("a")) == Fraction(2, 3)
 
 
 def test_spec_family_is_checked_before_its_keys():
@@ -422,6 +422,33 @@ def test_cli_malformed_config(tmp_path, capsys):
 def test_cli_missing_config(capsys):
     status = main(["massey", "--config", "/nonexistent/x.json"])
     assert status == 2
+
+
+def nested_restricts(depth: int):
+    expr = "delta-qm:psi1"
+    for _ in range(depth):
+        expr = {"op": "restrict", "child": expr}
+    return expr
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        json.dumps(massey_doc()).encode() + b"\xff",
+        b"[" * 100_000 + b"]" * 100_000,
+        json.dumps(massey_doc(omega1=nested_restricts(700))).encode(),
+    ],
+    ids=["not-utf-8", "deep-array", "deep-omega1"],
+)
+def test_cli_unreadable_config_is_exit_2(tmp_path, capsys, raw):
+    """A config that is no UTF-8 text or that nests past the interpreter's
+    recursion limit is a one-line configuration error, exit 2; each used to
+    end in a traceback, exit 1."""
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(raw)
+    assert main(["massey", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_failing_run_exits_one(tmp_path):
@@ -861,6 +888,23 @@ def test_oversized_word_powers_hit_the_length_cap(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert "exceeds the length cap" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a\u212a", "ab^\u0663", "a^\u00b2"],
+    ids=["kelvin-sign", "arabic-three", "superscript-two"],
+)
+def test_word_syntax_is_ascii(tmp_path, capsys, text):
+    """A letter or digit outside ASCII is a one-line configuration error,
+    exit 2. The Kelvin sign used to read as the generator k, the
+    Arabic-Indic digit three as 3, and the superscript two as a power past
+    the length cap (exit 3)."""
+    base = dict(AXIOMS_DOC, rank=26, radius=0, pair_radius=0)
+    brooks = {"family": "brooks", "word": text}
+    assert main(config_args(tmp_path, base, "decomposition", brooks)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

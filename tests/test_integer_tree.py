@@ -40,8 +40,8 @@ from massey_workbench.massey import (
     massey_representative,
 )
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.words import Word, _make, parse_word
-from oracles import letters_of, reference_value, words_of
+from massey_workbench.words import invert_letters, multiply_letters, parse_word, reduce_letters
+from oracles import reference_value
 
 RANK = 2
 W = lambda s: parse_word(s, RANK)
@@ -63,24 +63,24 @@ QMS = (
 
 VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 LETTERS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=5)
-WORDS = LETTERS.map(lambda ls: Word(ls, RANK))
+WORDS = LETTERS.map(reduce_letters)
 
 
 def ref_aligned(t) -> bool:
     if any(len(w) == 0 for w in t):
         return False
-    return all(len(u * v) == len(u) + len(v) for u, v in zip(t, t[1:]))
+    return all(len(multiply_letters(u, v)) == len(u) + len(v) for u, v in zip(t, t[1:]))
 
 
 def ref_flip(t):
-    return tuple(w.inverse() for w in reversed(t))
+    return tuple(invert_letters(w) for w in reversed(t))
 
 
 @st.composite
 def aligned_tuples(draw, degree):
     """An aligned tuple: the cut decomposition of a reduced word."""
     seed = draw(st.integers(0, 2**16))
-    return words_of(random_aligned_tuples(RANK, degree, 1, 4, seed)[0], RANK)
+    return random_aligned_tuples(RANK, degree, 1, 4, seed)[0]
 
 
 @st.composite
@@ -105,9 +105,9 @@ def trees(draw, degree: int, depth: int):
         return qm_cochain(q), lambda t: reference_value(q, t[0])
     if kind == "table":
         rows = draw(st.lists(st.tuples(aligned_tuples(degree), VALUES), max_size=4))
-        entries = {tuple(w.letters for w in key): v for key, v in rows}
-        node = TableCochain(degree, dict(rows))
-        return node, lambda t: entries.get(tuple(w.letters for w in t), Fraction(0))
+        entries = dict(rows)
+        node = TableCochain(degree, entries)
+        return node, lambda t: entries.get(t, Fraction(0))
     if kind == "coboundary":
         child, f = draw(trees(degree - 1, depth - 1))
 
@@ -115,7 +115,8 @@ def trees(draw, degree: int, depth: int):
             k = len(t) - 1
             total = f(t[1:])
             for i in range(1, k + 1):
-                total += (-1) ** i * f(t[: i - 1] + (t[i - 1] * t[i],) + t[i + 1 :])
+                merged = multiply_letters(t[i - 1], t[i])
+                total += (-1) ** i * f(t[: i - 1] + (merged,) + t[i + 1 :])
             return total + (-1) ** (k + 1) * f(t[:k])
 
         return coboundary(child), delta
@@ -151,7 +152,7 @@ def check_node(node, ref, tasks):
     assert isinstance(node.den, int) and node.den > 0
     shared = EvalContext()
     for t in tasks:
-        assert isinstance(node._eval(tuple(w.letters for w in t), EvalContext()), int)
+        assert isinstance(node._eval(t, EvalContext()), int)
         assert evaluate(node, t) == ref(t)
         assert evaluate(node, t, shared) == ref(t)
 
@@ -164,16 +165,11 @@ def test_integer_tree_matches_fraction_interpreter(data):
     check_node(node, ref, data.draw(tuples_of(degree)))
 
 
-def ref_pieces(q: QuasiMorphism, g: Word):
+def ref_pieces(q: QuasiMorphism, g: bytes):
     """(z<_j, lambda(piece_j), z>_j) over the pieces of g."""
-    letters = g.letters
-    cuts = boundaries(piece_lengths(q.spec, letters))
+    cuts = boundaries(piece_lengths(q.spec, g))
     for j in range(1, len(cuts)):
-        yield (
-            _make(letters[: cuts[j - 1]], RANK),
-            q.table.value(letters[cuts[j - 1] : cuts[j]]),
-            _make(letters[cuts[j] :], RANK),
-        )
+        yield g[: cuts[j - 1]], q.table.value(g[cuts[j - 1] : cuts[j]]), g[cuts[j] :]
 
 
 @st.composite
@@ -190,7 +186,9 @@ def omegas(draw, degree):
     else:
         dense = coboundary(qm_cochain(q))
         g = lambda t: (
-            reference_value(q, t[1]) - reference_value(q, t[0] * t[1]) + reference_value(q, t[0])
+            reference_value(q, t[1])
+            - reference_value(q, multiply_letters(t[0], t[1]))
+            + reference_value(q, t[0])
         )
     node, f = draw(trees(degree, 2))
     c = draw(VALUES.filter(bool))
@@ -259,7 +257,7 @@ def test_context_limit_keeps_tree_values(data):
     degree = data.draw(st.integers(0, 3))
     node, _ = data.draw(trees(degree, 3))
     tasks = random_aligned_tuples(RANK, degree, 30, 4, 0)
-    tasks += [letters_of(t) for t in data.draw(tuples_of(degree))]
+    tasks += list(data.draw(tuples_of(degree)))
     expected = [node._eval(t, EvalContext()) for t in tasks]
     shared = EvalContext()
     assert [node._eval(t, shared) for t in tasks] == expected

@@ -35,8 +35,15 @@ from massey_workbench.config import load_config, massey_from_json
 from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.massey import bounded_primitive
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.words import Word, _make, _sample_letters, parse_word, sample_word
-from oracles import letters_of, reference_value, tampered_lambda
+from massey_workbench.words import (
+    _sample_letters,
+    invert_letters,
+    multiply_letters,
+    parse_word,
+    reduce_letters,
+    sample_word,
+)
+from oracles import reference_value, tampered_lambda
 
 # Brooks words with the smallest rank that holds them.
 BROOKS_WORDS = (("a", 1), ("ab", 2), ("aab", 2), ("abC", 3), ("aabab", 2))
@@ -63,18 +70,20 @@ def quasimorphisms(draw, family=None, brooks=None, nonzero=False):
         rank = draw(st.sampled_from(RANKS))
     letter = letters_of_rank(rank)
     if family == "brooks":
-        piece = letter.map(lambda x: Word([x], rank)) | st.sampled_from([w, w.inverse()])
-        long_piece = st.sampled_from([w, w.inverse()])
+        piece = letter.map(lambda x: reduce_letters([x])) | st.sampled_from([w, invert_letters(w)])
+        long_piece = st.sampled_from([w, invert_letters(w)])
     elif family == "rolli":
-        piece = st.tuples(letter, st.integers(1, 3)).map(lambda p: Word([p[0]] * p[1], rank))
-        long_piece = st.tuples(letter, st.integers(2, 3)).map(lambda p: Word([p[0]] * p[1], rank))
+        piece = st.tuples(letter, st.integers(1, 3)).map(lambda p: reduce_letters([p[0]] * p[1]))
+        long_piece = st.tuples(letter, st.integers(2, 3)).map(
+            lambda p: reduce_letters([p[0]] * p[1])
+        )
     else:
-        piece = long_piece = letter.map(lambda x: Word([x], rank))
+        piece = long_piece = letter.map(lambda x: reduce_letters([x]))
     value = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     entries: dict = {}
     forced = [(draw(long_piece), draw(value.filter(bool)))] if nonzero else []
     for p, v in forced + draw(st.lists(st.tuples(piece, value), max_size=6)):
-        if p not in entries and p.inverse() not in entries:
+        if p not in entries and invert_letters(p) not in entries:
             entries[p] = v
     table = LambdaTable(entries)
     for p, v in draw(st.lists(st.tuples(piece, value), max_size=2)):
@@ -92,33 +101,35 @@ def pairs(draw, family=None, brooks=None, nonzero=False):
     q, w = draw(quasimorphisms(family, brooks, nonzero))
     rank = q.rank
     letter = letters_of_rank(rank)
-    z = Word((), rank)
+    z = b""
     cuts = [0]
     while len(z) < 60 and len(cuts) < 6:
-        z = z * sample_word(rank, draw(st.integers(0, 8)), draw(st.integers(0, 2**32)))
-        forced = (w if draw(st.booleans()) else w.inverse()) if w else Word(
-            [draw(letter)] * draw(st.integers(1, 5)), rank
+        sampled = sample_word(rank, draw(st.integers(0, 8)), draw(st.integers(0, 2**32)))
+        z = multiply_letters(z, sampled)
+        forced = (w if draw(st.booleans()) else invert_letters(w)) if w else reduce_letters(
+            [draw(letter)] * draw(st.integers(1, 5))
         )
-        z = z * forced
+        z = multiply_letters(z, forced)
         cuts.append(len(z) - draw(st.integers(0, len(forced))))
-    z = _make(z.letters[:60], rank)
+    z = z[:60]
     out = []
     for c in sorted({min(c, len(z)) for c in cuts} | {len(z)}):
-        x, y = _make(z.letters[:c], rank), _make(z.letters[c:], rank)
-        back = x.letters[-draw(st.integers(1, 3)) :]
+        x, y = z[:c], z[c:]
+        back = x[-draw(st.integers(1, 3)) :]
         out += [
             (x, y),
-            (x, _make(back, rank).inverse() * y),
-            (_make(x.letters[-draw(st.integers(1, q.window)) :], rank), y),
+            (x, multiply_letters(invert_letters(back), y)),
+            (x[-draw(st.integers(1, q.window)) :], y),
         ]
     return q, out
 
 
 def untruncated(q, x, y):
     """The restricted coboundary from the piece sums of whole entries."""
-    if not aligned_letters((x.letters, y.letters)):
+    if not aligned_letters((x, y)):
         return Fraction(0)
-    return reference_value(q, x) + reference_value(q, y) - reference_value(q, x * y)
+    xy = multiply_letters(x, y)
+    return reference_value(q, x) + reference_value(q, y) - reference_value(q, xy)
 
 
 def check(case):
@@ -184,7 +195,7 @@ def long_tuples(rank, arity, count, length, seed):
         entries, last = [], 0
         for _ in range(arity):
             letters = _sample_letters(rank, length, rng, first_banned=last)
-            entries.append(_make(letters, rank))
+            entries.append(letters)
             last = letters[-1]
         out.append(tuple(entries))
     return out
@@ -231,5 +242,5 @@ def test_unwindowed_restrictions_keep_full_keys():
     for node in nodes:
         assert node.window == 0
         evaluate(node, (x, y), ctx)
-    assert restriction_keys(ctx) == {node: [letters_of((x, y))] for node in nodes}
+    assert restriction_keys(ctx) == {node: [(x, y)] for node in nodes}
     assert evaluate(nodes[0], (x, y)) == 1

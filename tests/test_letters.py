@@ -17,10 +17,9 @@ from massey_workbench.cochain import aligned_letters, random_aligned_tuples
 from massey_workbench.decomposition import DecompositionSpec, is_non_self_overlapping
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
-    Word,
     _sample_letters,
     cancelled_length,
-    format_word,
+    format_letters,
     invert_letters,
     multiply_letters,
     parse_word,
@@ -217,7 +216,6 @@ def packed(letters):
 def test_reduce_matches_tuple_oracle(raw):
     expect = reduce_tuple(raw)
     assert signed(reduce_letters(raw)) == expect
-    assert signed(Word(raw, 26).letters) == expect
     assert reduce_letters(expect) == reduce_letters(raw)
 
 
@@ -229,10 +227,7 @@ def test_multiply_invert_split_match_tuple_oracle(case):
     assert cancelled_length(pa, pb) == cancelled_tuple(a, b)
     assert signed(multiply_letters(pa, pb)) == multiply_tuple(a, b)
     assert signed(invert_letters(pa)) == invert_tuple(a)
-    p, t, q = split_product(Word(a, rank), Word(b, rank))
-    assert (signed(p.letters), signed(t.letters), signed(q.letters)) == split_tuple(a, b)
-    assert (Word(a, rank) * Word(b, rank)).letters == multiply_letters(pa, pb)
-    assert Word(a, rank).inverse().letters == invert_letters(pa)
+    assert tuple(map(signed, split_product(pa, pb))) == split_tuple(a, b)
 
 
 @given(ranks.flatmap(lambda r: st.lists(raw_lists(r, 6).map(reduce_tuple), max_size=5)))
@@ -248,19 +243,19 @@ def test_aligned_and_flip_match_tuple_oracle(entries):
 @settings(max_examples=300)
 def test_format_parse_round_trip(case):
     rank, raw = case
-    w = Word(raw, rank)
-    text = format_word(w)
+    w = reduce_letters(raw)
+    text = format_letters(w)
     assert text == format_tuple(reduce_tuple(raw))
     assert parse_word(text, rank) == w
 
 
 def test_extreme_letters_are_bytes_26_and_230():
     z = parse_word("z^2 Y Z", 26)
-    assert z.letters == bytes([26, 26, 231, 230])
-    assert signed(z.letters) == (26, 26, -25, -26)
-    assert format_word(z) == "zzYZ"
-    assert invert_letters(z.letters) == bytes([26, 25, 230, 230])
-    assert format_word(Word([26, -26, -26], 26)) == "Z"
+    assert z == bytes([26, 26, 231, 230])
+    assert signed(z) == (26, 26, -25, -26)
+    assert format_letters(z) == "zzYZ"
+    assert invert_letters(z) == bytes([26, 25, 230, 230])
+    assert format_letters(reduce_letters([26, -26, -26])) == "Z"
 
 
 @given(st.sampled_from([(r, n) for r in (1, 2, 3) for n in range(5)] + [(26, 0), (26, 1), (26, 2)]))
@@ -278,7 +273,7 @@ def test_random_stream_matches_tuple_oracle(rank, arity, max_len, seed):
     expect = random_aligned_tuples_tuple(rank, arity, 5, max_len, seed)
     assert [tuple(signed(x) for x in t) for t in mine] == expect
     length = seed % 80
-    assert signed(sample_word(rank, length, seed).letters) == sample_tuple(
+    assert signed(sample_word(rank, length, seed)) == sample_tuple(
         rank, length, random.Random(seed), 0
     )
 
@@ -330,7 +325,7 @@ def kernel_cases(draw):
         w = draw(
             st.lists(letter, min_size=1, max_size=1 if rank == 1 else 4)
             .map(reduce_tuple)
-            .filter(lambda w: w and is_non_self_overlapping(Word(w, rank)))
+            .filter(lambda w: w and is_non_self_overlapping(packed(w)))
         )
         piece = st.one_of(letter.map(lambda x: (x,)), st.sampled_from([w, invert_tuple(w)]))
     elif family == "rolli":
@@ -355,12 +350,12 @@ def kernel_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_counting_kernel_matches_tuple_oracle(case):
     rank, family, w, table, words = case
-    spec = DecompositionSpec(family, rank, Word(w, rank) if family == "brooks" else None)
-    lam = LambdaTable({Word(p, rank): v for p, v in table.items()})
+    spec = DecompositionSpec(family, rank, packed(w) if family == "brooks" else None)
+    lam = LambdaTable({packed(p): v for p, v in table.items()})
     q = QuasiMorphism(spec, lam)
     for letters in words:
-        g = Word(letters, rank)
+        g = packed(letters)
         expect = phi_tuple(family, w, table, letters)
         assert q.value(g) == expect
         assert reference_value(q, g) == expect
-        assert Fraction(q.value_letters(g.letters), q.den) == expect
+        assert Fraction(q.value_letters(g), q.den) == expect

@@ -33,8 +33,8 @@ from massey_workbench.massey import (
 )
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.report import ExperimentPlan, strip_timing
-from massey_workbench.words import parse_word
-from oracles import decompose, letters_of, words_of
+from massey_workbench.words import multiply_letters, parse_word
+from oracles import decompose
 
 W = lambda s: parse_word(s, 2)
 
@@ -89,7 +89,7 @@ def domain(arity, budget=6, samples=0, max_len=20, seed=0):
     tuples = list(exhaustive_aligned_tuples(2, arity, budget))
     if samples:
         tuples += random_aligned_tuples(2, arity, samples, max_len, seed)
-    return [words_of(t) for t in tuples]
+    return tuples
 
 
 # -- eta leaves --------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_eta1_letter_example():
     omega2 = TableCochain(1, {(W("b"),): 1})
     m = MasseyInstance(phi, omega1, omega2, 1, 1)
     # pieces of ab are (a, b); the j = 1 prefix is the identity and vanishes
-    assert evaluate(eta1(m), (W("ab"),)) == evaluate(omega1, (W("a"),)) * phi(W("b"))
+    assert evaluate(eta1(m), (W("ab"),)) == evaluate(omega1, (W("a"),)) * phi.value(W("b"))
     assert evaluate(eta1(m), (W("ab"),)) == 0
     assert evaluate(eta1(m), (W("1"),)) == 0
     # single piece: the only prefix product is the identity
@@ -141,13 +141,13 @@ def eta_bridge_oracle(m, t):
     for j, piece in enumerate(pieces, start=1):
         suffix = W("1")
         for p in pieces[j:]:
-            suffix = suffix * p
+            suffix = multiply_letters(suffix, p)
         total += (
             evaluate(m.omega1, head + (prefix,))
-            * m.phi(piece)
+            * m.phi.value(piece)
             * evaluate(m.omega2, (suffix,) + tail)
         )
-        prefix = prefix * piece
+        prefix = multiply_letters(prefix, piece)
     return total
 
 
@@ -220,7 +220,7 @@ def test_three_sum_equals_primitive_with_ledger():
     r_hat = measure_r_hat(m.phi.spec, 3)
     saw_survivor = False
     for t in domain(4, budget=6, samples=200, max_len=30, seed=51):
-        total, ledger = three_sum_residual(m, letters_of(t), ctx)
+        total, ledger = three_sum_residual(m, t, ctx)
         total = Fraction(total, ledger.den)
         assert total == evaluate(primitive, t, ctx)
         assert len(ledger.surviving_terms) <= ledger.bound <= 3 * r_hat
@@ -231,9 +231,9 @@ def test_three_sum_equals_primitive_with_ledger():
 def test_three_sum_rejects_bad_input():
     m = standard_instance()
     with pytest.raises(UsageError):
-        three_sum_residual(m, letters_of((W("a"), W("A"), W("b"), W("a"))))
+        three_sum_residual(m, (W("a"), W("A"), W("b"), W("a")))
     with pytest.raises(UsageError):
-        three_sum_residual(m, letters_of((W("a"), W("b"))))
+        three_sum_residual(m, (W("a"), W("b")))
 
 
 def test_letter_middle_primitive_vanishes():
@@ -245,7 +245,7 @@ def test_letter_middle_primitive_vanishes():
     ctx = EvalContext()
     for t in domain(4, budget=6, samples=100, seed=61):
         assert evaluate(primitive, t, ctx) == 0
-        total, ledger = three_sum_residual(m, letters_of(t), ctx)
+        total, ledger = three_sum_residual(m, t, ctx)
         assert total == 0
         assert ledger.bound == 0
         assert not ledger.surviving_terms
@@ -268,7 +268,7 @@ def test_mutations_break_three_sum(mutation):
     ctx = EvalContext()
     mismatch = None
     for t in domain(4, budget=6):
-        total, ledger = three_sum_residual(m, letters_of(t), ctx)
+        total, ledger = three_sum_residual(m, t, ctx)
         total = Fraction(total, ledger.den)
         if total != evaluate(primitive, t, ctx):
             mismatch = t
@@ -348,7 +348,7 @@ def test_failing_ledger_bound_carries_the_ledger(monkeypatch):
     assert stages["three-sum-equality"].passed
     failure = stages["ledger-bound"].counterexample
     assert failure is not None and failure["three_r_hat"] == 0
-    t = tuple(W(x).letters for x in failure["tuple"])
+    t = tuple(map(W, failure["tuple"]))
     _, ledger = three_sum_residual(m, t)
     assert failure["ledger"] == ledger.to_json()
     assert failure["bound"] == ledger.bound > 0

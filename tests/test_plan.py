@@ -58,8 +58,8 @@ from massey_workbench.harness import run_massey
 from massey_workbench.massey import MUTATIONS, _exact_stages, bounded_primitive
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.report import ExperimentPlan, strip_timing
-from massey_workbench.words import Word, parse_word
-from oracles import tree_eval, words_of
+from massey_workbench.words import parse_word, reduce_letters
+from oracles import tree_eval
 
 ROOT = Path(__file__).resolve().parent.parent
 STANDARD = ROOT / "configs" / "massey-brooks-standard.json"
@@ -80,9 +80,7 @@ QMS = (
 )
 VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 # Entries of up to three letters, the identity among them.
-ENTRIES = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3).map(
-    lambda ls: Word(ls, RANK).letters
-)
+ENTRIES = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3).map(reduce_letters)
 
 
 @st.composite
@@ -109,7 +107,7 @@ def trees(draw, degree: int, depth: int):
         return restrict(node) if kind == "restrict-delta-qm" else node
     if kind == "table":
         rows = draw(st.lists(st.tuples(aligned_tuples(degree), VALUES), max_size=4))
-        return TableCochain(degree, {words_of(key): v for key, v in rows})
+        return TableCochain(degree, dict(rows))
     if kind == "coboundary":
         return coboundary(draw(trees(degree - 1, depth - 1)))
     if kind == "cup":

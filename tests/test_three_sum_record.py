@@ -24,7 +24,7 @@ from massey_workbench.massey import (
     bounded_primitive,
     three_sum_residual,
 )
-from massey_workbench.words import _make, reduce_letters
+from massey_workbench.words import reduce_letters
 from test_eta_arguments import PHIS, _qm
 
 
@@ -60,7 +60,7 @@ def test_pair_record_matches_the_oracles(data):
     h = data.draw(words(phi.rank))
     assume(aligned(g, h))
     n1, n3, thick, sides = _pair_record(phi, g, h)
-    tri = oracles.triangle_split(phi.spec, _make(g, phi.rank), _make(h, phi.rank))
+    tri = oracles.triangle_split(phi.spec, g, h)
     assert (n1, n3) == (tri.corner_counts[0], tri.corner_counts[2])
     assert thick == tri.thick_lengths
     assert sides == tuple(

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massey_workbench.errors import ConfigError, ResourceCapError, UsageError
+from massey_workbench.errors import ConfigError, ResourceCapError
 from massey_workbench.words import (
-    Word,
     ball_size,
     enumerate_ball,
-    format_word,
+    format_letters,
+    invert_letters,
+    multiply_letters,
     parse_word,
     reduce_letters,
     sample_word,
@@ -38,9 +39,9 @@ def brute_reduce(seq):
 
 
 def test_reduce_examples():
-    assert Word([1, -1], 2) == W("1")
-    assert Word([1, 2, -2, 1], 2) == W("aa")
-    assert Word([1, 2], 2) == W("ab")
+    assert reduce_letters([1, -1]) == W("1")
+    assert reduce_letters([1, 2, -2, 1]) == W("aa")
+    assert reduce_letters([1, 2]) == W("ab")
 
 
 @given(raw_letters)
@@ -54,38 +55,36 @@ def test_reduce_idempotent(seq):
     assert reduce_letters(signed(once)) == once
 
 
+mul, inv = multiply_letters, invert_letters
+
+
 def test_multiply_examples():
-    assert W("ab") * W("Ba") == W("aa")
+    assert mul(W("ab"), W("Ba")) == W("aa")
     g = W("abab")
-    assert g * W("1") == g
-    assert g * g.inverse() == W("1")
-
-
-def test_multiply_rank_mismatch():
-    with pytest.raises(UsageError):
-        parse_word("a", 2) * parse_word("a", 3)
+    assert mul(g, W("1")) == g
+    assert mul(g, inv(g)) == W("1")
 
 
 def test_invert_examples():
-    assert W("ab").inverse() == W("BA")
-    assert W("1").inverse() == W("1")
-    assert W("aaa").inverse() == W("AAA")
-    assert parse_word("a^3", 2).inverse() == parse_word("a^-3", 2)
+    assert inv(W("ab")) == W("BA")
+    assert inv(W("1")) == W("1")
+    assert inv(W("aaa")) == W("AAA")
+    assert inv(parse_word("a^3", 2)) == parse_word("a^-3", 2)
 
 
-words_small = st.builds(lambda seq: Word(seq, 2), raw_letters)
+words_small = st.builds(reduce_letters, raw_letters)
 
 
 @given(words_small, words_small, words_small)
 @settings(max_examples=200)
 def test_multiply_associative(g, h, k):
-    assert (g * h) * k == g * (h * k)
+    assert mul(mul(g, h), k) == mul(g, mul(h, k))
 
 
 @given(words_small, words_small)
 def test_invert_antihomomorphism(g, h):
-    assert (g * h).inverse() == h.inverse() * g.inverse()
-    assert g.inverse().inverse() == g
+    assert inv(mul(g, h)) == mul(inv(h), inv(g))
+    assert inv(inv(g)) == g
 
 
 def test_split_product_examples():
@@ -100,11 +99,11 @@ def test_split_product_examples():
 @given(words_small, words_small)
 def test_split_product_invariants(g, h):
     p, t, q = split_product(g, h)
-    assert p * t == g
-    assert t.inverse() * q == h
-    assert g * h == p * q
-    if p.letters and q.letters:
-        assert signed(p.letters)[-1] != -signed(q.letters)[0]
+    assert mul(p, t) == g
+    assert mul(inv(t), q) == h
+    assert mul(g, h) == p + q
+    if p and q:
+        assert signed(p)[-1] != -signed(q)[0]
 
 
 def test_ball_size_closed_form():
@@ -116,7 +115,7 @@ def test_enumerate_ball_counts_and_reducedness():
     assert len(words) == 53
     assert len(set(words)) == 53
     for w in words:
-        assert reduce_letters(signed(w.letters)) == w.letters
+        assert reduce_letters(signed(w)) == w
 
 
 def test_enumerate_ball_matches_brute_force():
@@ -127,7 +126,7 @@ def test_enumerate_ball_matches_brute_force():
     for _ in range(3):
         frontier = [f + (x,) for f in frontier for x in alphabet]
         seen.update(brute_reduce(f) for f in frontier)
-    assert sorted(seen) == sorted(signed(w.letters) for w in enumerate_ball(2, 3))
+    assert sorted(seen) == sorted(signed(w) for w in enumerate_ball(2, 3))
 
 
 def test_enumerate_ball_cap():
@@ -150,15 +149,16 @@ def test_sample_word_deterministic():
 def test_sample_word_long_is_reduced():
     w = sample_word(2, 10_000, seed=3)
     assert len(w) == 10_000
-    assert reduce_letters(signed(w.letters)) == w.letters
+    assert reduce_letters(signed(w)) == w
 
 
 def test_parse_and_format():
-    assert format_word(W("1")) == "1"
-    assert format_word(parse_word("a^-1", 2)) == "A"
-    assert format_word(parse_word("Ab a", 2)) == "Aba"
-    assert signed(parse_word("a^2B", 2).letters) == (1, 1, -2)
-    assert format_word(W("aB") * W("ba")) == "aa"
+    assert format_letters(W("1")) == "1"
+    assert format_letters(parse_word("a^-1", 2)) == "A"
+    assert format_letters(parse_word("Ab a", 2)) == "Aba"
+    assert signed(parse_word("a^2B", 2)) == (1, 1, -2)
+    assert format_letters(mul(W("aB"), W("ba"))) == "aa"
+    assert parse_word("a^2 A^2 b", 2) == W("b")
 
 
 def test_parse_errors():
@@ -168,22 +168,13 @@ def test_parse_errors():
         parse_word("a^", 2)
     with pytest.raises(ConfigError):
         parse_word("a!", 2)
+    # Every letter is checked, also one that would cancel.
     with pytest.raises(ConfigError):
-        Word([3], 2)
-    # Every input letter is checked, also one that would cancel or that
-    # wraps to a letter byte (257 & 0xFF is the byte of a).
-    for letters in ([3, -3], [257], [0, 0]):
-        with pytest.raises(ConfigError):
-            Word(letters, 2)
+        parse_word("cC", 2)
     with pytest.raises(ConfigError):
-        Word([1], 0)
-
-
-def test_word_is_immutable_and_hashable():
-    w = W("ab")
-    with pytest.raises(AttributeError):
-        w.letters = ()
-    assert len({w, W("ab"), W("ba")}) == 2
+        parse_word("a", 0)
+    with pytest.raises(ConfigError):
+        parse_word("1", 27)
 
 
 def test_sample_word_uses_shared_rng_stream():
