@@ -13,9 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ResourceCapError, WorkbenchError
-from .harness import RUNNERS
 from .config import load_config
+from .errors import ConfigError, ResourceCapError, WorkbenchError
+from .harness import RUNNERS
 from .report import load_report, render_table
 
 
@@ -45,52 +45,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_problem(path: str) -> str | None:
-    """Why a report cannot be written to ``path``, or None. Checked before
-    any stage runs, so a long run never ends in an unwritable path."""
+def _check_out(path: str) -> None:
+    """A ``ConfigError`` if a report cannot be written to ``path``. Checked
+    before any stage runs, so a long run never ends in an unwritable path."""
     target = Path(path)
     if target.is_dir():
-        return f"--out {path} is a directory"
+        raise ConfigError(f"--out {path} is a directory")
     if not target.parent.is_dir():
-        return f"--out {path}: directory {target.parent} does not exist"
-    return None
+        raise ConfigError(f"--out {path}: directory {target.parent} does not exist")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "report":
-        try:
-            doc = load_report(args.path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read report: {exc}", file=sys.stderr)
-            return 2
-        print(render_table(doc))
-        return 0
-
-    overrides = {"seed": args.seed, "radius": args.radius, "jobs": args.jobs}
-    problem = args.out and _out_problem(args.out)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
-        doc = load_config(args.config)
-        report = RUNNERS[args.command](doc, overrides)
+        if args.command == "report":
+            print(render_table(load_report(args.path)))
+            return 0
+        if args.out:
+            _check_out(args.out)
+        overrides = {"seed": args.seed, "radius": args.radius, "jobs": args.jobs}
+        report = RUNNERS[args.command](load_config(args.config), overrides)
+        print(render_table(report.to_json()))
+        if args.out:
+            report.save(args.out)
+        return 0 if report.passed else 1
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_table(report.to_json()))
-    if args.out:
-        try:
-            report.save(args.out)
-        except OSError as exc:
-            print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
-            return 2
-    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

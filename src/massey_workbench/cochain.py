@@ -33,13 +33,13 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import ResourceCapError, UsageError
+from .errors import UsageError
 from .quasimorphism import QuasiMorphism, SetOnce
 from .words import (
     LENGTH_LIMIT,
     Letters,
     _sample_aligned,
-    enumeration_cap,
+    check_size,
     format_letters,
     invert_letters,
     multiply_letters,
@@ -404,14 +404,18 @@ def _compositions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, 
 def count_exhaustive_aligned_tuples(
     rank: int, arity: int, total_budget: int, entry_cap: int | None = None
 ) -> int:
+    return sum(_tuple_counts(rank, arity, total_budget, entry_cap or total_budget))
+
+
+def _tuple_counts(rank: int, arity: int, total_budget: int, entry_cap: int) -> Iterator[int]:
+    """The number of aligned tuples of each total length that can hold one:
+    no length past ``arity * entry_cap`` does."""
     if arity == 0:
-        return 1
-    entry_cap = entry_cap or total_budget
-    total = 0
-    for length in range(arity, total_budget + 1):
-        ncomp = sum(1 for _ in _compositions(length, arity, entry_cap))
-        total += sphere_size(rank, length) * ncomp
-    return total
+        return iter((1,))
+    return (
+        sphere_size(rank, length) * sum(1 for _ in _compositions(length, arity, entry_cap))
+        for length in range(arity, min(total_budget, arity * entry_cap) + 1)
+    )
 
 
 def exhaustive_aligned_tuples(
@@ -428,23 +432,22 @@ def exhaustive_aligned_tuples(
     the domain is enumerated as (word, cut positions) pairs: each word in
     ``words_of_length`` order, cut by each composition in turn.
     """
-    count = count_exhaustive_aligned_tuples(rank, arity, total_budget, entry_cap)
-    limit = enumeration_cap(cap)
-    if count > limit:
-        raise ResourceCapError(
-            f"{count} aligned tuples exceed the enumeration cap {limit}"
-        )
+    entry_cap = entry_cap or total_budget
+    check_size(
+        _tuple_counts(rank, arity, total_budget, entry_cap),
+        f"domain of aligned {arity}-tuples of length <= {total_budget}",
+        cap,
+    )
     if arity == 0:
         yield ()
         return
-    entry_cap = entry_cap or total_budget
     # Tuples share one bytes object per distinct entry (at most the ball of
     # radius entry_cap), which also hashes once.
     intern = {}.setdefault
     for length in range(arity, total_budget + 1):
         cutters = [_cutter(comp) for comp in _compositions(length, arity, entry_cap)]
-        if not cutters:
-            continue
+        if not cutters:  # nor does any longer length hold a tuple
+            break
         for letters in words_of_length(rank, length):
             for cut in cutters:
                 entries = cut(letters)

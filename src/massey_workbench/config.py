@@ -3,7 +3,7 @@ expressions, Massey instances, and experiment plans."""
 
 from __future__ import annotations
 
-import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,22 +18,12 @@ from .cochain import (
     qm_cochain,
     restrict,
 )
-from .decomposition import FAMILIES, DecompositionSpec
-from .errors import ConfigError
+from .decomposition import DecompositionSpec
+from .errors import ConfigError, integer
 from .massey import MasseyInstance
 from .quasimorphism import LambdaTable, QuasiMorphism
-from .report import ExperimentPlan
+from .report import ExperimentPlan, read_json_object
 from .words import Letters, format_letters, parse_word
-
-
-def integer(value, name: str, optional: bool = False) -> int | None:
-    """``value`` if it is a JSON integer (or null, for an optional one); a
-    bool, float or string is a ``ConfigError``."""
-    if value is None and optional:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def rational(value, name: str) -> Fraction:
@@ -85,30 +75,18 @@ def read_int(doc: dict, key: str, default: int | None) -> int | None:
 
 
 def load_config(path: str | Path) -> dict:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ConfigError(f"config {path} nests too deeply to read") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return doc
+    return read_json_object(path, "config")
 
 
 def spec_from_json(obj: dict, rank: int) -> DecompositionSpec:
+    """The spec, checked (an unknown family is named as such) before its keys."""
     family = field(obj, "family", "decomposition spec")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown decomposition family {family!r}")
-    check_keys(obj, ("family", "word") if family == "brooks" else ("family",), f"{family!r} spec")
     word = None
     if family == "brooks":
         word = parse_word(typed(field(obj, "word", "brooks spec"), str, "brooks word"), rank)
-    return DecompositionSpec(family, rank, word)
+    spec = DecompositionSpec(family, rank, word)
+    check_keys(obj, ("family", "word") if family == "brooks" else ("family",), f"{family!r} spec")
+    return spec
 
 
 def qm_from_json(obj: dict, rank: int, name: str = "phi") -> QuasiMorphism:
@@ -200,26 +178,11 @@ def expr_from_json(obj, rank: int, qms: dict[str, QuasiMorphism]) -> Cochain:
         return lincomb(*terms)
 
 
-_PLAN_INTEGERS = (
-    "seed",
-    "exhaustive_entry_radius",
-    "exhaustive_total_budget",
-    "deep_budget",
-    "pair_radius",
-    "max_len",
-    "ladder_samples",
-    "jobs",
-)
-
-
 def plan_from_json(obj: dict, rank: int) -> ExperimentPlan:
-    """The plan of a ``massey`` config; its rank is always the config's."""
-    obj = dict(obj)
-    check_keys(obj, {*_PLAN_INTEGERS, "enumeration_cap", "sample_counts", "max_len_ladder"}, "plan")
-    for key in _PLAN_INTEGERS:
-        if key in obj:
-            integer(obj[key], key)
-    read_int(obj, "enumeration_cap", None)
+    """The plan of a ``massey`` config; its rank is always the config's.
+    ``ExperimentPlan`` checks the values; this checks the JSON types of the
+    two containers and the stage names of ``sample_counts``."""
+    check_keys(obj, {f.name for f in fields(ExperimentPlan)} - {"rank"}, "plan")
     counts = typed(obj.get("sample_counts", {}), dict, "sample_counts")
     unknown = set(counts) - set(ExperimentPlan.DEFAULT_SAMPLES)
     if unknown:
@@ -227,11 +190,7 @@ def plan_from_json(obj: dict, rank: int) -> ExperimentPlan:
             f"unknown sample_counts stages {sorted(unknown)}; "
             f"known: {sorted(ExperimentPlan.DEFAULT_SAMPLES)}"
         )
-    for stage, count in counts.items():
-        integer(count, f"sample_counts.{stage}")
-    if "max_len_ladder" in obj:
-        ladder = typed(obj["max_len_ladder"], list, "max_len_ladder")
-        obj["max_len_ladder"] = tuple(integer(rung, "max_len_ladder rung") for rung in ladder)
+    typed(obj.get("max_len_ladder", []), list, "max_len_ladder")
     return ExperimentPlan(rank=rank, **obj)
 
 

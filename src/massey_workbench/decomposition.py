@@ -30,6 +30,7 @@ from .report import Report, StageResult
 from .words import (
     Letters,
     cancelled_length,
+    check_rank,
     enumerate_ball,
     format_letters,
     invert_letters,
@@ -71,8 +72,7 @@ class DecompositionSpec:
 
     def __post_init__(self):
         # Letters must fit one signed byte and miss the cut-flag mark's 0x7f.
-        if not 1 <= self.rank <= 26:
-            raise ConfigError(f"rank must be in [1, 26], got {self.rank}")
+        check_rank(self.rank)
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown decomposition family {self.family!r}")
         if self.family == "brooks":

@@ -73,10 +73,10 @@ def run_axioms(doc: dict, overrides: dict | None = None) -> Report:
     started, started_at = time.monotonic(), now_iso()
     rank = read_int(config, "rank", 2)
     spec = spec_from_json(config.get("decomposition", {"family": "letter"}), rank)
-    radius = at_least(read_int(config, "radius", 6), "radius", 0)
-    pair_radius = at_least(read_int(config, "pair_radius", min(radius, 5)), "pair_radius", 0)
-    cap = enumeration_cap(read_int(config, "enumeration_cap", None))
-    jobs = at_least(read_int(config, "jobs", 1), "jobs", 1)
+    radius = at_least(config.get("radius", 6), "radius", 0)
+    pair_radius = at_least(config.get("pair_radius", min(radius, 5)), "pair_radius", 0)
+    cap = enumeration_cap(config.get("enumeration_cap"))
+    jobs = at_least(config.get("jobs", 1), "jobs", 1)
     stabilize = config.get("check_stabilization", True)
     if not isinstance(stabilize, bool):
         raise ConfigError(f"check_stabilization must be true or false, got {stabilize!r}")
@@ -131,14 +131,14 @@ def run_defect(doc: dict, overrides: dict | None = None) -> Report:
     started, started_at = time.monotonic(), now_iso()
     rank = read_int(config, "rank", 2)
     q = qm_from_json(field(config, "phi", "defect config"), rank)
-    radius = at_least(read_int(config, "radius", 4), "radius", 0)
-    pair_radius = at_least(read_int(config, "pair_radius", radius), "pair_radius", 0)
-    random_pairs = at_least(read_int(config, "random_pairs", 2000), "random_pairs", 0)
-    max_len = at_least(read_int(config, "max_len", 100), "max_len", 0)
+    radius = at_least(config.get("radius", 4), "radius", 0)
+    pair_radius = at_least(config.get("pair_radius", radius), "pair_radius", 0)
+    random_pairs = at_least(config.get("random_pairs", 2000), "random_pairs", 0)
+    max_len = at_least(config.get("max_len", 100), "max_len", 0)
     seed = read_int(config, "seed", 0)
-    cap = enumeration_cap(read_int(config, "enumeration_cap", None))
+    cap = enumeration_cap(config.get("enumeration_cap"))
     check_length(max_len, "max_len", cap)
-    jobs = at_least(read_int(config, "jobs", 1), "jobs", 1)
+    jobs = at_least(config.get("jobs", 1), "jobs", 1)
 
     # Measured before the report starts, so no stage's time holds this scan.
     r_hat = measure_r_hat(q.spec, pair_radius, cap, jobs)

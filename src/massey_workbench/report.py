@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, at_least
-from .words import check_length
+from .errors import ConfigError, at_least, integer
+from .words import check_length, check_rank
 
 if TYPE_CHECKING:
     from ._parallel import Scan
@@ -52,13 +52,16 @@ class ExperimentPlan:
     }
 
     def __post_init__(self):
-        at_least(self.rank, "rank", 1)
+        check_rank(self.rank)
+        integer(self.seed, "seed")
         # An entry radius of 0 would read as "no cap" in the tuple enumeration,
         # and a negative budget as an empty exhaustive domain.
         least = dict.fromkeys(("exhaustive_entry_radius", "max_len", "ladder_samples", "jobs"), 1)
         least.update(exhaustive_total_budget=0, deep_budget=0, pair_radius=0)
         for key, low in least.items():
             at_least(getattr(self, key), key, low)
+        for stage, count in self.sample_counts.items():
+            at_least(count, f"sample_counts.{stage}", 0)
         ladder = tuple(self.max_len_ladder)
         # With no rung the sup bound would pass unchecked.
         if not ladder:
@@ -71,8 +74,6 @@ class ExperimentPlan:
         check_length(self.max_len, "max_len", self.enumeration_cap)
         check_length(ladder[-1], "max_len_ladder rung", self.enumeration_cap)
         self.max_len_ladder = ladder
-        for stage, count in self.sample_counts.items():
-            at_least(count, f"sample_counts.{stage}", 0)
 
     def samples(self, stage: str) -> int:
         if stage in self.sample_counts:
@@ -185,7 +186,11 @@ class Report:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(render_json(self.to_json()), encoding="utf-8")
+        """Write the report to ``path``; a failed write is a ``ConfigError``."""
+        try:
+            Path(path).write_text(render_json(self.to_json()), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {path}: {exc}") from exc
 
 
 def render_json(doc: dict) -> str:
@@ -207,12 +212,29 @@ def _is_stage(stage) -> bool:
     )
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file ``path``, a ``what`` (config or report);
+    a file that cannot be read, is not UTF-8 or not JSON, nests too deeply
+    to read or holds no object is a ``ConfigError``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{what} {path} nests too deeply to read") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} is not a {what}: not a JSON object")
+    return doc
+
+
 def load_report(path: str | Path) -> dict:
     """A stored report: a JSON object whose ``stages`` is a list of stage
     records (string ``name`` and ``status``, integer ``checked_count``, and
     ``counterexample`` and ``stats`` each an object or null)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    stages = doc.get("stages") if isinstance(doc, dict) else None
+    doc = read_json_object(path, "report")
+    stages = doc.get("stages")
     if not isinstance(stages, list):
         raise ConfigError(f"{path} is not a report: no 'stages' list")
     for i, stage in enumerate(stages):

@@ -26,7 +26,7 @@ import sys
 from array import array
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, ResourceCapError, UsageError
+from .errors import ConfigError, ResourceCapError, UsageError, integer
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 ENUMERATION_CAP_ENV = "MASSEY_WORKBENCH_ENUM_CAP"
@@ -87,8 +87,7 @@ def parse_word(text: str, rank: int) -> Letters:
 
     Powers ``a^3`` / ``a^-2`` take ASCII digits; ``1`` denotes the identity.
     """
-    if not 1 <= rank <= 26:
-        raise ConfigError(f"rank must be in [1, 26], got {rank}")
+    check_rank(rank)
     s = text.strip().replace(" ", "")
     if s in ("", "1"):
         return b""
@@ -128,6 +127,14 @@ def parse_word(text: str, rank: int) -> Letters:
     return reduce_letters(letters)
 
 
+def check_rank(rank: int) -> int:
+    """``rank`` if it is in [1, 26], the ranks whose letters the byte
+    encoding and the word syntax hold, else a ``ConfigError``."""
+    if not 1 <= rank <= 26:
+        raise ConfigError(f"rank must be in [1, 26], got {rank}")
+    return rank
+
+
 def format_letters(letters: Letters) -> str:
     """Canonical text: lower-case generators, upper-case inverses, 1 for identity."""
     return letters.translate(_TEXT).decode("ascii") or "1"
@@ -135,9 +142,14 @@ def format_letters(letters: Letters) -> str:
 
 def ball_size(rank: int, radius: int) -> int:
     """Number of reduced words of length <= radius."""
+    return sum(_sphere_sizes(rank, radius))
+
+
+def _sphere_sizes(rank: int, radius: int) -> Iterator[int]:
+    """The sphere sizes of the ball of ``radius``, shortest first."""
     if radius < 0:
         raise UsageError("radius must be >= 0")
-    return sum(sphere_size(rank, length) for length in range(radius + 1))
+    return (sphere_size(rank, length) for length in range(radius + 1))
 
 
 def sphere_size(rank: int, length: int) -> int:
@@ -150,7 +162,7 @@ def sphere_size(rank: int, length: int) -> int:
 def enumeration_cap(override: int | None = None) -> int:
     """``override``, else the environment variable, else the default; a
     value that is not an integer >= 1 is a ``ConfigError``."""
-    source, raw = "enumeration_cap", override
+    source, raw = "enumeration_cap", integer(override, "enumeration_cap", optional=True)
     if raw is None:
         source, raw = ENUMERATION_CAP_ENV, os.environ.get(ENUMERATION_CAP_ENV)
         if not raw:
@@ -183,14 +195,21 @@ def words_of_length(rank: int, length: int) -> Iterator[Letters]:
 
 def enumerate_ball(rank: int, radius: int, cap: int | None = None) -> Iterator[Letters]:
     """Every reduced word of length <= radius, exactly once, shortest first."""
-    total = ball_size(rank, radius)
-    limit = enumeration_cap(cap)
-    if total > limit:
-        raise ResourceCapError(
-            f"ball of radius {radius} in rank {rank} has {total} words, cap is {limit}"
-        )
+    check_size(_sphere_sizes(rank, radius), f"ball of radius {radius} in rank {rank}", cap)
     for length in range(radius + 1):
         yield from words_of_length(rank, length)
+
+
+def check_size(sizes: Iterable[int], what: str, cap: int | None = None) -> None:
+    """A ``ResourceCapError`` naming ``what`` if ``sizes`` add up to more
+    than the enumeration cap. They are added only until the total passes
+    the cap, so a domain far past it is never sized in full."""
+    limit = enumeration_cap(cap)
+    total = 0
+    for size in sizes:
+        total += size
+        if total > limit:
+            raise ResourceCapError(f"{what} exceeds the enumeration cap {limit}")
 
 
 def check_length(value: int, key: str, cap: int | None = None) -> None:
@@ -358,6 +377,7 @@ def _followers(rank: int) -> list[bytes]:
     every enumeration and of the sampler's choices; ``b""`` for a byte that
     is no letter of the rank. A list, since the sampler's walk indexes it
     once per letter. Read-only: it is shared by every caller."""
+    check_rank(rank)
     alphabet = bytes(x & 0xFF for i in range(1, rank + 1) for x in (i, -i))
     followers = [b""] * 256
     followers[0] = alphabet

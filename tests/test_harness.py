@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import subprocess
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +38,7 @@ from massey_workbench.report import (
 )
 from massey_workbench.words import parse_word
 from oracles import tampered_lambda
+from test_words import run_python
 
 W = lambda s: parse_word(s, 2)
 
@@ -449,6 +451,52 @@ def test_cli_unreadable_config_is_exit_2(tmp_path, capsys, raw):
     assert main(["massey", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return run_python("-m", "massey_workbench.cli", *args)
+
+
+def one_error_line(done: subprocess.CompletedProcess, status: int) -> str:
+    """The one ``error:`` line of a CLI run that exited with ``status``."""
+    assert (done.returncode, done.stdout) == (status, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    return done.stderr
+
+
+@pytest.mark.parametrize("command", ["report", "massey"])
+def test_cli_deep_json_is_exit_2(tmp_path, command):
+    """A report or config file nested 100,000 deep is one error line, exit
+    2; ``report`` used to end in a ``RecursionError`` traceback, exit 1."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    args = [command, str(path)] if command == "report" else [command, "--config", str(path)]
+    assert "nests too deeply to read" in one_error_line(run_cli(*args), 2)
+
+
+def test_cli_ball_far_past_the_cap_is_exit_3(tmp_path):
+    """A radius of 200,000 is refused as soon as the ball's sizes pass the
+    cap; it used to run on, summing the exact size of the whole ball."""
+    cfg = tmp_path / "axioms.json"
+    cfg.write_text(json.dumps(dict(AXIOMS_DOC, radius=200_000)), encoding="utf-8")
+    err = one_error_line(run_cli("axioms", "--config", str(cfg)), 3)
+    assert "ball of radius 200000 in rank 2 exceeds the enumeration cap" in err
+
+
+def test_budgets_past_every_tuple_length_change_no_stage(tmp_path):
+    """With an entry radius of 1 no tuple is longer than its arity, so
+    budgets of 300,000 give the stages of budgets of 6; the exhaustive
+    domains used to be sized over every length up to the budget."""
+    stages = []
+    for budget in (6, 300_000):
+        plan = dict(
+            SMALL_PLAN, exhaustive_entry_radius=1, exhaustive_total_budget=budget, deep_budget=budget
+        )
+        cfg, out = tmp_path / f"massey-{budget}.json", tmp_path / f"report-{budget}.json"
+        cfg.write_text(json.dumps(massey_doc(plan=plan)), encoding="utf-8")
+        assert run_cli("massey", "--config", str(cfg), "--out", str(out)).returncode in (0, 1)
+        stages.append(load_report(out)["stages"])
+    assert stages[0] == stages[1]
 
 
 def test_cli_failing_run_exits_one(tmp_path):

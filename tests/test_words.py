@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +136,42 @@ def test_enumerate_ball_matches_brute_force():
 def test_enumerate_ball_cap():
     with pytest.raises(ResourceCapError):
         list(enumerate_ball(2, 10, cap=100))
+
+
+def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """``python *args`` on this checkout's ``src`` in a child process, so a
+    call that hangs fails its test at ``timeout`` instead of stalling the
+    suite."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "call, rank",
+    [
+        ("random_aligned_tuples(0, 2, 1, 3, 0)", 0),
+        ("sample_word(0, 3, 1)", 0),
+        ("sample_word(27, 6, 1)", 27),
+        ("list(enumerate_ball(128, 1))", 128),
+    ],
+)
+def test_enumerators_and_samplers_check_the_rank(call, rank):
+    """Every enumerator and sampler raises the one rank error outside
+    [1, 26]. These calls once looped forever, raised ``IndexError``,
+    returned ``eS?ycI`` and yielded 257 words in which byte 128 is its own
+    inverse."""
+    code = (
+        "from massey_workbench.cochain import random_aligned_tuples\n"
+        "from massey_workbench.words import enumerate_ball, sample_word\n"
+        f"{call}\n"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 1
+    last = done.stderr.strip().splitlines()[-1]
+    assert last == f"massey_workbench.errors.ConfigError: rank must be in [1, 26], got {rank}"
 
 
 def test_words_of_length_no_duplicates():
