@@ -17,7 +17,8 @@ lets a name be bound once, so no node changes under a cached value.
 integer arithmetic.
 
 Cache keys are ``(node, t)``, and composite nodes run one generated function
-per ``EvalContext`` (``compile_plan``, README "Compiled evaluation plans").
+per ``EvalContext``, its code compiled once per source text (``compile_plan``,
+README "Compiled evaluation plans").
 On a concatenating pair the coboundary of a quasi-morphism leaf evaluates
 the leaf's counting kernel on the ``QuasiMorphism.window`` letters each side
 of the junction, so its restriction keys its memo on those letters alone
@@ -26,6 +27,7 @@ of the junction, so its restriction keys its memo on those letters alone
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -48,6 +50,8 @@ from .words import (
 )
 
 LettersTuple = tuple[Letters, ...]
+# A plan's source names no node, so plans of equal source share compiled code.
+_plan_code = functools.lru_cache(maxsize=32)(compile)
 
 
 def aligned_letters(t: Sequence[Letters]) -> bool:
@@ -366,7 +370,7 @@ def compile_plan(expr: Cochain) -> Callable[[LettersTuple, EvalContext], int]:
     head += [f"    {' = '.join(f'v{j}' for j in sorted(maybe))} = None"] * bool(maybe)
     namespace = {"mul": multiply_letters, "inv": invert_letters}
     namespace.update((f"L{j}", leaf._eval) for (leaf, _), j in leaves.items())
-    exec("\n".join([*head, *body, "    return total"]), namespace)
+    exec(_plan_code("\n".join([*head, *body, "    return total"]), "<plan>", "exec"), namespace)
     # Popped, ``f`` and its globals form no cycle: a plan dies with its context.
     return namespace.pop("f")
 

@@ -23,11 +23,12 @@ numerator of its sum over ``den``, the product of its factors' denominators.
 A windowed restriction factor reads only ``K`` letters of the entry, so it is
 the same value ``A`` or ``B`` on every piece away from the ends of the entry:
 the node sums the few edge pieces and adds ``A B`` times the rest of phi(e)
-(README "Eta bulk collapse"). Any other factor reads the whole entry, so its
-edge spans every piece. The three-sum sides, the oracle the primitive is
-compared with, run their own unshifted term loop in ``three_sum_residual``
-over a per-pair record of the tripod and of the nonzero-lambda pieces;
-both read lambda from the table.
+(README "Eta bulk collapse"). Of the entry beside ``e`` it reads ``K``
+letters too, and the node's memo key holds only those. Any other factor
+reads the whole entry, so its edge spans every piece. The three-sum sides,
+the oracle the primitive is compared with, run their own unshifted term
+loop in ``three_sum_residual`` over a per-pair record of the tripod and of
+the nonzero-lambda pieces; both read lambda from the table.
 """
 
 from __future__ import annotations
@@ -114,14 +115,17 @@ class _EtaBase(Cochain):
 
     ``windows`` is ``(K_L, K_R)``, one ``_window`` per factor, and ``_sum``
     collapses the pieces between the edges they leave (README "Eta bulk
-    collapse").
+    collapse"). A windowed factor has degree 2, so it reads only ``t[0][-K_L:]``
+    (left) or ``t[-1][:K_R]`` (right) of the entry beside ``e``; ``cut`` keeps
+    those windows, 0 for any other, and ``_eval`` cuts ``t`` to them before
+    its memo key and ``_compute`` see it (README "Memo key").
 
     The ``shift-z-boundary`` mutation moves both cut points of a piece one
     piece outward: the prefix of piece j ends where piece j does, and its
     suffix starts where piece j starts.
     """
 
-    __slots__ = ("m", "left", "right", "degree", "den", "shift", "windows")
+    __slots__ = ("m", "left", "right", "degree", "den", "shift", "windows", "cut")
 
     def __init__(self, m: MasseyInstance, left: Cochain | None, right: Cochain | None):
         self.m = m
@@ -131,8 +135,14 @@ class _EtaBase(Cochain):
         self.den = (left.den if left else 1) * m.phi.den * (right.den if right else 1)
         self.shift = 1 if m.mutation == "shift-z-boundary" else 0
         self.windows = (_window(left), _window(right))
+        self.cut = tuple(k if k < sys.maxsize else 0 for k in self.windows)
 
     def _eval(self, t, ctx):
+        kl, kr = self.cut
+        if kl:
+            t = (t[0][-kl:],) + t[1:]
+        if kr:
+            t = t[:-1] + (t[-1][:kr],)
         key = (self, t)
         cached = ctx.node_values.get(key)
         if cached is not None:

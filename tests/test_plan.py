@@ -17,8 +17,9 @@ They must agree exactly:
 Two broken expansions, a coboundary with a face dropped and an alternation
 whose flipped ranges are not inverted, must each fail the first test.
 Plans are compiled lazily, once per ``EvalContext``, and never pickled:
-every scan payload holds contexts without plans, and a ``--jobs 2`` run
-gives the serial report.
+every scan payload holds contexts without plans, and ``--jobs`` 2 and 3
+runs give the serial report's bytes. Plans of equal source share one code
+object and keep their own globals.
 """
 
 import gc
@@ -57,7 +58,7 @@ from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.harness import run_massey
 from massey_workbench.massey import MUTATIONS, _exact_stages, bounded_primitive
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
-from massey_workbench.report import ExperimentPlan, strip_timing
+from massey_workbench.report import ExperimentPlan, render_json, strip_timing
 from massey_workbench.words import parse_word, reduce_letters
 from oracles import tree_eval
 
@@ -277,6 +278,25 @@ def test_plans_are_lazy_and_never_pickled(monkeypatch):
     assert len(compiled) > 2
 
 
+def test_plans_of_equal_source_share_their_code():
+    """The standard instance and an ``instances.py`` one have plans of equal
+    source on leaves of their own: each pair of plans shares one code object
+    and no globals, and each plan equals the tree evaluation."""
+    (m, _), (other, _) = (massey_from_json(CASES[c]) for c in ("standard", "rolli K 3"))
+    exprs = [
+        [bounded_primitive(i)] + [lhs for _, _, _, lhs, _ in _exact_stages(i)]
+        for i in (m, other)
+    ]
+    ctx, other_ctx = EvalContext(), EvalContext()
+    for expr, twin in zip(*exprs):
+        plan, twin_plan = ctx.plans[expr], other_ctx.plans[twin]
+        assert plan.__code__ is twin_plan.__code__
+        assert plan.__globals__ is not twin_plan.__globals__
+        assert plan.__globals__["L0"].__self__ is not twin_plan.__globals__["L0"].__self__
+        for e in (expr, twin):
+            check_plan(e, random_aligned_tuples(RANK, e.degree, 20, 6, "shared code"))
+
+
 def test_plans_go_with_their_context():
     """A plan is freed with its context by reference counting: a cycle
     through the plan would keep its nodes, and their quasi-morphism value
@@ -295,6 +315,7 @@ def test_plans_go_with_their_context():
 
 
 def test_parallel_stages_equal_serial():
+    """Each pool chunk evaluates in a fresh context, under the same keys."""
     doc = massey_doc(TINY_PLAN, 1, "brooks-ab", 1)
-    serial = strip_timing(run_massey(doc).to_json())
-    assert strip_timing(run_massey(doc, {"jobs": 2}).to_json()) == serial
+    reports = [render_json(strip_timing(run_massey(doc, {"jobs": j}).to_json())) for j in (1, 2, 3)]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
