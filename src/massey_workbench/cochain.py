@@ -31,7 +31,6 @@ import functools
 import itertools
 import math
 import operator
-import random
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -473,5 +472,4 @@ def random_aligned_tuples(
     (``words._sample_aligned`` on a generator of its own)."""
     if not 1 <= max_len <= LENGTH_LIMIT:
         raise UsageError(f"max_len must be in [1, {LENGTH_LIMIT}], got {max_len}")
-    rng = random.Random(f"{seed}:aligned:{arity}:{max_len}")
-    return _sample_aligned(rank, arity, count, max_len, rng)
+    return _sample_aligned(rank, arity, count, max_len, f"{seed}:aligned:{arity}:{max_len}")

@@ -18,21 +18,21 @@ in them: lambda's pieces are already the byte patterns it looks for.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from ._parallel import Scan, pair_scan, scan
 from .decomposition import DecompositionSpec, triangle_split
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .words import (
+    LENGTH_LIMIT,
     Letters,
+    LetterStream,
     enumerate_ball,
     format_letters,
     invert_letters,
     multiply_letters,
-    sample_word,
 )
 
 
@@ -276,18 +276,20 @@ def defect_sup(
     cap: int | None = None,
     jobs: int = 1,
 ) -> DefectStats:
-    """Max |defect| over an exhaustive ball and/or seeded random pairs."""
+    """Max |defect| over an exhaustive ball and/or seeded random pairs, each
+    drawn as ``randint(0, max_len)`` twice, then two words (``LetterStream``)."""
     result = Scan()
     if ball_radius > 0:
         ball = list(enumerate_ball(q.rank, ball_radius, cap))
         result = pair_scan(_defect_probe, q, ball, ball, jobs)
     if random_pairs > 0:
-        rng = random.Random(f"{seed}:defect")
+        if not 0 <= max_len <= LENGTH_LIMIT:
+            raise UsageError(f"max_len must be in [0, {LENGTH_LIMIT}], got {max_len}")
+        stream = LetterStream(q.rank, f"{seed}:defect")
         pairs = []
         for _ in range(random_pairs):
-            lg = rng.randint(0, max_len)
-            lh = rng.randint(0, max_len)
-            pairs.append((sample_word(q.rank, lg, rng), sample_word(q.rank, lh, rng)))
+            lg, lh = stream.below(max_len + 1), stream.below(max_len + 1)
+            pairs.append((stream.word(lg), stream.word(lh)))
         result.merge(scan(_defect_probe, q, pairs, jobs))
     best, pair = result.best("defect", _ZERO)
     argmax = None if pair is None else (format_letters(pair[0]), format_letters(pair[1]))

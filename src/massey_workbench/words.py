@@ -15,6 +15,9 @@ inverse's, so a word is inverted by one ``translate`` of its reversal.
 Bytes rather than tuples of ints because ``bytes`` hashes in C and caches
 its hash, so a word that keys several caches is hashed once, and a slice or
 a product is one compact copy.
+
+Every seeded draw reads a generator of its own through one decoder,
+``LetterStream``, and gets what per-call ``randint`` and ``choice`` give.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ ENUMERATION_CAP_ENV = "MASSEY_WORKBENCH_ENUM_CAP"
 # Sampled lengths stay under the enumeration cap and this limit: a length
 # draw is then one 32-bit output, whatever the cap is raised to.
 LENGTH_LIMIT = 2**31 - 1
-# Most 32-bit outputs a sampler draws at a time, unless one entry needs more.
+# Fewest 32-bit outputs the stream decoder draws at a time.
 _BLOCK = 1 << 12
 
 Letters = bytes
@@ -223,110 +226,34 @@ def check_length(value: int, key: str, cap: int | None = None) -> None:
         )
 
 
-def sample_word(rank: int, length: int, seed: int | random.Random) -> Letters:
-    """Uniform reduced word of exact length via a non-backtracking walk."""
-    if length < 0:
-        raise UsageError("length must be >= 0")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return _sample_letters(rank, length, rng, first_banned=0)
-
-
-def _sample_letters(
-    rank: int, length: int, rng: random.Random, first_banned: int
-) -> Letters:
-    """Random reduced letters; the first letter avoids the inverse of the
-    letter byte ``first_banned`` if nonzero.
-
-    The letters and the stream are those of ``rng.choice(followers[last])``
-    per letter. Every choice among the n = 2 rank - 1 followers of a letter
-    is one try per 32-bit output, decoded from the output's top byte by
-    ``_choice_codes``; ``getrandbits(32 m)`` is m outputs, the first lowest,
-    so the missing choices are drawn in batches of at most as many tries as
-    are missing, and the accepted ones are walked by ``_walk``."""
-    if not length:
-        return b""
-    head, last, need = b"", first_banned, length
-    if not first_banned:
-        last = rng.choice(_followers(rank)[0])
-        head, need = bytes((last,)), length - 1
-    codes, rejected = _choice_codes(rank)
-    parts, got = [], 0
-    while got < need:
-        m = min(need - got, _BLOCK)
-        tops = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-        parts.append(tops.translate(codes, rejected))
-        got += len(parts[-1])
-    return head + _walk(rank, last, b"".join(parts))
+def sample_word(rank: int, length: int, seed: int | str) -> Letters:
+    """Uniform reduced word of exact length via a non-backtracking walk: the
+    letters of one ``choice`` per letter on ``random.Random(seed)``."""
+    return LetterStream(rank, seed).word(length)
 
 
 def _sample_aligned(
-    rank: int, arity: int, count: int, max_len: int, rng: random.Random
+    rank: int, arity: int, count: int, max_len: int, seed: int | str
 ) -> list[tuple[Letters, ...]]:
-    """``count`` aligned tuples: per entry ``rng.randint(1, max_len)``, then
-    ``_sample_letters`` of that length banning the inverse of the previous
-    entry's last letter, as the letters and lengths of those calls.
-
-    The outputs are drawn ahead in blocks and decoded here: ``randint`` and
-    ``choice`` keep the top ``n.bit_length()`` bits of one output per try and
-    reject values >= n (a length fits one output by ``check_length``), and a
-    letter choice is the ``_choice_codes`` mark of the output's top byte. The
-    generator ends past the outputs decoded, so ``rng`` must be private to
-    the call."""
+    """``count`` aligned tuples: per entry ``randint(1, max_len)`` and one
+    ``choice`` per letter, the first after the previous entry's last, so a
+    tuple's letters are one walk from its first letter on."""
+    stream = LetterStream(rank, seed)
     if not arity:
         return [()] * count
-    alphabet = _followers(rank)[0]
-    codes, _ = _choice_codes(rank)
-    n_first, n = len(alphabet), 2 * rank - 1
-    len_shift = 32 - max_len.bit_length()
-    first_shift = 32 - n_first.bit_length()
-    # Twice the expected tries of an entry of max_len letters: the outputs
-    # ahead of an entry are topped up to this many, which nearly always
-    # covers it, so the buffer holds O(_BLOCK + room) outputs.
-    room = 2 * (max_len + 2) * 2 ** n.bit_length() // n + 64
-    block = max(room, _BLOCK)
-    words, marks = array("I"), b""
+    below, span = stream.below, stream.span
     out = []
-    p = 0
     for _ in range(count):
-        # The choices of the tuple's letters past its first are one walk from
-        # that letter: each later entry's first letter follows the last one.
         lengths, spans = [], []
         for _ in range(arity):
-            if len(words) - p < room:
-                words, marks = _more(rng, codes, words, marks, p, block)
-                p = 0
-            while True:
-                if p == len(words):
-                    words, marks = _more(rng, codes, words, marks, 0, room)
-                length = (words[p] >> len_shift) + 1
-                p += 1
-                if length <= max_len:
-                    break
+            length = below(max_len) + 1
             lengths.append(length)
-            need = length
             if not spans:
-                while True:
-                    if p == len(words):
-                        words, marks = _more(rng, codes, words, marks, 0, room)
-                    r = words[p] >> first_shift
-                    p += 1
-                    if r < n_first:
-                        break
-                first = alphabet[r]
-                need -= 1
-            # Widen [p, end) by its rejected tries until it holds need choices.
-            end = p + need
-            short = need
-            while short:
-                if end > len(marks):
-                    words, marks = _more(rng, codes, words, marks, 0, end - len(marks) + room)
-                short = marks.count(255, end - short, end)
-                end += short
-            spans.append(marks[p:end])
-            p = end
-        letters = bytes((first,)) + _walk(rank, first, b"".join(spans).translate(None, b"\xff"))
-        t = []
-        a = 0
+                spans.append(bytes((below(2 * rank),)))
+                length -= 1
+            spans.append(span(length))
+        letters = _walk(stream.followers, b"".join(spans))
+        t, a = [], 0
         for length in lengths:
             t.append(letters[a : a + length])
             a += length
@@ -334,40 +261,88 @@ def _sample_aligned(
     return out
 
 
-def _more(
-    rng: random.Random, codes: bytes, words: array, marks: bytes, keep: int, m: int
-) -> tuple[array, bytes]:
-    """``words`` and ``marks`` from index ``keep`` on, then ``m`` more
-    outputs of ``rng`` and their ``codes`` marks."""
-    raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-    more = array("I", raw)
-    if sys.byteorder == "big":
-        more.byteswap()
-    return words[keep:] + more, marks[keep:] + raw[3::4].translate(codes)
+class LetterStream:
+    """The 32-bit outputs of a private ``random.Random(seed)``, decoded as
+    ``random`` reads them. They are drawn ahead, so the generator ends past
+    the outputs decoded: it is made here and never handed out."""
+
+    __slots__ = ("followers", "_codes", "_rng", "_words", "_marks", "_p")
+
+    def __init__(self, rank: int, seed: int | str):
+        self.followers = _followers(rank)
+        self._codes = _choice_codes(rank)
+        self._rng = random.Random(seed)
+        self._words, self._marks, self._p = array("I"), b"", 0
+
+    def below(self, n: int) -> int:
+        """One ``_randbelow(n)``, 1 <= n < 2**32, as ``randint`` and ``choice``
+        draw it: the top ``n.bit_length()`` bits of an output, until < n."""
+        shift = 32 - n.bit_length()
+        while True:
+            if self._p == len(self._words):
+                self._draw(1)
+            r = self._words[self._p] >> shift
+            self._p += 1
+            if r < n:
+                return r
+
+    def span(self, k: int) -> bytes:
+        """The ``_choice_codes`` marks of the next ``k`` follower choices,
+        their rejected tries (255) left in."""
+        p = self._p
+        end, short = p + k, k
+        while short:
+            if end > len(self._marks):
+                self._draw(end - p)
+                p, end = 0, end - p
+            short = self._marks.count(255, end - short, end)
+            end += short
+        self._p = end
+        return self._marks[p:end]
+
+    def word(self, length: int) -> Letters:
+        """The letters of one ``choice`` per letter: the first among the
+        alphabet, each later one among the followers of the letter before."""
+        if length <= 0:
+            if length:
+                raise UsageError("length must be >= 0")
+            return b""
+        first = bytes((self.below(len(self.followers[0])),))
+        return _walk(self.followers, first + self.span(length - 1))
+
+    def _draw(self, need: int) -> None:
+        """Drop the outputs before the read position and draw at least ``_BLOCK``
+        more (``getrandbits(32 m)`` is m outputs, the first lowest) until
+        ``need`` outputs lie ahead of it."""
+        p = self._p
+        m = max(need - (len(self._words) - p), _BLOCK)
+        raw = self._rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        more = array("I", raw)
+        if sys.byteorder == "big":
+            more.byteswap()
+        self._words = self._words[p:] + more
+        self._marks = self._marks[p:] + raw[3::4].translate(self._codes)
+        self._p = 0
 
 
-def _walk(rank: int, last: int, choices: bytes) -> Letters:
-    """The letters that follower choices pick one after another from the
-    letter byte ``last`` on."""
-    followers = _followers(rank)
-    out = bytearray()
-    for c in choices:
+def _walk(followers: list[bytes], marks: bytes) -> Letters:
+    """The letters that the follower choices among ``marks`` pick one after
+    another, the first among the whole alphabet."""
+    last, out = 0, bytearray()
+    for c in marks.translate(None, b"\xff"):
         last = followers[last][c]
         out.append(last)
     return bytes(out)
 
 
 @functools.cache
-def _choice_codes(rank: int) -> tuple[bytes, bytes]:
-    """(codes, rejected) of a follower choice from the top byte of a 32-bit
-    output: with n = 2 rank - 1 <= 51 followers the choice is the top
-    ``n.bit_length()`` <= 6 bits of the output, so ``codes`` maps a top byte
-    to that choice, or to 255 for a rejected try, and ``rejected`` lists the
-    top bytes of rejected tries."""
+def _choice_codes(rank: int) -> bytes:
+    """Top byte of a 32-bit output -> the follower choice it makes, or 255
+    for a rejected try: with n = 2 rank - 1 <= 51 followers the choice is
+    the top ``n.bit_length()`` <= 6 bits of the output."""
     n = 2 * rank - 1
     shift = 8 - n.bit_length()
-    codes = bytes(b >> shift if b >> shift < n else 255 for b in range(256))
-    return codes, bytes(b for b in range(256) if codes[b] == 255)
+    return bytes(b >> shift if b >> shift < n else 255 for b in range(256))
 
 
 @functools.cache

@@ -16,10 +16,12 @@ paths of the library are compared against.
   decompositions of a tripod and compares them with the three sides.
 * ``reference_value`` is phi as the plain sum of lambda over the pieces
   (``piece_values``), the oracle of the counting kernel.
-* ``random_aligned_tuple`` draws one aligned tuple with one ``randint`` per
-  entry and one ``choice`` per letter, and ``random_aligned_tuples`` lists
-  them on the seeded generator of ``cochain.random_aligned_tuples``: the
-  reference of its block decoder.
+* ``random_word`` draws letters with one ``choice`` per letter, the
+  reference of ``words.LetterStream``. ``random_aligned_tuple`` draws one
+  aligned tuple with one ``randint`` per entry and ``random_word`` per
+  entry, and ``random_aligned_tuples`` lists them on the seeded generator
+  of ``cochain.random_aligned_tuples``: the reference of its decoder.
+  ``long_tuples`` draws aligned tuples of entries of one fixed length.
 * ``flip_letters`` reverses a tuple and inverts each entry, and
   ``tree_eval`` evaluates a cochain expression by recursion over its
   composite nodes, with no plan and no restriction memo: the reference of
@@ -204,27 +206,49 @@ def _followers(rank: int) -> dict[int, list[int]]:
     return out
 
 
+def random_word(rng: random.Random, rank: int, length: int, last: int = 0) -> Letters:
+    """``length`` letters, one ``choice`` per letter among the followers of
+    the letter before, the first among the followers of the letter byte
+    ``last`` (the whole alphabet for 0)."""
+    followers = _followers(rank)
+    out = bytearray()
+    for _ in range(length):
+        last = rng.choice(followers[last])
+        out.append(last)
+    return bytes(out)
+
+
 def random_aligned_tuple(
     rng: random.Random, rank: int, arity: int, max_len: int
 ) -> tuple[Letters, ...]:
     """Aligned tuple with entry lengths uniform in [1, max_len]: per entry
     one ``randint``, then one ``choice`` among the followers of the last
     letter per letter."""
-    followers = _followers(rank)
-    out = []
-    last = 0
-    for _ in range(arity):
-        entry = bytearray()
-        for _ in range(rng.randint(1, max_len)):
-            last = rng.choice(followers[last])
-            entry.append(last)
-        out.append(bytes(entry))
-    return tuple(out)
+    return _aligned_walk(rng, rank, (rng.randint(1, max_len) for _ in range(arity)))
 
 
 def random_aligned_tuples(rank: int, arity: int, count: int, max_len: int, seed):
     rng = random.Random(f"{seed}:aligned:{arity}:{max_len}")
     return [random_aligned_tuple(rng, rank, arity, max_len) for _ in range(count)]
+
+
+def long_tuples(rank: int, arity: int, count: int, length: int, seed) -> list:
+    """Aligned tuples whose entries have exactly ``length`` letters, one
+    ``choice`` per letter on ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [_aligned_walk(rng, rank, [length] * arity) for _ in range(count)]
+
+
+def _aligned_walk(rng: random.Random, rank: int, lengths) -> tuple[Letters, ...]:
+    """Aligned entries of ``lengths``, read one by one as the entries are
+    drawn: ``random_word`` per entry, each after the last letter before."""
+    out = []
+    last = 0
+    for length in lengths:
+        entry = random_word(rng, rank, length, last)
+        out.append(entry)
+        last = entry[-1]
+    return tuple(out)
 
 
 def flip_letters(t: tuple[Letters, ...]) -> tuple[Letters, ...]:

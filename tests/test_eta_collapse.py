@@ -14,7 +14,6 @@ at both edges, and the short ones make the two edges overlap. ``k1`` and
 whole entry.
 """
 
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,14 +38,13 @@ from massey_workbench.decomposition import DecompositionSpec, boundaries
 from massey_workbench.massey import MasseyInstance, eta1, eta2, eta_bridge
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
-    _sample_letters,
     invert_letters,
     multiply_letters,
     parse_word,
     reduce_letters,
     sample_word,
 )
-from oracles import piece_lengths, reference_value, tampered_lambda
+from oracles import long_tuples, piece_lengths, reference_value, tampered_lambda
 
 RANK = 3
 # (family, Brooks word) of phi and of the windowed factors.
@@ -213,20 +211,6 @@ def test_collapsed_eta_matches_piece_sums(data):
         assert node.windows == (window_of(left), window_of(right))
         got = node._eval(h + (e,) + tl, EvalContext())
         assert Fraction(got, node.den) == oracle_sum(phi, ref_left, ref_right, h, e, tl, shift)
-
-
-def long_tuples(rank, arity, count, length, seed):
-    """Aligned tuples whose entries have exactly ``length`` letters."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        row, last = [], 0
-        for _ in range(arity):
-            letters = _sample_letters(rank, length, rng, first_banned=last)
-            row.append(letters)
-            last = letters[-1]
-        out.append(tuple(row))
-    return out
 
 
 def test_standard_eta_nodes_take_the_collapse():

@@ -11,7 +11,6 @@ the comparison fail. The key-bound tests read the ``EvalContext`` after an
 evaluation of the standard instance's primitive on 200-letter entries.
 """
 
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,14 +35,13 @@ from massey_workbench.decomposition import DecompositionSpec
 from massey_workbench.massey import bounded_primitive
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
-    _sample_letters,
     invert_letters,
     multiply_letters,
     parse_word,
     reduce_letters,
     sample_word,
 )
-from oracles import reference_value, tampered_lambda
+from oracles import long_tuples, reference_value, tampered_lambda
 
 # Brooks words with the smallest rank that holds them.
 BROOKS_WORDS = (("a", 1), ("ab", 2), ("aab", 2), ("abC", 3), ("aabab", 2))
@@ -185,20 +183,6 @@ def test_windows_of_the_families():
 
 
 # -- key bound ---------------------------------------------------------------
-
-
-def long_tuples(rank, arity, count, length, seed):
-    """Aligned tuples whose entries have exactly ``length`` letters."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        entries, last = [], 0
-        for _ in range(arity):
-            letters = _sample_letters(rank, length, rng, first_banned=last)
-            entries.append(letters)
-            last = letters[-1]
-        out.append(tuple(entries))
-    return out
 
 
 def restriction_keys(ctx):

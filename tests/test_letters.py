@@ -10,14 +10,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massey_workbench import quasimorphism
+from massey_workbench._parallel import Scan
 from massey_workbench.cochain import aligned_letters, random_aligned_tuples
 from massey_workbench.decomposition import DecompositionSpec, is_non_self_overlapping
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.words import (
-    _sample_letters,
+    LetterStream,
     cancelled_length,
     format_letters,
     invert_letters,
@@ -27,7 +30,7 @@ from massey_workbench.words import (
     sample_word,
     words_of_length,
 )
-from oracles import flip_letters, reference_value, split_product
+from oracles import flip_letters, random_word, reference_value, split_product
 from oracles import random_aligned_tuples as per_letter_tuples
 
 
@@ -289,8 +292,8 @@ def test_random_stream_matches_tuple_oracle(rank, arity, max_len, seed):
 def test_block_decoder_matches_the_per_letter_oracle(rank, max_len, arity, count, seed):
     """The block-decoded tuples are those of one ``randint`` per entry and
     one ``choice`` per letter. Lengths up to 255 are read off the top byte
-    of an output, 256 and 1000 need more of it; ranks 1 and 26 decode
-    through chunk tables of 8 and 1 choices."""
+    of an output, 256 and 1000 need more of it; rank 1 rejects half of its
+    letter tries and rank 26 (51 followers) a fifth."""
     mine = random_aligned_tuples(rank, arity, count, max_len, seed)
     assert mine == per_letter_tuples(rank, arity, count, max_len, seed)
 
@@ -304,15 +307,63 @@ def test_block_decoder_matches_the_per_letter_oracle(rank, max_len, arity, count
 )
 @settings(max_examples=300, deadline=None)
 def test_batched_sampler_keeps_the_choice_stream(rank, length, banned, seed, data):
-    """The batched sampler returns the letters of one ``choice`` per letter
-    and leaves the generator where those calls leave it; ranks 1, 3 and 26
-    (n = 1, 5, 51 followers) reject often."""
+    """The decoder returns the letters of one ``choice`` per letter: a word
+    from the whole alphabet on, or a span walked on from a given letter;
+    ranks 1, 3 and 26 (n = 1, 5, 51 followers) reject often."""
     first = data.draw(letters_in(rank)) if banned else 0
-    mine, theirs = random.Random(seed), random.Random(seed)
-    assert signed(_sample_letters(rank, length, mine, first & 0xFF)) == sample_tuple(
-        rank, length, theirs, first
-    )
-    assert mine.random() == theirs.random()
+    stream = LetterStream(rank, seed)
+    if first:
+        last, mine = first, []
+        for c in stream.span(length).translate(None, b"\xff"):
+            last = [x for x in alphabet_tuple(rank) if x != -last][c]
+            mine.append(last)
+    else:
+        mine = signed(stream.word(length))
+    assert tuple(mine) == sample_tuple(rank, length, random.Random(seed), first)
+
+
+# ---------------------------------------------------------------------------
+# The stream decoder against plain per-call ``random.Random`` draws. Each
+# test reads many draws from one stream, so a draw that takes one output
+# too many or too few shows in every later one.
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 51, 255, 256, 1000, 2**31))
+def test_below_is_randint(n):
+    """``below(n)`` is ``randint(0, n - 1)``: at n = 2**k a try keeps k + 1
+    bits and rejects half of them."""
+    for seed in (0, "below"):
+        stream, rng = LetterStream(1, seed), random.Random(seed)
+        mine = [stream.below(n) for _ in range(2000)]
+        assert mine == [rng.randint(0, n - 1) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 26))
+def test_word_is_one_choice_per_letter(rank):
+    stream, rng = LetterStream(rank, f"word:{rank}"), random.Random(f"word:{rank}")
+    for length in range(401):
+        assert stream.word(length) == random_word(rng, rank, length)
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 0), (2, 40), (3, 255), (26, 1000)])
+def test_defect_pairs_are_the_plain_loop(rank, max_len, monkeypatch):
+    """``defect_sup`` draws each random pair as ``randint(0, max_len)``
+    twice, then the two words one ``choice`` per letter."""
+    seen = []
+
+    def scan(probe, q, pairs, jobs):
+        seen.extend(pairs)
+        return Scan()
+
+    monkeypatch.setattr(quasimorphism, "scan", scan)
+    q = QuasiMorphism(DecompositionSpec("letter", rank), LambdaTable({}))
+    quasimorphism.defect_sup(q, random_pairs=300, max_len=max_len, seed=9)
+    rng = random.Random("9:defect")
+    expect = []
+    for _ in range(300):
+        lg, lh = rng.randint(0, max_len), rng.randint(0, max_len)
+        expect.append((random_word(rng, rank, lg), random_word(rng, rank, lh)))
+    assert seen == expect
 
 
 @st.composite

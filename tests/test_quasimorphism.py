@@ -24,7 +24,7 @@ from massey_workbench.words import (
     reduce_letters,
     sample_word,
 )
-from oracles import decompose, reference_value, tampered_lambda
+from oracles import decompose, random_word, reference_value, tampered_lambda
 from test_letters import signed
 
 W = lambda s: parse_word(s, 2)
@@ -151,7 +151,7 @@ def test_defect_sup_deterministic_and_bounded():
     rng = random.Random("11:defect")
     for _ in range(50):
         lg, lh = rng.randint(0, 40), rng.randint(0, 40)
-        pairs.append((sample_word(2, lg, rng), sample_word(2, lh, rng)))
+        pairs.append((random_word(rng, 2, lg), random_word(rng, 2, lh)))
     best, argmax = 0, None
     for g, h in pairs:
         if abs(defect(q, g, h)) > best:
