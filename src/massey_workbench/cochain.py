@@ -185,7 +185,27 @@ class QMCochain(Cochain):
         return self.qm.value_letters(t[0])
 
 
-class Restriction(Cochain):
+class _MemoLeaf(Cochain):
+    """A leaf memoized under ``(node, t)``, ``t`` cut first to ``t[0][-K_L:]`` and
+    ``t[-1][:K_R]`` (``cut = (K_L, K_R)``, 0 for none); ``_fill`` stores ``_compute``
+    on a cut tuple. Plans read the memo inline (README "Compiled evaluation plans")."""
+
+    __slots__ = ()
+
+    def _eval(self, t, ctx):
+        kl, kr = self.cut
+        if kl:
+            t = (t[0][-kl:],) + t[1:]
+        if kr:
+            t = t[:-1] + (t[-1][:kr],)
+        value = ctx.node_values.get((self, t))
+        return self._fill(t, ctx) if value is None else value
+
+    def _fill(self, t: LettersTuple, ctx: EvalContext) -> int:
+        return ctx.store((self, t), self._compute(t, ctx))
+
+
+class Restriction(_MemoLeaf):
     """Extension by zero off the aligned domain.
 
     Over the coboundary of a quasi-morphism leaf, ``window`` is the leaf's
@@ -194,7 +214,7 @@ class Restriction(Cochain):
     test and the child's window read nothing else (README "Junction window").
     """
 
-    __slots__ = ("degree", "den", "child", "window")
+    __slots__ = ("degree", "den", "child", "window", "cut")
 
     def __init__(self, child: Cochain):
         self.degree = child.degree
@@ -202,17 +222,12 @@ class Restriction(Cochain):
         self.child = child
         qm = child.qm if isinstance(child, Coboundary) else None
         self.window = qm.window if qm is not None else 0
+        self.cut = (self.window, self.window)
 
-    def _eval(self, t, ctx):
-        k = self.window
-        if k:
-            t = (t[0][-k:], t[1][:k])
-        key = (self, t)
-        cached = ctx.node_values.get(key)
-        if cached is not None:
-            return cached
-        value = self.child._eval(t, ctx) if aligned_letters(t) else 0
-        return ctx.store(key, value)
+    _eval = _MemoLeaf._eval  # in the class dict, where perfbench's tracer wraps it
+
+    def _compute(self, t, ctx):
+        return self.child._eval(t, ctx) if aligned_letters(t) else 0
 
 
 class Coboundary(Cochain):
@@ -329,15 +344,17 @@ class LinearCombination(Cochain):
 
 def compile_plan(expr: Cochain) -> Callable[[LettersTuple, EvalContext], int]:
     """``expr._eval`` as one generated straight-line function on its
-    ``_terms`` (README "Compiled evaluation plans"): each range product is
-    built once, each distinct leaf call made at most once, on first use, and
-    each term stops at its first zero factor. No term is merged or cancelled."""
+    ``_terms`` (README "Compiled evaluation plans"): each range product and
+    window slice is built once, each distinct leaf call made at most once, on
+    first use, a memo leaf's as an inline read of its memo, and each term
+    stops at its first zero factor. No term is merged or cancelled."""
     root = tuple((i, i + 1, False) for i in range(expr.degree))
     names = {r: f"t{r[0]}" for r in root}
     head = ["def f(t, ctx):"] + [f"    {', '.join(names.values())}, = t"] * bool(root)
     # Open ``if`` blocks, the body first, as (leading factor, calls made in it):
-    # a call made only in a closed block is retried at its next use.
-    body, leaves, maybe, blocks = ["    total = 0"], {}, set(), [(None, set())]
+    # a call made only in a closed block is retried at its next use. ``windows``
+    # maps (memo leaf, end) to (name, slice): K stays out of the shared source.
+    body, leaves, maybe, blocks, windows = ["    total = 0"], {}, set(), [(None, set())], {}
 
     def product(a, b, inv):
         if (a, b, inv) not in names:
@@ -347,12 +364,25 @@ def compile_plan(expr: Cochain) -> Callable[[LettersTuple, EvalContext], int]:
             head.append(f"    {names[a, b, inv]} = {f'inv({x})' if inv else concat}")
         return names[a, b, inv]
 
+    def window(x, key, cut):
+        w = windows.setdefault(key, (f"W{len(windows)}", cut))[0]
+        head.extend([f"    {x}_{w} = {x}[{w}]"] * ((x, w) not in names))
+        return names.setdefault((x, w), f"{x}_{w}")
+
     def load(call):
         j = leaves.setdefault(call, len(leaves))
         if all(j not in made for _, made in blocks):
-            args = "t" if call[1] == root else f"({''.join(product(*r) + ', ' for r in call[1])})"
-            line = f"v{j} = L{j}({args}, ctx)"
-            body.append("    " * len(blocks) + (f"if v{j} is None: {line}" if j in maybe else line))
+            leaf, ranges = call
+            xs, memo = [product(*r) for r in ranges], isinstance(leaf, _MemoLeaf)
+            kl, kr = leaf.cut if memo else (0, 0)
+            if kl:
+                xs[0] = window(xs[0], (leaf, 0), slice(-kl, None))
+            if kr:
+                xs[-1] = window(xs[-1], (leaf, 1), slice(None, kr))
+            args = "t" if ranges == root and not kl | kr else f"({''.join(x + ', ' for x in xs)})"
+            lines = [f"v{j} = get((N{j}, {args}))"] * memo + [f"v{j} = L{j}({args}, ctx)"]
+            for retry, line in zip((j in maybe, True), lines):  # each runs while v{j} is None
+                body.append("    " * len(blocks) + f"if v{j} is None: " * retry + line)
             blocks[-1][1].add(j)
         return f"v{j}"
 
@@ -366,9 +396,12 @@ def compile_plan(expr: Cochain) -> Callable[[LettersTuple, EvalContext], int]:
             blocks.append((call, set()))
         used = [str(c)] * (c != 1 or not factors) + [load(call) for call in factors]
         body.append(f"{'    ' * len(blocks)}total += {' * '.join(used)}")
+    memos = [isinstance(leaf, _MemoLeaf) for leaf, _ in leaves]
+    head += ["    get = ctx.node_values.get"] * any(memos)
     head += [f"    {' = '.join(f'v{j}' for j in sorted(maybe))} = None"] * bool(maybe)
-    namespace = {"mul": multiply_letters, "inv": invert_letters}
-    namespace.update((f"L{j}", leaf._eval) for (leaf, _), j in leaves.items())
+    namespace = {"mul": multiply_letters, "inv": invert_letters, **dict(windows.values())}
+    for (leaf, _), j in leaves.items():  # ``L{j}`` computes leaf j, on a miss for a memo leaf
+        namespace |= {f"N{j}": leaf, f"L{j}": leaf._fill} if memos[j] else {f"L{j}": leaf._eval}
     exec(_plan_code("\n".join([*head, *body, "    return total"]), "<plan>", "exec"), namespace)
     # Popped, ``f`` and its globals form no cycle: a plan dies with its context.
     return namespace.pop("f")

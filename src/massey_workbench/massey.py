@@ -50,6 +50,7 @@ from .cochain import (
     EvalContext,
     LettersTuple,
     Restriction,
+    _MemoLeaf,
     aligned_letters,
     coboundary,
     cup,
@@ -107,7 +108,7 @@ class MasseyInstance:
         return min(self.k1, self.k2) == 1
 
 
-class _EtaBase(Cochain):
+class _EtaBase(_MemoLeaf):
     """The eta family of leaves: a cached bridge sum over the pieces of one
     entry, with factors ``left`` and ``right`` (None when absent, reading 1):
     ``Eta1`` has no right factor and ``Eta2`` no left one. Degree and ``den``
@@ -117,8 +118,7 @@ class _EtaBase(Cochain):
     collapses the pieces between the edges they leave (README "Eta bulk
     collapse"). A windowed factor has degree 2, so it reads only ``t[0][-K_L:]``
     (left) or ``t[-1][:K_R]`` (right) of the entry beside ``e``; ``cut`` keeps
-    those windows, 0 for any other, and ``_eval`` cuts ``t`` to them before
-    its memo key and ``_compute`` see it (README "Memo key").
+    those windows, 0 for any other: its ``_MemoLeaf`` cut (README "Memo key").
 
     The ``shift-z-boundary`` mutation moves both cut points of a piece one
     piece outward: the prefix of piece j ends where piece j does, and its
@@ -137,20 +137,7 @@ class _EtaBase(Cochain):
         self.windows = (_window(left), _window(right))
         self.cut = tuple(k if k < sys.maxsize else 0 for k in self.windows)
 
-    def _eval(self, t, ctx):
-        kl, kr = self.cut
-        if kl:
-            t = (t[0][-kl:],) + t[1:]
-        if kr:
-            t = t[:-1] + (t[-1][:kr],)
-        key = (self, t)
-        cached = ctx.node_values.get(key)
-        if cached is not None:
-            return cached
-        return ctx.store(key, self._compute(t, ctx))
-
-    def _compute(self, t: LettersTuple, ctx: EvalContext) -> int:
-        raise NotImplementedError
+    _eval = _MemoLeaf._eval  # in the class dict, where perfbench's tracer wraps it
 
     def _sum(self, head: LettersTuple, e: Letters, tail: LettersTuple, ctx: EvalContext) -> int:
         """sum_j left(head, z<_j) lambda_j right(z>_j, tail) over the pieces of ``e``.

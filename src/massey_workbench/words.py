@@ -36,7 +36,7 @@ ENUMERATION_CAP_ENV = "MASSEY_WORKBENCH_ENUM_CAP"
 # Sampled lengths stay under the enumeration cap and this limit: a length
 # draw is then one 32-bit output, whatever the cap is raised to.
 LENGTH_LIMIT = 2**31 - 1
-# Fewest 32-bit outputs the stream decoder draws at a time.
+# 32-bit outputs per draw of the stream decoder once its draws have doubled up.
 _BLOCK = 1 << 12
 
 Letters = bytes
@@ -311,11 +311,11 @@ class LetterStream:
         return _walk(self.followers, first + self.span(length - 1))
 
     def _draw(self, need: int) -> None:
-        """Drop the outputs before the read position and draw at least ``_BLOCK``
-        more (``getrandbits(32 m)`` is m outputs, the first lowest) until
-        ``need`` outputs lie ahead of it."""
+        """Drop the outputs before the read position and draw m more (``getrandbits(32
+        m)`` is m outputs, the first lowest) until ``need`` outputs lie ahead of it:
+        the need at first, then at least twice the draw before, up to ``_BLOCK``."""
         p = self._p
-        m = max(need - (len(self._words) - p), _BLOCK)
+        m = max(need - (len(self._words) - p), min(2 * len(self._words), _BLOCK))
         raw = self._rng.getrandbits(32 * m).to_bytes(4 * m, "little")
         more = array("I", raw)
         if sys.byteorder == "big":

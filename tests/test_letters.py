@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massey_workbench import quasimorphism
+from massey_workbench import quasimorphism, words
 from massey_workbench._parallel import Scan
 from massey_workbench.cochain import aligned_letters, random_aligned_tuples
 from massey_workbench.decomposition import DecompositionSpec, is_non_self_overlapping
@@ -343,6 +343,23 @@ def test_word_is_one_choice_per_letter(rank):
     stream, rng = LetterStream(rank, f"word:{rank}"), random.Random(f"word:{rank}")
     for length in range(401):
         assert stream.word(length) == random_word(rng, rank, length)
+
+
+def test_a_short_word_draws_few_outputs(monkeypatch):
+    """A fresh stream sizes its first draw to the need and doubles each
+    later one up to ``_BLOCK``, so a 5-letter word draws a few outputs."""
+    drawn = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            drawn.append(k // 32)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(words.random, "Random", Counted)
+    for seed in range(20):
+        drawn.clear()
+        assert len(sample_word(2, 5, seed)) == 5
+        assert 5 <= sum(drawn) < words._BLOCK
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 0), (2, 40), (3, 255), (26, 1000)])

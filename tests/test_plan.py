@@ -16,12 +16,17 @@ They must agree exactly:
 
 Two broken expansions, a coboundary with a face dropped and an alternation
 whose flipped ranges are not inverted, must each fail the first test.
+A plan reads the memo of each memo leaf (``Restriction``, the eta nodes)
+inline, under the key the leaf's own ``_eval`` builds: on the same stages,
+each memo leaf call a plan made hits again through ``_eval``, and a plan
+whose cuts are one letter short fails that test and the stage comparison.
 Plans are compiled lazily, once per ``EvalContext``, and never pickled:
 every scan payload holds contexts without plans, and ``--jobs`` 2 and 3
 runs give the serial report's bytes. Plans of equal source share one code
 object and keep their own globals.
 """
 
+import functools
 import gc
 import importlib.util
 import itertools
@@ -36,12 +41,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from instances import PHIS, PSI1_BY_WINDOW, massey_doc
-from massey_workbench import _parallel, cochain
+from massey_workbench import _parallel, cochain, massey
 from massey_workbench.checks import task_lists
 from massey_workbench.cochain import (
     Coboundary,
     EvalContext,
+    Restriction,
     TableCochain,
+    _MemoLeaf,
     alternate,
     coboundary,
     constant,
@@ -59,7 +66,7 @@ from massey_workbench.harness import run_massey
 from massey_workbench.massey import MUTATIONS, _exact_stages, bounded_primitive
 from massey_workbench.quasimorphism import LambdaTable, QuasiMorphism
 from massey_workbench.report import ExperimentPlan, render_json, strip_timing
-from massey_workbench.words import parse_word, reduce_letters
+from massey_workbench.words import invert_letters, multiply_letters, parse_word, reduce_letters
 from oracles import tree_eval
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,6 +194,78 @@ def test_stage_plans_match_tree(case):
         assert domain
         for expr in (lhs, rhs) if rhs is not None else (lhs,):
             check_plan(expr, domain)
+
+
+class CountingContext(EvalContext):
+    __slots__ = ("stores",)
+
+    def __init__(self):
+        super().__init__()
+        self.stores = 0
+
+    def store(self, key, value):
+        self.stores += 1
+        return super().store(key, value)
+
+
+def range_value(t, r):
+    """The product of ``t[a:b]``, inverted when ``inv`` is set: the entry a
+    plan builds for the range ``(a, b, inv)``."""
+    a, b, inv = r
+    value = functools.reduce(multiply_letters, t[a:b], b"")
+    return invert_letters(value) if inv else value
+
+
+def check_one_memo(expr, tasks):
+    """After the plan runs on a tuple, each memo leaf call it made, read
+    again through the leaf's ``_eval`` on the uncut plan arguments, hits
+    the memo: no new store. A call is made when every factor before it in
+    its term is nonzero."""
+    root = tuple((i, i + 1, False) for i in range(expr.degree))
+    terms = [factors for c, factors in expr._terms(root) if c]
+    ctx, reads = CountingContext(), 0
+    for t in tasks:
+        expr._eval(t, ctx)
+        stores = ctx.stores
+        for factors in terms:
+            for leaf, ranges in factors:
+                reads += isinstance(leaf, _MemoLeaf)
+                if not leaf._eval(tuple(range_value(t, r) for r in ranges), ctx):
+                    break
+        assert ctx.stores == stores, t
+    return reads
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_plan_and_eval_share_one_memo(case):
+    m, plan = massey_from_json(CASES[case])
+    tasks = task_lists(plan)
+    reads = 0
+    for name, arity, key, lhs, rhs in _exact_stages(m):
+        domain = first_tasks(plan, tasks, arity, key)
+        for expr in (lhs, rhs) if rhs is not None else (lhs,):
+            reads += check_one_memo(expr, domain)
+    assert reads
+
+
+def short_plan(expr, exact=cochain.compile_plan):
+    """``compile_plan`` on memo leaves whose cut is one letter short, 0 for
+    a window of 1; the leaves' own ``_eval`` keeps the whole cut."""
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (Restriction, massey._EtaBase):
+            whole = cls.__dict__["cut"]
+            cut = lambda node, whole=whole: tuple(max(k - 1, 0) for k in whole.__get__(node))
+            patch.setattr(cls, "cut", property(cut))
+        return exact(expr)
+
+
+def test_a_plan_cut_one_letter_short_fails(monkeypatch):
+    monkeypatch.setattr(cochain, "compile_plan", short_plan)
+    with pytest.raises(AssertionError):
+        test_plan_and_eval_share_one_memo("standard")
+    with pytest.raises(AssertionError):
+        for case in CASES:
+            test_stage_plans_match_tree(case)
 
 
 def dropped_face(self, args, exact=Coboundary._terms):
