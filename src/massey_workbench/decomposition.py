@@ -311,11 +311,12 @@ def _tripod_row(
     their ``_SEP``-joined bytes, each read at its offset, and their
     nonempty middle segments by a second such call. The two corner
     segments are the inverses of a piece-aligned suffix of ``h`` and prefix
-    of ``g``, whose cut flags are read from the tables. Flag strings that
-    start with 1 spell piece-length sequences one to one, so comparing
-    flags compares piece runs. Piece runs within ``g`` and ``h`` themselves
-    are covered by the per-word run checks, so their remainders are counted
-    from the cut indices.
+    of ``g``, whose cut flags are read from the tables; letter comparisons
+    show it on a cancelling column, as ``h^-1 g^-1`` shows it on any other.
+    Flag strings that start with 1 spell piece-length sequences one to one,
+    so comparing flags compares piece runs. Piece runs within ``g`` and
+    ``h`` themselves are covered by the per-word run checks, so their
+    remainders are counted from the cut indices.
     """
     kernel = cut_flags
     a, inv_a = dg.letters, dg.inverse
@@ -356,14 +357,14 @@ def _tripod_row(
         lo, hi = start + len3, end - len1
         mid = flags[lo:hi]
         # The letter comparisons show the end segments are the tabled words
-        # (they restate gh[:len1] == g[:len1] and gh[-len3:] == h[-len3:] on
-        # the inverse), so the table lookups are exact. The one for c2
-        # compares two empty words when len2 is 0, so it is skipped then.
+        # (gh[:len1] == g[:len1], gh[-len3:] == h[-len3:]), so lookups are exact.
+        # They hold by construction when c = 0 (ghinv is inv_b + inv_a, len1 <= la,
+        # len3 <= lb), and the one for c2 when len2 = 0, where it compares empty words.
         if (
             dh.inv_suffix[len3] == flags[start:lo]
             and inv_prefix[len1] == flags[hi:end]
-            and ghinv[total - len1 :] == inv_a[la - len1 :]
-            and ghinv[:len3] == inv_b[:len3]
+            and (not c or ghinv[total - len1 :] == inv_a[la - len1 :])
+            and (not c or ghinv[:len3] == inv_b[:len3])
             and (not len2 or a[la - len2 :] == inv_b[lb - len2 :])
         ):
             if lo != hi:

@@ -18,6 +18,7 @@ g_{k1} h_1); at most 3 R-hat terms survive, which bounds sup |P|.
 
 Here z<_j / z>_j are the products of the pieces before / after the j-th one.
 
+An instance builds one eta node per kind, and every builder shares them.
 The eta nodes follow the integer convention of ``cochain``: each returns the
 numerator of its sum over ``den``, the product of its factors' denominators.
 A windowed restriction factor reads only ``K`` letters of the entry, so it is
@@ -33,6 +34,8 @@ the nonzero-lambda pieces; both read lambda from the table.
 
 from __future__ import annotations
 
+import functools
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,6 +90,10 @@ class MasseyInstance:
     k1: int
     k2: int
     mutation: str | None = None
+    # One eta node per kind, shared by every builder (README "Memo key").
+    eta1 = functools.cached_property(lambda m: Eta1(m))
+    eta2 = functools.cached_property(lambda m: Eta2(m))
+    eta_bridge = functools.cached_property(lambda m: EtaBridge(m))
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:
@@ -112,7 +119,8 @@ class _EtaBase(_MemoLeaf):
     """The eta family of leaves: a cached bridge sum over the pieces of one
     entry, with factors ``left`` and ``right`` (None when absent, reading 1):
     ``Eta1`` has no right factor and ``Eta2`` no left one. Degree and ``den``
-    follow from the factors.
+    follow from the factors. A node keeps its instance's ``phi``, ``shift``
+    and ``mid = k1 - 1``, not the instance, which caches its nodes.
 
     ``windows`` is ``(K_L, K_R)``, one ``_window`` per factor, and ``_sum``
     collapses the pieces between the edges they leave (README "Eta bulk
@@ -125,15 +133,16 @@ class _EtaBase(_MemoLeaf):
     suffix starts where piece j starts.
     """
 
-    __slots__ = ("m", "left", "right", "degree", "den", "shift", "windows", "cut")
+    __slots__ = ("phi", "left", "right", "degree", "den", "shift", "mid", "windows", "cut")
 
     def __init__(self, m: MasseyInstance, left: Cochain | None, right: Cochain | None):
-        self.m = m
+        self.phi = m.phi
         self.left = left
         self.right = right
         self.degree = (left.degree if left else 1) + (right.degree if right else 1) - 1
         self.den = (left.den if left else 1) * m.phi.den * (right.den if right else 1)
         self.shift = 1 if m.mutation == "shift-z-boundary" else 0
+        self.mid = m.k1 - 1
         self.windows = (_window(left), _window(right))
         self.cut = tuple(k if k < sys.maxsize else 0 for k in self.windows)
 
@@ -149,16 +158,16 @@ class _EtaBase(_MemoLeaf):
         edge lambdas. When the edges overlap, the right edge starts at
         ``lo``, so every piece is an edge piece and the bulk is 0.
         """
-        m, left, right, shift = self.m, self.left, self.right, self.shift
+        phi, left, right, shift = self.phi, self.left, self.right, self.shift
         kl, kr = self.windows
         n = len(e)
-        flags = cut_flags(m.phi.spec, e)
+        flags = cut_flags(phi.spec, e)
         # A piece starts at every 1 of flags, so cut 0 is flags[0].
         lo = flags.find(1, kl)
         if lo < 0:
             lo = n
         hi = max(flags.rfind(1, 0, max(n - kr + 1, 1)) if kr else n, lo)
-        lam = m.phi.numerators.get
+        lam = phi.numerators.get
         total = edge = 0
         for a, end in ((0, lo), (hi, n)):
             while a < end:
@@ -176,7 +185,7 @@ class _EtaBase(_MemoLeaf):
                         term *= right._eval((e[max(suf, n - kr) :],) + tail, ctx)
                     total += term
                 a = b
-        bulk = m.phi.value_letters(e) - edge if lo < hi else 0
+        bulk = phi.value_letters(e) - edge if lo < hi else 0
         if bulk and left is not None:
             bulk *= left._eval(head + (e[:kl],), ctx)
         if bulk and right is not None:
@@ -227,13 +236,13 @@ class EtaBridge(_EtaBase):
         super().__init__(m, m.omega1, m.omega2)
 
     def _compute(self, t, ctx):
-        mid = self.m.k1 - 1
+        mid = self.mid
         return self._sum(t[:mid], t[mid], t[mid + 1 :], ctx)
 
 
-eta1 = Eta1
-eta2 = Eta2
-eta_bridge = EtaBridge
+eta1 = operator.attrgetter("eta1")
+eta2 = operator.attrgetter("eta2")
+eta_bridge = operator.attrgetter("eta_bridge")
 
 
 def _sign(k: int) -> Fraction:
